@@ -29,6 +29,10 @@
 //! caller-owned [`CandidateBuf`] sink. The shared prediction-table
 //! hardware (`r` rows, `s` slots, D/2/4/F indexing — the knobs the paper
 //! sweeps) lives in [`PredictionTable`] and [`SlotList`].
+//! [`TaggedLru`] is the O(1) set-associative, ASID-tagged LRU map under
+//! `tlbsim-mmu`'s TLB, prefetch buffer and data cache, and
+//! [`BuildPageHasher`] the cheap integer hasher for the simulator's
+//! page-keyed hash maps.
 //!
 //! ## The zero-allocation miss path
 //!
@@ -78,6 +82,8 @@ mod confidence;
 mod config;
 mod distance;
 mod ensemble;
+mod hash;
+mod lru;
 mod markov;
 mod prefetcher;
 mod recency;
@@ -94,6 +100,8 @@ pub use confidence::{ConfidenceConfig, ConfidencePrefetcher};
 pub use config::{ConfigError, PrefetcherConfig, PrefetcherKind};
 pub use distance::DistancePrefetcher;
 pub use ensemble::EnsemblePrefetcher;
+pub use hash::{BuildPageHasher, PageHasher};
+pub use lru::{Displaced, TaggedLru};
 pub use markov::MarkovPrefetcher;
 pub use prefetcher::{
     HardwareProfile, IndexSource, MissContext, NullPrefetcher, PrefetchDecision, RowBudget,

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use crate::hash::BuildPageHasher;
 use crate::prefetcher::{
     HardwareProfile, IndexSource, MissContext, RowBudget, StateLocation, TlbPrefetcher,
 };
@@ -33,7 +34,7 @@ struct StackNode {
 /// ASID, not per row.
 #[derive(Debug, Clone, Default)]
 struct RecencyBank {
-    nodes: HashMap<VirtPage, StackNode>,
+    nodes: HashMap<VirtPage, StackNode, BuildPageHasher>,
     top: Option<VirtPage>,
 }
 
@@ -70,7 +71,7 @@ struct RecencyBank {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecencyPrefetcher {
-    nodes: HashMap<VirtPage, StackNode>,
+    nodes: HashMap<VirtPage, StackNode, BuildPageHasher>,
     top: Option<VirtPage>,
     asid: Asid,
     // Parked stacks of non-current contexts, indexed by ASID; the

@@ -7,6 +7,14 @@
 //! for MP, `s` distance slots for DP), so [`PredictionTable`] is generic
 //! over both the key and the payload. Replacement within a set is true
 //! LRU, matching row-eviction "because of conflicts" in §2.3.
+//!
+//! Rows are found by scanning the ways of their set and evicted by the
+//! smallest last-use tick. That is cheap at the D/2/4 geometries the
+//! mechanisms mostly run, but a fully associative table scans every row
+//! per lookup. The TLB and the prefetch buffer avoid the scan through
+//! [`TaggedLru`](crate::TaggedLru), which has the same contract; the
+//! differential oracle in `crates/mmu/tests/lru_oracle.rs` checks this
+//! table and the map against one linear-scan reference.
 
 use std::fmt;
 

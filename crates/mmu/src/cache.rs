@@ -1,20 +1,15 @@
 //! A generic set-associative, true-LRU cache of virtual-page keyed
 //! entries.
 //!
-//! Both the TLB and the prefetch buffer are instances of this structure
-//! (the prefetch buffer is simply fully associative); sharing the
-//! implementation keeps their replacement semantics identical, which the
-//! paper assumes implicitly by giving a single LRU description for both.
+//! The TLB, the prefetch buffer (simply fully associative) and the data
+//! cache are all instances of this structure; sharing it keeps their
+//! replacement semantics identical, which the paper assumes implicitly
+//! by giving a single LRU description for both. [`AssocCache`] is a thin
+//! page-keyed view of `tlbsim_core::TaggedLru`: a hash index on
+//! `(asid, page)` plus an intrusive recency list per set, so a probe of
+//! the 128-way TLB costs about what a probe of a direct-mapped one does.
 
-use tlbsim_core::{Asid, Associativity, InvalidGeometry, VirtPage};
-
-#[derive(Debug, Clone)]
-struct Way<V> {
-    asid: Asid,
-    page: VirtPage,
-    value: V,
-    last_used: u64,
-}
+use tlbsim_core::{Asid, Associativity, InvalidGeometry, TaggedLru, VirtPage};
 
 /// What [`AssocCache::insert`] displaced.
 ///
@@ -60,12 +55,7 @@ pub struct Evicted<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AssocCache<V> {
-    sets: Vec<Vec<Way<V>>>,
-    ways: usize,
-    capacity: usize,
-    assoc: Associativity,
-    tick: u64,
-    asid: Asid,
+    map: TaggedLru<VirtPage, V>,
 }
 
 impl<V> AssocCache<V> {
@@ -76,76 +66,42 @@ impl<V> AssocCache<V> {
     /// Returns [`InvalidGeometry`] if `capacity` is zero or not divisible
     /// by the way count implied by `assoc`.
     pub fn new(capacity: usize, assoc: Associativity) -> Result<Self, InvalidGeometry> {
-        let set_count = assoc.sets(capacity)?;
-        let ways = assoc.ways(capacity);
-        let mut sets = Vec::with_capacity(set_count);
-        for _ in 0..set_count {
-            sets.push(Vec::with_capacity(ways));
-        }
         Ok(AssocCache {
-            sets,
-            ways,
-            capacity,
-            assoc,
-            tick: 0,
-            asid: Asid::DEFAULT,
+            map: TaggedLru::new(capacity, assoc)?,
         })
-    }
-
-    fn set_index(&self, page: VirtPage) -> usize {
-        (page.number() % self.sets.len() as u64) as usize
     }
 
     /// Switches the current context: subsequent lookups and installs are
     /// tagged with `asid`. A pure register write — no entry is touched.
     pub fn set_asid(&mut self, asid: Asid) {
-        self.asid = asid;
+        self.map.set_asid(asid);
     }
 
     /// The current context tag.
     pub fn asid(&self) -> Asid {
-        self.asid
+        self.map.asid()
     }
 
     /// Invalidates every entry tagged with `asid`, leaving other
-    /// contexts' entries (and the LRU clock) untouched.
+    /// contexts' entries (and their LRU order) untouched.
     pub fn evict_asid(&mut self, asid: Asid) {
-        for set in &mut self.sets {
-            set.retain(|w| w.asid != asid);
-        }
-    }
-
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+        self.map.evict_asid(asid);
     }
 
     /// Looks up `page` in the current context, marking it most recently
     /// used on a hit.
     pub fn touch(&mut self, page: VirtPage) -> Option<&mut V> {
-        let tick = self.bump();
-        let asid = self.asid;
-        let idx = self.set_index(page);
-        self.sets[idx]
-            .iter_mut()
-            .find(|w| w.page == page && w.asid == asid)
-            .map(|w| {
-                w.last_used = tick;
-                &mut w.value
-            })
+        self.map.touch(page)
     }
 
     /// Looks up `page` in the current context without changing recency.
     pub fn peek(&self, page: VirtPage) -> Option<&V> {
-        let set = &self.sets[self.set_index(page)];
-        set.iter()
-            .find(|w| w.page == page && w.asid == self.asid)
-            .map(|w| &w.value)
+        self.map.peek(page)
     }
 
     /// Returns `true` if `page` is resident (no recency update).
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.peek(page).is_some()
+        self.map.contains(page)
     }
 
     /// Inserts `page -> value` under the current context as most
@@ -155,95 +111,52 @@ impl<V> AssocCache<V> {
     /// contexts in the set), or the previous value under the same
     /// `(asid, page)` if it was already resident.
     pub fn insert(&mut self, page: VirtPage, value: V) -> Option<Evicted<V>> {
-        let tick = self.bump();
-        let ways = self.ways;
-        let asid = self.asid;
-        let idx = self.set_index(page);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.page == page && w.asid == asid) {
-            w.last_used = tick;
-            let old = std::mem::replace(&mut w.value, value);
-            return Some(Evicted {
-                page,
-                value: old,
-                same_asid: true,
-            });
-        }
-        let mut evicted = None;
-        if set.len() == ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
-            let w = set.swap_remove(victim);
-            evicted = Some(Evicted {
-                page: w.page,
-                value: w.value,
-                same_asid: w.asid == asid,
-            });
-        }
-        set.push(Way {
-            asid,
-            page,
-            value,
-            last_used: tick,
-        });
-        evicted
+        self.map.insert(page, value).map(|d| Evicted {
+            page: d.key,
+            value: d.value,
+            same_asid: d.same_asid,
+        })
     }
 
     /// Removes `page` from the current context, returning its value.
     pub fn remove(&mut self, page: VirtPage) -> Option<V> {
-        let asid = self.asid;
-        let idx = self.set_index(page);
-        let set = &mut self.sets[idx];
-        let pos = set.iter().position(|w| w.page == page && w.asid == asid)?;
-        Some(set.swap_remove(pos).value)
+        self.map.remove(page)
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.map.len()
     }
 
     /// Returns `true` if nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.map.is_empty()
     }
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.map.capacity()
     }
 
     /// Configured associativity.
     pub fn associativity(&self) -> Associativity {
-        self.assoc
+        self.map.associativity()
     }
 
     /// Invalidates every entry.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.map.flush();
     }
 
     /// Iterates over resident `(page, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPage, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|w| (w.page, &w.value)))
+        self.map.iter().map(|(page, value)| (*page, value))
     }
 
     /// The least recently used page of the set `page` maps to (what an
     /// insert of `page` would evict if the set is full and `page` absent).
     pub fn victim_for(&self, page: VirtPage) -> Option<VirtPage> {
-        let set = &self.sets[self.set_index(page)];
-        if set.len() < self.ways {
-            return None;
-        }
-        set.iter().min_by_key(|w| w.last_used).map(|w| w.page)
+        self.map.victim_for(page)
     }
 }
 

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use tlbsim_core::{PhysPage, VirtPage};
+use tlbsim_core::{BuildPageHasher, PhysPage, VirtPage};
 
 /// A virtual-to-physical mapping built on demand.
 ///
@@ -29,7 +29,7 @@ use tlbsim_core::{PhysPage, VirtPage};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    map: HashMap<VirtPage, PhysPage>,
+    map: HashMap<VirtPage, PhysPage, BuildPageHasher>,
     next_frame: u64,
     walks: u64,
 }

@@ -23,7 +23,7 @@
 
 use std::collections::HashSet;
 
-use tlbsim_core::{Asid, MemoryAccess, MissContext, Pc, VirtPage};
+use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, MissContext, Pc, VirtPage};
 use tlbsim_mmu::Tlb;
 use tlbsim_workloads::Workload;
 
@@ -59,7 +59,7 @@ pub struct Engine {
     /// only by [`attribute_to`](Engine::attribute_to), never on the
     /// miss path; re-inserting an already-recorded page (the steady
     /// state) does not allocate.
-    stream_pages: Vec<HashSet<VirtPage>>,
+    stream_pages: Vec<HashSet<VirtPage, BuildPageHasher>>,
 }
 
 impl Engine {
@@ -289,7 +289,7 @@ impl Engine {
     /// time, not miss time.
     pub fn attribute_to(&mut self, stream: usize) {
         if self.stream_pages.len() <= stream {
-            self.stream_pages.resize_with(stream + 1, HashSet::new);
+            self.stream_pages.resize_with(stream + 1, HashSet::default);
         }
         self.current_stream = Some(stream);
     }

@@ -14,6 +14,12 @@
 //! steady-state allocations, both at cursor level and through the full
 //! `TraceWorkload` → `Workload::fill_batch` → `run_workload` stack.
 //!
+//! A third pins the structures underneath: the 128-entry fully
+//! associative TLB filling and evicting, the prefetch buffer churning,
+//! `evict_asid` and `flush` followed by refills, and a fully associative
+//! prediction table evicting rows in `get_or_insert_with` all run on
+//! storage sized once, at construction.
+//!
 //! The allocation counter is thread-local, so the tests cannot perturb
 //! each other even when the harness runs them concurrently.
 
@@ -264,6 +270,104 @@ fn asid_switching_steady_state_never_allocates() {
             "{kind:?}: ASID-switching steady state performed {allocated} heap allocations"
         );
     }
+}
+
+/// Runs `lap` four times to warm `state` up, then four more times and
+/// returns how many heap allocations the second four made.
+fn steady_state_allocations<T>(state: &mut T, mut lap: impl FnMut(&mut T)) -> u64 {
+    for _ in 0..4 {
+        lap(state);
+    }
+    let before = allocations_so_far();
+    for _ in 0..4 {
+        lap(state);
+    }
+    allocations_so_far() - before
+}
+
+#[test]
+fn associative_structures_never_allocate_after_construction() {
+    // The O(1) LRU map under the TLB, the prefetch buffer and the
+    // prediction tables sizes every array in `new`: fills that evict,
+    // targeted context eviction, flushes and refills must all reuse it.
+    use tlbsim_core::{Asid, Associativity, PhysPage, PredictionTable, SlotList, VirtPage};
+    use tlbsim_mmu::{PrefetchBuffer, Tlb, TlbConfig};
+
+    // The paper's 128-entry fully associative TLB, cycled through 300
+    // pages: every lap misses and evicts on most references.
+    let mut tlb = Tlb::new(TlbConfig::paper_default()).expect("paper geometry");
+    let allocated = steady_state_allocations(&mut tlb, |tlb| {
+        for p in 0..300u64 {
+            let page = VirtPage::new(p * 3);
+            if tlb.lookup(page).is_none() {
+                tlb.fill(page, PhysPage::new(p));
+            }
+        }
+    });
+    assert!(tlb.misses() >= 8 * 300, "the loop must fill and evict");
+    assert_eq!(
+        allocated, 0,
+        "128-F fill/evict loop allocated {allocated} times"
+    );
+
+    // The 16-entry buffer, flooded past capacity and drained by promotes.
+    let mut buffer = PrefetchBuffer::new(16).expect("paper geometry");
+    let allocated = steady_state_allocations(&mut buffer, |buffer| {
+        for p in 0..64u64 {
+            buffer.insert(VirtPage::new(p), PhysPage::new(p));
+            buffer.promote(VirtPage::new(p.saturating_sub(8)));
+        }
+    });
+    assert!(buffer.evicted_unused() > 0, "the flood must evict");
+    assert_eq!(
+        allocated, 0,
+        "prefetch-buffer churn allocated {allocated} times"
+    );
+
+    // Two contexts share the TLB; one is evicted wholesale every lap and
+    // refills next lap.
+    let mut tlb = Tlb::new(TlbConfig::paper_default()).expect("paper geometry");
+    let allocated = steady_state_allocations(&mut tlb, |tlb| {
+        for asid in 0..2u16 {
+            tlb.set_asid(Asid::new(asid));
+            for p in 0..100u64 {
+                tlb.fill(VirtPage::new(p), PhysPage::new(p));
+            }
+        }
+        tlb.evict_asid(Asid::new(0));
+    });
+    assert_eq!(
+        allocated, 0,
+        "evict_asid + refill allocated {allocated} times"
+    );
+
+    // A flush followed by a full refill.
+    let mut tlb = Tlb::new(TlbConfig::paper_default()).expect("paper geometry");
+    let allocated = steady_state_allocations(&mut tlb, |tlb| {
+        tlb.flush();
+        for p in 0..200u64 {
+            tlb.fill(VirtPage::new(p), PhysPage::new(p));
+        }
+    });
+    assert_eq!(tlb.len(), 128);
+    assert_eq!(allocated, 0, "flush + refill allocated {allocated} times");
+
+    // A fully associative prediction table whose rows are continuously
+    // evicted and re-created by `get_or_insert_with`, as MP's are.
+    let mut table: PredictionTable<VirtPage, SlotList<VirtPage>> =
+        PredictionTable::new(256, Associativity::Full).expect("valid geometry");
+    let allocated = steady_state_allocations(&mut table, |table| {
+        for p in 0..600u64 {
+            table
+                .get_or_insert_with(VirtPage::new(p), || SlotList::new(2))
+                .insert(VirtPage::new(p + 1));
+        }
+    });
+    assert!(table.evictions() >= 8 * 600 - 256, "rows must be evicted");
+    assert_eq!(
+        allocated, 0,
+        "256-F table get_or_insert_with allocated {allocated} times"
+    );
 }
 
 #[test]
