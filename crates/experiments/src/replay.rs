@@ -229,7 +229,7 @@ pub fn record_spec_with_format(
     })
 }
 
-/// The scheme sweep of one replayed trace: the figure grids' 21
+/// The scheme sweep of one replayed trace: the figure grids' 30
 /// configurations, accuracy and miss rate per scheme.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {

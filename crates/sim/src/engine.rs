@@ -12,8 +12,9 @@
 //! ## The batched, allocation-free loop
 //!
 //! References are processed in [`access_batch`](Engine::access_batch)
-//! slices: the TLB-hit fast path is a tight loop over a chunk, and the
-//! miss path runs through the shared [`PrefetchCore`](crate::batch) —
+//! slices: the TLB-hit fast path is a tight loop over a chunk that
+//! probes the TLB once per run of same-page references, and the miss
+//! path runs through the shared [`PrefetchCore`](crate::batch) —
 //! one engine-owned `CandidateBuf`, zero heap allocations per miss once
 //! the working set is warm (enforced by the `zero_alloc` integration
 //! test). [`Engine::run`] chunks arbitrary iterators through a reusable
@@ -118,11 +119,25 @@ impl Engine {
     }
 
     /// Simulates a batch of references with the TLB-hit fast path.
+    ///
+    /// A reference to the page the previous reference of this batch
+    /// looked up or filled skips the TLB probe: that page is already
+    /// resident and most recently used, so the hit would change
+    /// nothing, and no mechanism observes hits. The remembered page
+    /// starts empty on every call because context switches, ASID
+    /// changes and recycling happen between calls. Statistics equal
+    /// per-record [`Engine::access`] exactly ("Replay hit path" in
+    /// `docs/DESIGN.md`).
     pub fn access_batch(&mut self, batch: &[MemoryAccess]) {
         self.stats.accesses += batch.len() as u64;
         let page_size = self.config.page_size;
+        let mut last = None;
         for access in batch {
             let page = page_size.page_of(access.vaddr);
+            if last == Some(page) {
+                continue;
+            }
+            last = Some(page);
             if self.tlb.lookup(page).is_some() {
                 continue;
             }

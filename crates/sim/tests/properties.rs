@@ -2,8 +2,10 @@
 //! streams.
 
 use proptest::prelude::*;
-use tlbsim_core::{MemoryAccess, PrefetcherConfig, PrefetcherKind};
+use tlbsim_core::{Asid, Associativity, MemoryAccess, PrefetcherConfig, PrefetcherKind};
+use tlbsim_experiments::paper_scheme_grid;
 use tlbsim_mem::TimingParams;
+use tlbsim_mmu::TlbConfig;
 use tlbsim_sim::{Engine, SimConfig, TimingEngine};
 
 /// Arbitrary but reasonably local reference streams: a mix of small hot
@@ -15,6 +17,79 @@ fn arb_stream() -> impl Strategy<Value = Vec<MemoryAccess>> {
             .map(|(page, pc)| MemoryAccess::read(0x400 + pc * 4, page * 4096))
             .collect()
     })
+}
+
+/// Streams built from page runs, the shape the batch loop's same-page
+/// collapse feeds on: 1–64 references per run, each at a random offset
+/// in its page, drawn from 300 pages so runs revisit pages, both
+/// resident and evicted.
+fn arb_page_runs() -> impl Strategy<Value = Vec<MemoryAccess>> {
+    prop::collection::vec((0u64..300, 1u64..=64, 0u64..8, 0u64..4096), 1..240).prop_map(|runs| {
+        let mut stream = Vec::new();
+        for (page, len, pc, offset) in runs {
+            for i in 0..len {
+                let vaddr = page * 4096 + (offset + i * 64) % 4096;
+                stream.push(MemoryAccess::read(0x400 + pc * 4, vaddr));
+            }
+        }
+        stream
+    })
+}
+
+/// What happens to both engines between two batches.
+#[derive(Debug, Clone, Copy)]
+enum BetweenBatches {
+    Nothing,
+    SetAsid(u16),
+    EvictAsid(u16),
+    ContextSwitch,
+    Recycle,
+}
+
+/// A batch-size schedule around the engine's 4096-record batch, each
+/// size paired with the operation applied before that batch.
+fn arb_schedule() -> impl Strategy<Value = Vec<(usize, BetweenBatches)>> {
+    let size = prop_oneof![
+        Just(1usize),
+        Just(2),
+        Just(4095),
+        Just(4096),
+        Just(4097),
+        1usize..5000,
+    ];
+    let op = prop_oneof![
+        Just(BetweenBatches::Nothing),
+        (0u16..4).prop_map(BetweenBatches::SetAsid),
+        (0u16..4).prop_map(BetweenBatches::EvictAsid),
+        Just(BetweenBatches::ContextSwitch),
+        Just(BetweenBatches::Recycle),
+    ];
+    prop::collection::vec((size, op), 1..24)
+}
+
+/// Every grid scheme on the paper TLB, plus the paper default scheme on
+/// a 4-way set-associative TLB and on a 16-entry TLB.
+fn collapse_configs() -> Vec<SimConfig> {
+    let mut configs: Vec<SimConfig> = paper_scheme_grid()
+        .into_iter()
+        .map(|scheme| SimConfig::paper_default().with_prefetcher(scheme))
+        .collect();
+    configs.push(SimConfig::paper_default().with_tlb(TlbConfig {
+        entries: 128,
+        assoc: Associativity::ways_of(4),
+    }));
+    configs.push(SimConfig::paper_default().with_tlb(TlbConfig::fully_associative(16)));
+    configs
+}
+
+fn apply(engine: &mut Engine, op: BetweenBatches, config: &SimConfig) {
+    match op {
+        BetweenBatches::Nothing => {}
+        BetweenBatches::SetAsid(asid) => engine.set_asid(Asid::new(asid)),
+        BetweenBatches::EvictAsid(asid) => engine.evict_asid(Asid::new(asid)),
+        BetweenBatches::ContextSwitch => engine.context_switch(),
+        BetweenBatches::Recycle => assert!(engine.try_recycle(config)),
+    }
 }
 
 fn any_kind() -> impl Strategy<Value = PrefetcherKind> {
@@ -118,6 +193,49 @@ proptest! {
         let mut batched = Engine::new(&cfg).unwrap();
         batched.run(stream.iter().copied());
         prop_assert_eq!(one_by_one.stats(), batched.stats());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `access_batch` skips the TLB probe for a reference on the page
+    /// the previous one looked up or filled. Per-record `access`, which
+    /// probes every reference, is its oracle: the statistics must agree
+    /// after every batch, whatever the batch cuts and whatever context
+    /// operations fall between batches.
+    #[test]
+    fn same_page_collapse_matches_per_record_access(
+        stream in arb_page_runs(),
+        schedule in arb_schedule(),
+    ) {
+        for config in collapse_configs() {
+            let mut oracle = Engine::new(&config).unwrap();
+            let mut batched = Engine::new(&config).unwrap();
+            let mut at = 0usize;
+            for &(size, op) in schedule.iter().cycle() {
+                if at == stream.len() {
+                    break;
+                }
+                apply(&mut oracle, op, &config);
+                apply(&mut batched, op, &config);
+                let chunk = &stream[at..(at + size).min(stream.len())];
+                for access in chunk {
+                    oracle.access(access);
+                }
+                batched.access_batch(chunk);
+                at += chunk.len();
+                prop_assert_eq!(
+                    oracle.stats(),
+                    batched.stats(),
+                    "{} on {:?} diverged after record {}",
+                    config.prefetcher.label(),
+                    config.tlb,
+                    at
+                );
+            }
+            prop_assert_eq!(oracle.finish(), batched.finish());
+        }
     }
 }
 

@@ -219,6 +219,85 @@ pub(crate) fn next_record(
     })
 }
 
+/// Decodes delta records of the block whose bytes are `bytes` into
+/// `out`, one per slot, with the position and delta bases held in
+/// locals; one- and two-byte varints skip [`read_varint`]. The
+/// block-run counterpart of [`next_record`]: it decodes exactly what
+/// that many `next_record` calls would.
+///
+/// `state` must already be past the restart (`emitted >= 1`), and the
+/// caller bounds `out` by the records left in the block. `state` is
+/// written back once, at the end of the run or at a fault; after a
+/// fault it describes the last good record, so the records decoded
+/// before it are `state.emitted` minus its value on entry, and they are
+/// in `out`.
+#[inline]
+pub(crate) fn decode_deltas(
+    bytes: &[u8],
+    state: &mut DecodeState,
+    out: &mut [MemoryAccess],
+) -> Result<(), BlockFault> {
+    debug_assert!(state.emitted >= 1, "the restart is decoded by next_record");
+    let mut pos = state.pos;
+    let mut pc = state.prev_pc;
+    let mut vaddr = state.prev_vaddr;
+    let mut fault = None;
+    let mut done = 0usize;
+    for slot in out.iter_mut() {
+        let (kind, dpc, dvaddr, after) = match delta_at(bytes, pos) {
+            Ok(record) => record,
+            Err(bad) => {
+                fault = Some(bad);
+                break;
+            }
+        };
+        pos = after;
+        pc = pc.wrapping_add(unzigzag(dpc) as u64);
+        vaddr = vaddr.wrapping_add(unzigzag(dvaddr) as u64);
+        *slot = MemoryAccess {
+            pc: pc.into(),
+            vaddr: vaddr.into(),
+            kind,
+        };
+        done += 1;
+    }
+    state.pos = pos;
+    state.prev_pc = pc;
+    state.prev_vaddr = vaddr;
+    state.emitted += done as u64;
+    fault.map_or(Ok(()), Err)
+}
+
+/// The delta record at `pos`: its kind, zig-zagged pc and vaddr deltas,
+/// and the position after it.
+#[inline(always)]
+fn delta_at(bytes: &[u8], pos: usize) -> Result<(AccessKind, u64, u64, usize), BlockFault> {
+    let kind = decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?)?;
+    let mut at = pos + 1;
+    let dpc = short_varint(bytes, &mut at).ok_or(BlockFault::Payload)?;
+    let dvaddr = short_varint(bytes, &mut at).ok_or(BlockFault::Payload)?;
+    Ok((kind, dpc, dvaddr, at))
+}
+
+/// [`read_varint`] with the one- and two-byte cases inline (a one-byte
+/// pc delta and a two-byte vaddr delta is the common record: strides
+/// of 64 B up to 8 KiB).
+#[inline(always)]
+fn short_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let first = *bytes.get(*pos)?;
+    if first < 0x80 {
+        *pos += 1;
+        return Some(u64::from(first));
+    }
+    if let Some(&second) = bytes.get(*pos + 1) {
+        if second < 0x80 {
+            *pos += 2;
+            return Some(u64::from(first & 0x7F) | u64::from(second) << 7);
+        }
+    }
+    read_varint(bytes, pos)
+}
+
 #[inline]
 fn decode_kind(byte: u8) -> Result<AccessKind, BlockFault> {
     match byte {
@@ -313,8 +392,170 @@ pub(crate) fn index_entry(index_bytes: &[u8], i: u64) -> (u64, u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Deltas of every encoded width: one- and two-byte strides of
+    /// either sign, longer (including negative) strides, and full-range
+    /// values that wrap the 64-bit address space.
+    fn arb_delta() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (-64i64..64).prop_map(|d| d as u64),
+            (-8192i64..8192).prop_map(|d| d as u64),
+            (-(1i64 << 40)..(1i64 << 40)).prop_map(|d| d as u64),
+            any::<u64>(),
+        ]
+    }
+
+    /// Random records chained from random deltas.
+    pub(crate) fn arb_records(
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<MemoryAccess>> {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec((any::<bool>(), arb_delta(), arb_delta()), len),
+        )
+            .prop_map(|(mut pc, mut vaddr, steps)| {
+                steps
+                    .into_iter()
+                    .map(|(write, dpc, dvaddr)| {
+                        pc = pc.wrapping_add(dpc);
+                        vaddr = vaddr.wrapping_add(dvaddr);
+                        if write {
+                            MemoryAccess::write(pc, vaddr)
+                        } else {
+                            MemoryAccess::read(pc, vaddr)
+                        }
+                    })
+                    .collect()
+            })
+    }
+
+    /// One block holding `records`, and the byte offset of each record.
+    fn encode_block(records: &[MemoryAccess]) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = Vec::new();
+        let mut starts = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            starts.push(bytes.len());
+            if i == 0 {
+                encode_restart(&mut bytes, record);
+            } else {
+                let prev = &records[i - 1];
+                encode_delta(&mut bytes, prev.pc.raw(), prev.vaddr.raw(), record);
+            }
+        }
+        (bytes, starts)
+    }
+
+    /// The decoder's observable state.
+    fn parts(state: &DecodeState) -> (u64, usize, u64, u64) {
+        (state.emitted, state.pos, state.prev_pc, state.prev_vaddr)
+    }
+
+    /// Record-at-a-time decode of up to `records` records: what came
+    /// out, the fault that stopped it, and the final state.
+    fn per_record(
+        bytes: &[u8],
+        records: usize,
+    ) -> (Vec<MemoryAccess>, Option<BlockFault>, DecodeState) {
+        let mut state = DecodeState::at(0);
+        let mut out = Vec::new();
+        for _ in 0..records {
+            match next_record(bytes, &mut state) {
+                Ok(record) => out.push(record),
+                Err(fault) => return (out, Some(fault), state),
+            }
+        }
+        (out, None, state)
+    }
+
+    /// The same decode through the kernel, in runs of the `runs` sizes
+    /// (cycled), restart first. Checks that each run reports exactly the
+    /// records it wrote through `state.emitted`.
+    fn by_kernel(
+        bytes: &[u8],
+        records: usize,
+        runs: &[usize],
+    ) -> (Vec<MemoryAccess>, Option<BlockFault>, DecodeState) {
+        let mut state = DecodeState::at(0);
+        let mut out = Vec::new();
+        match next_record(bytes, &mut state) {
+            Ok(record) => out.push(record),
+            Err(fault) => return (out, Some(fault), state),
+        }
+        for &run in runs.iter().cycle() {
+            let want = run.min(records - out.len());
+            if want == 0 {
+                break;
+            }
+            let mut buf = vec![MemoryAccess::read(0, 0); want];
+            let before = state.emitted;
+            let result = decode_deltas(bytes, &mut state, &mut buf);
+            let done = (state.emitted - before) as usize;
+            out.extend_from_slice(&buf[..done]);
+            if let Err(fault) = result {
+                return (out, Some(fault), state);
+            }
+            assert_eq!(done, want, "a clean run fills its whole output");
+        }
+        (out, None, state)
+    }
+
+    /// How a block is damaged before decoding.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        None,
+        /// Cut the block to this many thousandths of its length.
+        Truncate(u64),
+        /// Replace record `n`'s kind byte (modulo the record count).
+        BadKind(usize, u8),
+    }
+
+    fn arb_damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::None),
+            (0u64..1000).prop_map(Damage::Truncate),
+            (any::<usize>(), 2u8..=255).prop_map(|(n, byte)| Damage::BadKind(n, byte)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The block kernel decodes exactly what record-at-a-time
+        /// `next_record` decodes, on clean blocks and on damaged ones:
+        /// the same records, the same fault, and the same state after it.
+        #[test]
+        fn decode_deltas_matches_next_record(
+            records in arb_records(1..300),
+            runs in prop::collection::vec(1usize..64, 1..8),
+            damage in arb_damage(),
+        ) {
+            let (mut bytes, starts) = encode_block(&records);
+            match damage {
+                Damage::None => {}
+                Damage::Truncate(thousandths) => {
+                    bytes.truncate(bytes.len() * thousandths as usize / 1000);
+                }
+                Damage::BadKind(n, byte) => {
+                    let n = n % records.len();
+                    let at = if n == 0 { RESTART_BYTES - 1 } else { starts[n] };
+                    bytes[at] = byte;
+                }
+            }
+            let (want, want_fault, want_state) = per_record(&bytes, records.len());
+            let (got, got_fault, got_state) = by_kernel(&bytes, records.len(), &runs);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got_fault, want_fault);
+            prop_assert_eq!(parts(&got_state), parts(&want_state));
+            if matches!(damage, Damage::None) {
+                prop_assert_eq!(&got, &records);
+                prop_assert_eq!(got_state.pos, bytes.len());
+            }
+        }
+    }
 
     #[test]
     fn zigzag_round_trips_extremes() {

@@ -762,6 +762,20 @@ impl V2TraceCursor {
     /// Panics on an empty `buf` — a zero-length fill would be
     /// indistinguishable from end of trace.
     pub fn decode_batch(&mut self, buf: &mut [MemoryAccess]) -> Result<usize, TraceError> {
+        self.decode_with(buf, block::decode_deltas)
+    }
+
+    /// The body of [`decode_batch`](Self::decode_batch), with the
+    /// decoder of a block's delta records as a parameter: the block
+    /// kernel in production, one [`block::next_record`] per record as
+    /// the test oracle. `deltas` fills its output from a state already
+    /// past the restart and, on a fault, leaves the state at the last
+    /// good record.
+    fn decode_with(
+        &mut self,
+        buf: &mut [MemoryAccess],
+        deltas: impl Fn(&[u8], &mut DecodeState, &mut [MemoryAccess]) -> Result<(), BlockFault>,
+    ) -> Result<usize, TraceError> {
         assert!(
             !buf.is_empty(),
             "decode_batch requires a non-empty batch buffer"
@@ -807,13 +821,23 @@ impl V2TraceCursor {
                 block::next_record(bytes, &mut self.state)
                     .map_err(|fault| fault_error(fault, block))?;
             }
-            while filled < buf.len() && self.state.emitted < block_records {
+            if filled < buf.len() && self.state.emitted == 0 {
                 buf[filled] = block::next_record(bytes, &mut self.state)
                     .map_err(|fault| fault_error(fault, block))?;
                 filled += 1;
                 self.next += 1;
                 self.ok_seen += 1;
             }
+            // The rest of the run goes through `deltas` in one call; after
+            // a fault, the records before it are still written and counted.
+            let run = (buf.len() - filled).min((block_records - self.state.emitted) as usize);
+            let before = self.state.emitted;
+            let result = deltas(bytes, &mut self.state, &mut buf[filled..filled + run]);
+            let done = self.state.emitted - before;
+            filled += done as usize;
+            self.next += done;
+            self.ok_seen += done;
+            result.map_err(|fault| fault_error(fault, block))?;
             // A completed block must consume its extent exactly; spare
             // bytes mean the payload (or the index) lied.
             if self.state.emitted == block_records && self.state.pos != bytes.len() {
@@ -1015,6 +1039,7 @@ pub(crate) fn bake_faults(bytes: &mut [u8], faults: &[PlannedFault]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tlbsim_core::AccessKind;
 
     fn sample(n: u64) -> Vec<MemoryAccess> {
@@ -1385,5 +1410,203 @@ mod tests {
         ];
         let trace = open_bytes(encode(&records, 8)).unwrap();
         assert_eq!(drain(&mut trace.cursor()), records);
+    }
+
+    /// The per-record decode loop the block kernel replaced, kept as
+    /// the kernel's oracle.
+    fn per_record(
+        bytes: &[u8],
+        state: &mut DecodeState,
+        out: &mut [MemoryAccess],
+    ) -> Result<(), BlockFault> {
+        for slot in out {
+            *slot = block::next_record(bytes, state)?;
+        }
+        Ok(())
+    }
+
+    /// How one block of a trace is damaged.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        None,
+        /// Cut the block's payload to this many thousandths of its
+        /// length.
+        Truncate(u64),
+        /// Replace the kind byte of the block's record `n` (modulo its
+        /// record count).
+        BadKind(usize, u8),
+        /// Append this many spare bytes after the block's last record.
+        Spare(usize),
+    }
+
+    /// Re-lays a v2 image with block `block` (modulo the block count)
+    /// damaged, rewriting the index and footer to match, so the damage
+    /// is in a payload the layout check accepts.
+    fn damage_block(bytes: &[u8], block: usize, damage: Damage) -> Vec<u8> {
+        let footer = Footer::parse(&bytes[bytes.len() - FOOTER_BYTES..]).unwrap();
+        let index = &bytes[footer.index_offset as usize..bytes.len() - FOOTER_BYTES];
+        let count = footer.block_count as usize;
+        let mut blocks: Vec<Vec<u8>> = (0..count)
+            .map(|i| {
+                let start = block::index_entry(index, i as u64).0 as usize;
+                let end = if i + 1 < count {
+                    block::index_entry(index, i as u64 + 1).0 as usize
+                } else {
+                    footer.index_offset as usize
+                };
+                bytes[start..end].to_vec()
+            })
+            .collect();
+        let target = &mut blocks[block % count];
+        match damage {
+            Damage::None => {}
+            Damage::Truncate(thousandths) => {
+                target.truncate(target.len() * thousandths as usize / 1000);
+            }
+            Damage::BadKind(n, byte) => {
+                let first = (block % count) as u64 * u64::from(footer.block_len);
+                let records = u64::from(footer.block_len).min(footer.total_records - first);
+                let n = (n as u64 % records) as usize;
+                let mut state = DecodeState::at(0);
+                for _ in 0..n {
+                    block::next_record(target, &mut state).unwrap();
+                }
+                let at = if n == 0 { RESTART_BYTES - 1 } else { state.pos };
+                target[at] = byte;
+            }
+            Damage::Spare(extra) => target.extend(std::iter::repeat_n(0u8, extra)),
+        }
+        let mut out = bytes[..HEADER_BYTES].to_vec();
+        let mut offsets = Vec::new();
+        for block in &blocks {
+            offsets.push(out.len() as u64);
+            out.extend_from_slice(block);
+        }
+        let index_offset = out.len() as u64;
+        for (i, offset) in offsets.iter().enumerate() {
+            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&(i as u64 * u64::from(footer.block_len)).to_le_bytes());
+        }
+        out.extend_from_slice(
+            &Footer {
+                index_offset,
+                ..footer
+            }
+            .encode(),
+        );
+        out
+    }
+
+    fn arb_damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::None),
+            (0u64..1000).prop_map(Damage::Truncate),
+            (any::<usize>(), 2u8..=255).prop_map(|(n, byte)| Damage::BadKind(n, byte)),
+            (1usize..4).prop_map(Damage::Spare),
+        ]
+    }
+
+    /// One step of a cursor walk.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Decode(usize),
+        /// Seek to this many thousandths of the trace (past 1000: past
+        /// its end).
+        Seek(u64),
+        Skip(u64),
+    }
+
+    fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            (1usize..5000).prop_map(Step::Decode),
+            (1usize..64).prop_map(Step::Decode),
+            (0u64..1100).prop_map(Step::Seek),
+            (0u64..5000).prop_map(Step::Skip),
+        ];
+        prop::collection::vec(step, 1..24)
+    }
+
+    /// One `decode_batch` on both cursors, asserting equal results and
+    /// equal buffers (records written before an error included).
+    fn decode_both(
+        kernel: &mut V2TraceCursor,
+        oracle: &mut V2TraceCursor,
+        len: usize,
+    ) -> Result<usize, TraceError> {
+        let mut got = vec![MemoryAccess::read(7, 7); len];
+        let mut want = got.clone();
+        let got_result = kernel.decode_batch(&mut got);
+        let want_result = oracle.decode_with(&mut want, per_record);
+        assert_eq!(format!("{got_result:?}"), format!("{want_result:?}"));
+        assert_eq!(got, want);
+        got_result
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `decode_batch` through the block kernel behaves exactly like
+        /// the per-record loop it replaced, over random records, block
+        /// lengths, batch sizes, seeks and skips, on clean and damaged
+        /// traces under both policies: the same results and typed
+        /// errors, the same records written (also before an error), the
+        /// same positions, and the same health census.
+        #[test]
+        fn kernel_decode_matches_the_per_record_loop(
+            records in crate::block::tests::arb_records(1..9000),
+            block_len in prop_oneof![
+                Just(1u32),
+                Just(2),
+                Just(7),
+                Just(4096),
+            ],
+            damaged in 0usize..usize::MAX,
+            damage in arb_damage(),
+            max_bad in prop_oneof![
+                Just(None),
+                (0u64..10_000).prop_map(Some),
+            ],
+            steps in arb_steps(),
+        ) {
+            let bytes = damage_block(&encode(&records, block_len), damaged, damage);
+            let policy = max_bad.map_or(DecodePolicy::Strict, DecodePolicy::quarantine);
+            let trace = V2Trace::from_map_with_policy(Mmap::from_vec(bytes), policy).unwrap();
+            let (mut kernel, mut oracle) = (trace.cursor(), trace.cursor());
+            for step in steps {
+                match step {
+                    Step::Decode(len) => {
+                        let _ = decode_both(&mut kernel, &mut oracle, len);
+                    }
+                    Step::Seek(thousandths) => {
+                        let to = records.len() as u64 * thousandths / 1000;
+                        kernel.seek(to);
+                        oracle.seek(to);
+                    }
+                    Step::Skip(n) => {
+                        prop_assert_eq!(kernel.skip_records(n), oracle.skip_records(n));
+                    }
+                }
+                prop_assert_eq!(kernel.position(), oracle.position());
+                prop_assert_eq!(kernel.health(), oracle.health());
+            }
+            // Then decode everything with fresh cursors, so any damage is
+            // met and the health census covers one whole pass, stepping
+            // past each strict fault as a resuming caller would.
+            let (mut kernel, mut oracle) = (trace.cursor(), trace.cursor());
+            loop {
+                let result = decode_both(&mut kernel, &mut oracle, 97);
+                prop_assert_eq!(kernel.position(), oracle.position());
+                prop_assert_eq!(kernel.health(), oracle.health());
+                match result {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(_) if kernel.remaining() == 0 => break,
+                    Err(_) => {
+                        kernel.seek(kernel.position() + 1);
+                        oracle.seek(oracle.position() + 1);
+                    }
+                }
+            }
+        }
     }
 }
