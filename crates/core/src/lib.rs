@@ -115,6 +115,6 @@ pub use stride::{RptEntry, RptState, StridePrefetcher};
 pub use table::{PredictionTable, TableKey};
 pub use trend::TrendStridePrefetcher;
 pub use types::{
-    AccessKind, Asid, Distance, InvalidPageSize, MemoryAccess, PageSize, Pc, PhysPage, VirtAddr,
-    VirtPage,
+    AccessKind, Asid, Distance, InvalidPageSize, MemoryAccess, PageRun, PageSize, Pc, PhysPage,
+    VirtAddr, VirtPage,
 };

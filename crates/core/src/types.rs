@@ -393,6 +393,35 @@ impl fmt::Display for MemoryAccess {
     }
 }
 
+/// `len` consecutive references to one page, carrying the PC of the
+/// first: what the simulator sees of a reference stream.
+///
+/// Only the first reference of a run can miss in the TLB; the rest hit
+/// on a translation that is already most recently used, and no
+/// mechanism observes hits. So a stream collapsed into runs at the
+/// engine's page size simulates exactly like the records it came from.
+/// Runs need not be maximal: a run cut in two gives the same statistics
+/// as the whole. A run longer than `u32::MAX` references is split.
+/// The access kind is dropped, because no engine reads it.
+///
+/// # Examples
+///
+/// ```
+/// use tlbsim_core::{PageRun, Pc, VirtPage};
+///
+/// let run = PageRun { pc: Pc::new(0x40), page: VirtPage::new(7), len: 3 };
+/// assert_eq!(run.len, 3);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct PageRun {
+    /// PC of the run's first reference.
+    pub pc: Pc,
+    /// Page every reference of the run falls on.
+    pub page: VirtPage,
+    /// References in the run (at least 1).
+    pub len: u32,
+}
+
 /// A validated power-of-two page size.
 ///
 /// The paper evaluates with 4096-byte pages; the sensitivity analysis

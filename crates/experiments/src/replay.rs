@@ -4,18 +4,20 @@
 //! fast-forwarded, then simulated. This module closes that loop for the
 //! reproduction — [`record`] dumps any registered [`AppSpec`] model to
 //! the binary `TLBT` format, and [`replay`] runs the figure grids'
-//! scheme sweep over a recorded trace, mmap-replayed at generator speed
-//! (sequential job-parallel, or intra-run sharded with `--shards`).
-//! A trace produced by an external tracer replays identically: the
-//! format is the contract, not the generator.
+//! scheme sweep over a recorded trace: decoded once into page runs
+//! that every scheme replays job-parallel, or intra-run sharded with
+//! `--shards`. A trace produced by an external tracer replays
+//! identically: the format is the contract, not the generator.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tlbsim_core::MemoryAccess;
-use tlbsim_sim::{resolve_shards, run_app_sharded, sweep, SimConfig, SimError, SweepJob};
+use tlbsim_core::{MemoryAccess, PageRun};
+use tlbsim_sim::{
+    resolve_shards, run_app_sharded, sweep, sweep_runs, SimConfig, SimError, SweepJob,
+};
 use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, V2TraceWriter};
 use tlbsim_workloads::{find_app, AppSpec, Scale, TraceWorkload};
 
@@ -237,7 +239,11 @@ pub struct ReplayReport {
     pub trace: String,
     /// Records replayed per scheme.
     pub records: u64,
-    /// `"mmap"` (zero-copy) or `"read"` (fallback) backend.
+    /// Backend that served the trace bytes: `"mmap-window"` for a v2
+    /// trace read through a sliding window of blocks (the default
+    /// decode-once replay and `--stream-window`), `"mmap"` for a whole
+    /// mapping (v1 traces, and sharded v2 replays without a window), or
+    /// the `"read"` fallback where mapping is unavailable.
     pub backend: &'static str,
     /// Worker shards per run (1 = sequential, job-parallel sweep).
     pub shards: usize,
@@ -251,12 +257,14 @@ pub struct ReplayReport {
 /// Replays a recorded trace under the full figure-grid scheme sweep
 /// ([`paper_scheme_grid`]).
 ///
-/// With `shards <= 1` the 30 scheme runs execute job-parallel through
-/// [`sweep`], all sharing one mapping of the trace. With more, each run
-/// is itself partitioned across `shards` workers via
-/// [`run_app_sharded`] — sharded trace replay seeks each worker's
-/// cursor in O(1). `shards == 0` means auto: resolved against the
-/// trace's record count via [`resolve_shards`].
+/// With `shards <= 1` the trace is decoded once, by the open-time scan
+/// through a sliding window of 16 v2 blocks, into one run stream (24
+/// bytes per page run), and the 30 scheme runs replay it job-parallel
+/// through [`sweep_runs`]. With more, each run is itself
+/// partitioned across `shards` workers via [`run_app_sharded`] —
+/// sharded trace replay seeks each worker's cursor in O(1) — and
+/// decodes its own slice. `shards == 0` means auto: resolved against
+/// the trace's record count via [`resolve_shards`].
 ///
 /// # Errors
 ///
@@ -284,11 +292,12 @@ pub fn replay_with_policy(
 }
 
 /// [`replay_with_policy`] with an optional streaming window (`xp replay
-/// --stream-window <blocks>`): instead of mapping the whole trace, each
-/// replay cursor holds a sliding `window` of v2 blocks mapped at a
-/// time, so traces larger than RAM replay in bounded memory. `None`
-/// (and any v1 trace) maps the whole file. The window size never
-/// changes *what* is replayed — only how many bytes are resident.
+/// --stream-window <blocks>`): each scheme run decodes the trace
+/// itself through a sliding `window` of v2 blocks, so traces larger
+/// than RAM replay in bounded memory, with no run stream held. `None`
+/// decodes once into a shared run stream (see [`replay`]). A v1 trace
+/// has no block index and is always mapped whole. Neither choice
+/// changes *what* is replayed — only what is resident.
 ///
 /// # Errors
 ///
@@ -299,32 +308,52 @@ pub fn replay_with_options(
     policy: DecodePolicy,
     stream_window: Option<u64>,
 ) -> Result<ReplayReport, ReplayError> {
-    let trace = match stream_window {
-        Some(window) => TraceWorkload::open_streaming(path.as_ref(), policy, window)?,
-        None => TraceWorkload::open_with_policy(path.as_ref(), policy)?,
-    };
     let schemes = paper_scheme_grid();
     let base = SimConfig::paper_default();
+    let path = path.as_ref();
+    let decode_once = stream_window.is_none() && shards <= 1;
+    let mut runs = Vec::new();
+    let trace = match stream_window {
+        _ if decode_once => TraceWorkload::open_streaming_runs(
+            path,
+            policy,
+            DECODE_WINDOW_BLOCKS,
+            base.page_size,
+            |batch| push_runs(&mut runs, batch),
+        )?,
+        Some(window) => TraceWorkload::open_streaming(path, policy, window)?,
+        None => TraceWorkload::open_with_policy(path, policy)?,
+    };
     let scale = Scale::TINY; // ignored by fixed-length traces
     let shards = resolve_shards(shards, trace.stream_len());
     let mut cells = Vec::with_capacity(schemes.len());
     if shards <= 1 {
-        let jobs: Vec<SweepJob> = schemes
-            .iter()
-            .map(|scheme| SweepJob {
-                tag: scheme.label(),
-                spec: Arc::new(trace.clone()),
-                scale,
-                config: base.clone().with_prefetcher(scheme.clone()),
-            })
-            .collect();
-        for result in sweep(jobs)? {
-            cells.push(GridCell {
-                label: result.tag,
-                accuracy: result.stats.accuracy(),
-                miss_rate: result.stats.miss_rate(),
-            });
-        }
+        let results = if decode_once {
+            let jobs = schemes
+                .iter()
+                .map(|scheme| {
+                    let config = base.clone().with_prefetcher(scheme.clone());
+                    (scheme.label(), config)
+                })
+                .collect();
+            sweep_runs(trace.name(), base.page_size, &runs, jobs)?
+        } else {
+            let jobs: Vec<SweepJob> = schemes
+                .iter()
+                .map(|scheme| SweepJob {
+                    tag: scheme.label(),
+                    spec: Arc::new(trace.clone()),
+                    scale,
+                    config: base.clone().with_prefetcher(scheme.clone()),
+                })
+                .collect();
+            sweep(jobs)?
+        };
+        cells.extend(results.into_iter().map(|result| GridCell {
+            label: result.tag,
+            accuracy: result.stats.accuracy(),
+            miss_rate: result.stats.miss_rate(),
+        }));
     } else {
         for scheme in &schemes {
             let config = base.clone().with_prefetcher(scheme.clone());
@@ -344,6 +373,30 @@ pub fn replay_with_options(
         health: trace.health(),
         cells,
     })
+}
+
+/// v2 blocks the decode-once replay maps at a time: a few hundred KiB
+/// of trace resident beside the run stream, instead of the whole file.
+const DECODE_WINDOW_BLOCKS: u64 = 16;
+
+/// Page runs per chunk of a collected run stream (24 KiB).
+const RUN_CHUNK: usize = 1024;
+
+/// Appends `batch` to a run stream kept in fixed-size chunks: a chunk
+/// is allocated at its final size and runs never move, so collecting
+/// the stream costs no growth copies, and only the last chunk has
+/// unused (untouched) room.
+fn push_runs(chunks: &mut Vec<Vec<PageRun>>, batch: &[PageRun]) {
+    for &run in batch {
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < RUN_CHUNK => chunk.push(run),
+            _ => {
+                let mut chunk = Vec::with_capacity(RUN_CHUNK);
+                chunk.push(run);
+                chunks.push(chunk);
+            }
+        }
+    }
 }
 
 impl ReplayReport {
@@ -389,7 +442,6 @@ impl ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlbsim_sim::run_app;
 
     fn temp_trace(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tlbsim-replay-{}-{tag}.tlbt", std::process::id()))
@@ -422,32 +474,66 @@ mod tests {
         assert!(err.to_string().contains("not-an-app"));
     }
 
+    /// Every cell of a decode-once replay against a direct per-record
+    /// run of its scheme (`Engine::access` on each decoded record), on
+    /// a v1, a v2 and a quarantined v2 trace.
     #[test]
     fn replay_covers_the_scheme_grid_and_matches_direct_runs() {
-        let path = temp_trace("grid");
-        record("gap", Scale::TINY, Some(20_000), &path).unwrap();
-        let report = replay(&path, 1).unwrap();
-        assert_eq!(report.cells.len(), paper_scheme_grid().len());
-        assert_eq!(report.records, 20_000);
+        use tlbsim_sim::Engine;
+        use tlbsim_trace::{FaultKind, FaultPlan};
 
-        // Spot-check one scheme against a direct trace run: the sweep
-        // path and the plain runner must agree exactly.
-        let trace = TraceWorkload::open(&path).unwrap();
-        let dp = SimConfig::paper_default();
-        let direct = run_app(&trace, Scale::TINY, &dp).unwrap();
-        let cell = report
-            .cells
-            .iter()
-            .find(|c| c.label.starts_with("DP,256"))
-            .expect("representative DP cell present");
-        assert_eq!(cell.accuracy, direct.accuracy());
-        assert_eq!(cell.miss_rate, direct.miss_rate());
+        let v1 = temp_trace("grid-v1");
+        record("gap", Scale::TINY, Some(20_000), &v1).unwrap();
+        let v2 = temp_trace("grid-v2");
+        let format = RecordFormat::V2 { block_len: 256 };
+        record_with_format("gap", Scale::TINY, Some(20_000), &v2, format).unwrap();
+        let damaged = temp_trace("grid-v2-damaged");
+        let mut bytes = std::fs::read(&v2).unwrap();
+        FaultPlan::new()
+            .with(5_000, FaultKind::CorruptKind)
+            .apply_to_bytes(&mut bytes);
+        std::fs::write(&damaged, bytes).unwrap();
+        let quarantine = DecodePolicy::quarantine(256);
+        assert!(
+            matches!(replay(&damaged, 1), Err(ReplayError::Trace(_))),
+            "strict decode-once replay rejects the damage"
+        );
 
+        let cases = [
+            (&v1, DecodePolicy::Strict, 20_000, "mmap"),
+            (&v2, DecodePolicy::Strict, 20_000, "mmap-window"),
+            (&damaged, quarantine, 20_000 - 256, "mmap-window"),
+        ];
+        for (path, policy, records, backend) in cases {
+            let report = replay_with_policy(path, 1, policy).unwrap();
+            assert_eq!(report.cells.len(), paper_scheme_grid().len());
+            assert_eq!(report.records, records, "{}", path.display());
+            assert_eq!(report.backend, backend, "{}", path.display());
+            assert_eq!(report.health.records_bad, 20_000 - records);
+
+            let trace = TraceWorkload::open_with_policy(path, policy).unwrap();
+            let decoded: Vec<MemoryAccess> = trace.workload().collect();
+            for (scheme, cell) in paper_scheme_grid().into_iter().zip(&report.cells) {
+                assert_eq!(cell.label, scheme.label());
+                let mut direct =
+                    Engine::new(&SimConfig::paper_default().with_prefetcher(scheme)).unwrap();
+                for access in &decoded {
+                    direct.access(access);
+                }
+                let stats = direct.finish();
+                assert_eq!(cell.accuracy, stats.accuracy(), "{}", cell.label);
+                assert_eq!(cell.miss_rate, stats.miss_rate(), "{}", cell.label);
+            }
+        }
+
+        let report = replay(&v2, 1).unwrap();
         let rendered = report.render();
         assert!(rendered.contains("Replay:"));
         assert!(rendered.contains("DP,256,D"));
         assert!(report.to_csv().contains("scheme,accuracy,miss rate"));
-        std::fs::remove_file(&path).unwrap();
+        for path in [v1, v2, damaged] {
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

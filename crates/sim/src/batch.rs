@@ -24,9 +24,9 @@ use tlbsim_mmu::{PageTable, PrefetchBuffer};
 
 use crate::config::{SimConfig, SimError};
 
-/// Accesses processed per batch. Large enough to amortise the loop
-/// bookkeeping, small enough (96 KiB of `MemoryAccess`) to stay cache
-/// resident per worker.
+/// Accesses, or page runs, processed per batch. Large enough to
+/// amortise the loop bookkeeping, small enough (96 KiB of
+/// `MemoryAccess` or `PageRun`) to stay cache resident per worker.
 pub(crate) const ACCESS_BATCH: usize = 4096;
 
 /// Streams `stream` through `scratch` in [`ACCESS_BATCH`]-sized chunks,

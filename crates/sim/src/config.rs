@@ -138,6 +138,14 @@ pub enum SimError {
         /// The panic's message, for the one-line diagnosis.
         message: String,
     },
+    /// A configuration was asked to replay page runs collapsed at
+    /// another page size (see [`sweep_runs`](crate::sweep_runs)).
+    PageSizeMismatch {
+        /// Page size the runs were collapsed at.
+        runs: PageSize,
+        /// Page size of the configuration.
+        config: PageSize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -155,6 +163,10 @@ impl fmt::Display for SimError {
             SimError::ShardPanicked { shard, message } => {
                 write!(f, "shard {shard} panicked persistently: {message}")
             }
+            SimError::PageSizeMismatch { runs, config } => write!(
+                f,
+                "page runs collapsed at {runs} cannot drive a configuration with {config} pages"
+            ),
         }
     }
 }
@@ -167,7 +179,8 @@ impl std::error::Error for SimError {
             SimError::ZeroPrefetchBuffer
             | SimError::ZeroShards
             | SimError::ZeroAsidContexts
-            | SimError::ShardPanicked { .. } => None,
+            | SimError::ShardPanicked { .. }
+            | SimError::PageSizeMismatch { .. } => None,
         }
     }
 }

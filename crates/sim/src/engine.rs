@@ -9,22 +9,26 @@
 //! *prediction accuracy*; the cycle-level consequences live in
 //! [`crate::TimingEngine`].
 //!
-//! ## The batched, allocation-free loop
+//! ## Page runs, and the allocation-free loop
 //!
-//! References are processed in [`access_batch`](Engine::access_batch)
-//! slices: the TLB-hit fast path is a tight loop over a chunk that
-//! probes the TLB once per run of same-page references, and the miss
-//! path runs through the shared [`PrefetchCore`](crate::batch) —
-//! one engine-owned `CandidateBuf`, zero heap allocations per miss once
-//! the working set is warm (enforced by the `zero_alloc` integration
-//! test). [`Engine::run`] chunks arbitrary iterators through a reusable
-//! internal buffer; [`Engine::run_workload`] streams a workload through
-//! the same buffer via `Workload::fill_batch` without ever materialising
-//! the reference stream.
+//! The unit of simulation is the [`PageRun`]: consecutive references
+//! to one page. [`access_runs`](Engine::access_runs) probes the TLB
+//! once per run, and the miss path runs through the shared
+//! [`PrefetchCore`](crate::batch) — one engine-owned `CandidateBuf`,
+//! zero heap allocations per miss once the working set is warm
+//! (enforced by the `zero_alloc` integration test).
+//! [`Engine::run_workload`] streams a workload as runs via
+//! `Workload::fill_runs` through an engine-owned run buffer, without
+//! ever materialising the reference stream; a caller that already
+//! holds a run stream (the decode-once replay) drives `access_runs`
+//! directly. Record slices go through
+//! [`access_batch`](Engine::access_batch), which collapses same-page
+//! references on the fly; [`Engine::run`] chunks arbitrary iterators
+//! into it. Per-record [`Engine::access`] is the oracle for both.
 
 use std::collections::HashSet;
 
-use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, MissContext, Pc, VirtPage};
+use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, MissContext, PageRun, Pc, VirtPage};
 use tlbsim_mmu::Tlb;
 use tlbsim_workloads::Workload;
 
@@ -52,6 +56,8 @@ pub struct Engine {
     config: SimConfig,
     stats: SimStats,
     batch: Vec<MemoryAccess>,
+    /// Run buffer of [`Engine::run_workload_limit`], sized on first use.
+    runs: Vec<PageRun>,
     /// Stream index demand-missed pages are attributed to (mix runners
     /// set this per segment; `None` — the single-stream default — skips
     /// attribution entirely).
@@ -78,6 +84,7 @@ impl Engine {
             config: config.clone(),
             stats: SimStats::default(),
             batch: Vec::new(),
+            runs: Vec::new(),
             current_stream: None,
             stream_pages: Vec::new(),
         })
@@ -87,8 +94,9 @@ impl Engine {
     ///
     /// Succeeds when the configuration matches the one the engine was
     /// built with: all translation, prediction and statistics state is
-    /// reset (the batch buffer keeps its allocation), making the
-    /// recycled engine observationally identical to a newly built one.
+    /// reset (the batch and run buffers keep their allocations), making
+    /// the recycled engine observationally identical to a newly built
+    /// one.
     /// Returns `false` — leaving the engine untouched — on a
     /// configuration mismatch.
     pub fn try_recycle(&mut self, config: &SimConfig) -> bool {
@@ -145,6 +153,34 @@ impl Engine {
         }
     }
 
+    /// Simulates a slice of page runs: the engine's unit of work.
+    ///
+    /// Each run adds its `len` to the access count. A run on the page
+    /// of the previous run of this call is skipped; any other run takes
+    /// one TLB lookup and, on a miss, the miss path with the run's
+    /// first PC. The remembered page starts empty on every call, the
+    /// same rule as [`access_batch`](Engine::access_batch), so runs need
+    /// not be maximal: a stream cut into runs at any points, and into
+    /// calls at any runs, gives the statistics of per-record
+    /// [`Engine::access`] exactly ("Page runs" in `docs/DESIGN.md`).
+    pub fn access_runs(&mut self, runs: &[PageRun]) {
+        let mut accesses = 0u64;
+        let mut last = None;
+        for run in runs {
+            debug_assert!(run.len > 0, "a page run holds at least one reference");
+            accesses += u64::from(run.len);
+            if last == Some(run.page) {
+                continue;
+            }
+            last = Some(run.page);
+            if self.tlb.lookup(run.page).is_some() {
+                continue;
+            }
+            self.miss(run.page, run.pc);
+        }
+        self.stats.accesses += accesses;
+    }
+
     /// The miss path: promote-or-walk, fill, notify the mechanism and
     /// install its candidates. Never allocates in steady state.
     fn miss(&mut self, page: VirtPage, pc: Pc) {
@@ -198,49 +234,39 @@ impl Engine {
         self.finish()
     }
 
-    /// Streams a workload through the engine chunk-at-a-time via
-    /// [`Workload::fill_batch`], without boxing an iterator per access.
+    /// Streams a whole workload through the engine as page runs; the
+    /// same as [`run_workload_limit`](Engine::run_workload_limit) with
+    /// no limit.
     pub fn run_workload(&mut self, workload: &mut Workload) -> &SimStats {
-        let mut batch = std::mem::take(&mut self.batch);
-        if batch.len() < ACCESS_BATCH {
-            batch.resize(ACCESS_BATCH, MemoryAccess::read(0, 0));
-        }
-        loop {
-            let filled = workload.fill_batch(&mut batch);
-            if filled == 0 {
-                break;
-            }
-            self.access_batch(&batch[..filled]);
-        }
-        self.batch = batch;
-        self.finish()
+        self.run_workload_limit(workload, u64::MAX)
     }
 
     /// Streams at most `limit` accesses of a workload through the
-    /// engine, chunk-at-a-time like [`Engine::run_workload`].
+    /// engine: [`Workload::fill_runs`] at the engine's page size into an
+    /// engine-owned run buffer, then [`access_runs`](Engine::access_runs).
     ///
     /// This is the shard entry point: a worker that owns the time slice
     /// `[start, start + limit)` of a partitioned run positions its
     /// workload with [`Workload::skip_accesses`] and then consumes
-    /// exactly its slice here. Processing is chunk-size-invariant, so
-    /// driving a full stream through one `run_workload_limit(stream,
-    /// len)` call is bit-identical to [`Engine::run_workload`].
+    /// exactly its slice here. Processing is cut-invariant, so driving
+    /// a stream through consecutive limited calls is bit-identical to
+    /// one [`Engine::run_workload`].
     pub fn run_workload_limit(&mut self, workload: &mut Workload, limit: u64) -> &SimStats {
-        let mut batch = std::mem::take(&mut self.batch);
-        if batch.len() < ACCESS_BATCH {
-            batch.resize(ACCESS_BATCH, MemoryAccess::read(0, 0));
+        let mut runs = std::mem::take(&mut self.runs);
+        if runs.len() < ACCESS_BATCH {
+            runs.resize(ACCESS_BATCH, PageRun::default());
         }
+        let page_size = self.config.page_size;
         let mut remaining = limit;
         while remaining > 0 {
-            let want = remaining.min(ACCESS_BATCH as u64) as usize;
-            let filled = workload.fill_batch(&mut batch[..want]);
-            if filled == 0 {
+            let (filled, accesses) = workload.fill_runs(page_size, &mut runs, remaining);
+            if accesses == 0 {
                 break;
             }
-            self.access_batch(&batch[..filled]);
-            remaining -= filled as u64;
+            self.access_runs(&runs[..filled]);
+            remaining -= accesses;
         }
-        self.batch = batch;
+        self.runs = runs;
         self.finish()
     }
 

@@ -49,17 +49,22 @@
 //!
 //! ## Batching contract
 //!
-//! Every engine processes references through `access_batch(&[MemoryAccess])`
-//! with a translation-hit fast path; the `run(...)` entry points chunk
-//! arbitrary iterators through one reusable engine-owned buffer, and
-//! [`Engine::run_workload`] streams a workload via
-//! `Workload::fill_batch` without materialising it. On a miss, engines
-//! hand their single long-lived `CandidateBuf` sink to the mechanism, so
-//! the steady-state miss path performs **zero heap allocations** — the
-//! `zero_alloc` integration test pins this with a counting allocator.
-//! The [`sweep`] executor extends the same discipline across jobs: each
-//! worker thread recycles one engine and one batch buffer for its whole
-//! lifetime ([`Engine::try_recycle`]).
+//! The functional [`Engine`] simulates page runs
+//! ([`tlbsim_core::PageRun`]): [`Engine::access_runs`] probes the TLB
+//! once per run of same-page references, and [`Engine::run_workload`]
+//! streams a workload as runs via `Workload::fill_runs` without
+//! materialising it. [`sweep_runs`] replays one run stream, decoded
+//! once, under a whole grid of configurations. The timing, cache and
+//! hierarchy engines do per-reference work and process record slices
+//! through `access_batch(&[MemoryAccess])`; every engine's `run(...)`
+//! chunks arbitrary iterators through one reusable engine-owned
+//! buffer. On a miss, engines hand their single long-lived
+//! `CandidateBuf` sink to the mechanism, so the steady-state miss path
+//! performs **zero heap allocations** — the `zero_alloc` integration
+//! test pins this with a counting allocator. The [`sweep`] executor
+//! extends the same discipline across jobs: each worker thread
+//! recycles one engine and its buffers for its whole lifetime
+//! ([`Engine::try_recycle`]).
 //!
 //! ## Quick start
 //!
@@ -100,8 +105,8 @@ pub use engine::Engine;
 pub use hierarchy_engine::{HierarchyEngine, HierarchyStats};
 pub use multiprog::{run_mix, run_mix_sharded, SwitchPolicy, TablePolicy};
 pub use runner::{
-    compare_schemes, run_app, run_app_checkpointed, run_app_timed, sweep, SweepJob, SweepResult,
-    SweepSpec,
+    compare_schemes, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_runs, SweepJob,
+    SweepResult, SweepSpec,
 };
 pub use shard::{
     auto_shard_count, resolve_shards, run_app_sharded, RunHealth, ShardOutcome, ShardPlan,

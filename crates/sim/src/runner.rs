@@ -2,15 +2,17 @@
 //! sweep executor for the figure-scale parameter grids.
 //!
 //! The sweep executor is allocation-conscious: each worker thread owns
-//! one [`Engine`] and one access-batch buffer for its whole lifetime and
-//! recycles them from job to job (see [`Engine::try_recycle`]), so a
+//! one [`Engine`] (with its run buffer) for its whole lifetime and
+//! recycles it from job to job (see [`Engine::try_recycle`]), so a
 //! figure-scale grid of hundreds of jobs performs a handful of large
-//! allocations per worker rather than a handful per job.
+//! allocations per worker rather than a handful per job. The same
+//! executor serves [`sweep`], where each job streams its own input,
+//! and [`sweep_runs`], where every job replays one shared run stream.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use tlbsim_core::PrefetcherConfig;
+use tlbsim_core::{PageRun, PageSize, PrefetcherConfig};
 use tlbsim_mem::TimingParams;
 use tlbsim_workloads::{Scale, StreamSpec};
 
@@ -207,8 +209,7 @@ pub struct SweepResult {
 }
 
 /// Per-worker reusable simulation state: one engine (which owns its
-/// streaming batch buffer) recycled across every job the worker
-/// executes.
+/// run buffer) recycled across every job the worker executes.
 struct WorkerScratch {
     engine: Option<Engine>,
 }
@@ -218,23 +219,83 @@ impl WorkerScratch {
         WorkerScratch { engine: None }
     }
 
-    /// Runs one job, reusing the engine from the previous job when its
+    /// An engine for `config`: the previous job's, recycled, when its
     /// configuration allows (identical results to a fresh engine —
-    /// asserted by the runner tests).
-    fn run(&mut self, job: &SweepJob) -> Result<SimStats, SimError> {
-        let recycled = self
+    /// asserted by the runner tests), otherwise a new one.
+    fn engine(&mut self, config: &SimConfig) -> Result<&mut Engine, SimError> {
+        if !self
             .engine
             .as_mut()
-            .is_some_and(|engine| engine.try_recycle(&job.config));
-        let engine = if recycled {
-            self.engine.as_mut().expect("recycled engine present")
-        } else {
-            self.engine.insert(Engine::new(&job.config)?)
-        };
-        Ok(engine
+            .is_some_and(|engine| engine.try_recycle(config))
+        {
+            self.engine = None;
+        }
+        match &mut self.engine {
+            Some(engine) => Ok(engine),
+            empty => Ok(empty.insert(Engine::new(config)?)),
+        }
+    }
+
+    /// Runs one sweep job, streaming its own workload.
+    fn run(&mut self, job: &SweepJob) -> Result<SimStats, SimError> {
+        Ok(self
+            .engine(&job.config)?
             .run_workload(&mut job.spec.workload(job.scale))
             .clone())
     }
+}
+
+/// The job executor behind [`sweep`] and [`sweep_runs`]: runs `run` on
+/// every job across all available cores, each worker with its own
+/// [`WorkerScratch`], and returns the results in submission order.
+///
+/// Returns the first error in submission order; remaining jobs still
+/// run.
+fn execute<J, F>(jobs: Vec<J>, run: F) -> Result<Vec<SweepResult>, SimError>
+where
+    J: Send,
+    F: Fn(&mut WorkerScratch, J) -> Result<SweepResult, SimError> + Sync,
+{
+    if jobs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(jobs.len());
+
+    let total = jobs.len();
+    let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
+    let slots: Mutex<Vec<Option<Result<SweepResult, SimError>>>> = {
+        let mut v = Vec::new();
+        v.resize_with(total, || None);
+        Mutex::new(v)
+    };
+
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let queue = &queue;
+            let slots = &slots;
+            let run = &run;
+            scope.spawn(move || {
+                let mut scratch = WorkerScratch::new();
+                loop {
+                    let Some((index, job)) = queue.lock().expect("queue lock").pop_front() else {
+                        break;
+                    };
+                    let outcome = run(&mut scratch, job);
+                    slots.lock().expect("result lock")[index] = Some(outcome);
+                }
+            });
+        }
+    });
+
+    let collected = slots.into_inner().expect("worker threads joined");
+    let mut results = Vec::with_capacity(collected.len());
+    for slot in collected {
+        results.push(slot.expect("every job ran")?);
+    }
+    Ok(results)
 }
 
 /// Executes jobs across all available cores and returns results in the
@@ -243,6 +304,8 @@ impl WorkerScratch {
 /// This is *job-level* parallelism — the right tool when a figure-scale
 /// grid has more jobs than cores. To spread one large run across the
 /// machine instead, see [`run_app_sharded`](crate::run_app_sharded).
+/// When every job reads the same input, [`sweep_runs`] decodes it once
+/// instead of once per job.
 ///
 /// # Errors
 ///
@@ -271,50 +334,81 @@ impl WorkerScratch {
 /// # Ok::<(), tlbsim_sim::SimError>(())
 /// ```
 pub fn sweep(jobs: Vec<SweepJob>) -> Result<Vec<SweepResult>, SimError> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len());
+    execute(jobs, |scratch, job| {
+        let stats = scratch.run(&job)?;
+        Ok(SweepResult {
+            app: job.spec.name().to_owned(),
+            tag: job.tag,
+            stats,
+        })
+    })
+}
 
-    let total = jobs.len();
-    let queue: Mutex<VecDeque<(usize, SweepJob)>> =
-        Mutex::new(jobs.into_iter().enumerate().collect());
-    let slots: Mutex<Vec<Option<Result<SweepResult, SimError>>>> = {
-        let mut v = Vec::new();
-        v.resize_with(total, || None);
-        Mutex::new(v)
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            scope.spawn(move || {
-                let mut scratch = WorkerScratch::new();
-                loop {
-                    let Some((index, job)) = queue.lock().expect("queue lock").pop_front() else {
-                        break;
-                    };
-                    let outcome = scratch.run(&job).map(|stats| SweepResult {
-                        app: job.spec.name().to_owned(),
-                        tag: job.tag,
-                        stats,
-                    });
-                    slots.lock().expect("result lock")[index] = Some(outcome);
-                }
+/// Runs every configuration of `jobs` over one shared run stream on the
+/// [`sweep`] executor, with the same engine recycling and result order.
+///
+/// `chunks` hold a whole reference stream named `app`, collapsed into
+/// page runs at `page_size` (for example by `Workload::fill_runs`) and
+/// stored in consecutive chunks; runs need not be maximal, so the
+/// stream may be cut into chunks anywhere. Every job replays the chunks
+/// in order through [`Engine::access_runs`], so the input is decoded
+/// once for the whole grid rather than once per job. Each result equals
+/// a [`sweep`] job over the stream the runs came from.
+///
+/// # Errors
+///
+/// [`SimError::PageSizeMismatch`] for a configuration whose page size
+/// is not `page_size`, whose engine would need a different collapse;
+/// otherwise the first invalid configuration, as for [`sweep`].
+///
+/// # Examples
+///
+/// ```
+/// use tlbsim_core::PageRun;
+/// use tlbsim_sim::{run_app, sweep_runs, SimConfig};
+/// use tlbsim_workloads::{find_app, Scale};
+///
+/// let app = find_app("gap").expect("registered");
+/// let config = SimConfig::paper_default();
+/// let mut workload = app.workload(Scale::TINY);
+/// let mut chunks = Vec::new();
+/// loop {
+///     let mut chunk = vec![PageRun::default(); 1024];
+///     let (n, _) = workload.fill_runs(config.page_size, &mut chunk, u64::MAX);
+///     if n == 0 {
+///         break;
+///     }
+///     chunk.truncate(n);
+///     chunks.push(chunk);
+/// }
+/// let jobs = vec![("DP".to_owned(), config.clone())];
+/// let results = sweep_runs("gap", config.page_size, &chunks, jobs)?;
+/// assert_eq!(results[0].stats, run_app(app, Scale::TINY, &config)?);
+/// # Ok::<(), tlbsim_sim::SimError>(())
+/// ```
+pub fn sweep_runs<C: AsRef<[PageRun]> + Sync>(
+    app: &str,
+    page_size: PageSize,
+    chunks: &[C],
+    jobs: Vec<(String, SimConfig)>,
+) -> Result<Vec<SweepResult>, SimError> {
+    execute(jobs, |scratch, (tag, config)| {
+        if config.page_size != page_size {
+            return Err(SimError::PageSizeMismatch {
+                runs: page_size,
+                config: config.page_size,
             });
         }
-    });
-
-    let collected = slots.into_inner().expect("worker threads joined");
-    let mut results = Vec::with_capacity(collected.len());
-    for slot in collected {
-        results.push(slot.expect("every job ran")?);
-    }
-    Ok(results)
+        let engine = scratch.engine(&config)?;
+        for chunk in chunks {
+            engine.access_runs(chunk.as_ref());
+        }
+        Ok(SweepResult {
+            tag,
+            app: app.to_owned(),
+            stats: engine.finish().clone(),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -394,6 +488,46 @@ mod tests {
             let fresh = run_app(find_app("gap").unwrap(), job.scale, config).unwrap();
             assert_eq!(reused, fresh, "job {i} diverged under engine reuse");
         }
+    }
+
+    #[test]
+    fn sweep_runs_matches_run_app_and_rejects_a_foreign_page_size() {
+        let app = find_app("mcf").unwrap();
+        let page_size = SimConfig::paper_default().page_size;
+        // Chunks of uneven size: runs cut anywhere replay the same.
+        let mut workload = app.workload(Scale::TINY);
+        let mut chunks = Vec::new();
+        for size in [1usize, 777, 4096].into_iter().cycle() {
+            let mut chunk = vec![PageRun::default(); size];
+            let (filled, _) = workload.fill_runs(page_size, &mut chunk, u64::MAX);
+            if filled == 0 {
+                break;
+            }
+            chunk.truncate(filled);
+            chunks.push(chunk);
+        }
+        let configs = [
+            SimConfig::paper_default(),
+            SimConfig::paper_default(),
+            SimConfig::baseline(),
+            SimConfig::paper_default().with_prefetcher(PrefetcherConfig::recency()),
+        ];
+        let jobs = configs
+            .iter()
+            .enumerate()
+            .map(|(i, config)| (format!("job{i}"), config.clone()))
+            .collect();
+        let results = sweep_runs("mcf", page_size, &chunks, jobs).unwrap();
+        for ((result, config), i) in results.iter().zip(&configs).zip(0..) {
+            assert_eq!(result.tag, format!("job{i}"));
+            assert_eq!(result.app, "mcf");
+            assert_eq!(result.stats, run_app(app, Scale::TINY, config).unwrap());
+        }
+
+        let mut foreign = SimConfig::paper_default();
+        foreign.page_size = PageSize::new(8192).unwrap();
+        let err = sweep_runs("mcf", page_size, &chunks, vec![("8K".into(), foreign)]);
+        assert!(matches!(err, Err(SimError::PageSizeMismatch { .. })));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! streams.
 
 use proptest::prelude::*;
-use tlbsim_core::{Asid, Associativity, MemoryAccess, PrefetcherConfig, PrefetcherKind};
+use tlbsim_core::{
+    Asid, Associativity, MemoryAccess, PageRun, PageSize, PrefetcherConfig, PrefetcherKind,
+};
 use tlbsim_experiments::paper_scheme_grid;
 use tlbsim_mem::TimingParams;
 use tlbsim_mmu::TlbConfig;
@@ -89,6 +91,41 @@ fn apply(engine: &mut Engine, op: BetweenBatches, config: &SimConfig) {
         BetweenBatches::EvictAsid(asid) => engine.evict_asid(Asid::new(asid)),
         BetweenBatches::ContextSwitch => engine.context_switch(),
         BetweenBatches::Recycle => assert!(engine.try_recycle(config)),
+    }
+}
+
+/// Collapses `records` into page runs at `page_size`, also cutting a
+/// run wherever `cut()` says so: runs need not be maximal.
+fn collapse_with_cuts(
+    records: &[MemoryAccess],
+    page_size: PageSize,
+    mut cut: impl FnMut() -> bool,
+) -> Vec<PageRun> {
+    let mut runs: Vec<PageRun> = Vec::new();
+    for record in records {
+        let page = page_size.page_of(record.vaddr);
+        match runs.last_mut() {
+            Some(last) if last.page == page && !cut() => last.len += 1,
+            _ => runs.push(PageRun {
+                pc: record.pc,
+                page,
+                len: 1,
+            }),
+        }
+    }
+    runs
+}
+
+/// A deterministic coin for the cut points, seeded per case.
+struct Coin(u64);
+
+impl Coin {
+    /// True with probability `1 / one_in`.
+    fn flip(&mut self, one_in: u64) -> bool {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0.is_multiple_of(one_in)
     }
 }
 
@@ -200,18 +237,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `access_batch` skips the TLB probe for a reference on the page
-    /// the previous one looked up or filled. Per-record `access`, which
-    /// probes every reference, is its oracle: the statistics must agree
+    /// the previous one looked up or filled, and `access_runs` probes
+    /// once per page run. Per-record `access`, which probes every
+    /// reference, is the oracle of both: the statistics must agree
     /// after every batch, whatever the batch cuts and whatever context
-    /// operations fall between batches.
+    /// operations fall between batches. Each batch also reaches
+    /// `access_runs` collapsed into runs cut at random records (so not
+    /// maximal) and split across calls at random runs.
     #[test]
     fn same_page_collapse_matches_per_record_access(
         stream in arb_page_runs(),
         schedule in arb_schedule(),
+        seed in 1u64..u64::MAX,
     ) {
         for config in collapse_configs() {
+            let mut coin = Coin(seed);
             let mut oracle = Engine::new(&config).unwrap();
             let mut batched = Engine::new(&config).unwrap();
+            let mut by_runs = Engine::new(&config).unwrap();
             let mut at = 0usize;
             for &(size, op) in schedule.iter().cycle() {
                 if at == stream.len() {
@@ -219,11 +262,20 @@ proptest! {
                 }
                 apply(&mut oracle, op, &config);
                 apply(&mut batched, op, &config);
+                apply(&mut by_runs, op, &config);
                 let chunk = &stream[at..(at + size).min(stream.len())];
                 for access in chunk {
                     oracle.access(access);
                 }
                 batched.access_batch(chunk);
+                let runs = collapse_with_cuts(chunk, config.page_size, || coin.flip(8));
+                let mut from = 0;
+                for to in 1..=runs.len() {
+                    if to == runs.len() || coin.flip(16) {
+                        by_runs.access_runs(&runs[from..to]);
+                        from = to;
+                    }
+                }
                 at += chunk.len();
                 prop_assert_eq!(
                     oracle.stats(),
@@ -233,13 +285,23 @@ proptest! {
                     config.tlb,
                     at
                 );
+                prop_assert_eq!(
+                    oracle.stats(),
+                    by_runs.stats(),
+                    "{} on {:?}: runs diverged after record {}",
+                    config.prefetcher.label(),
+                    config.tlb,
+                    at
+                );
             }
-            prop_assert_eq!(oracle.finish(), batched.finish());
+            let expected = oracle.finish().clone();
+            prop_assert_eq!(&expected, batched.finish());
+            prop_assert_eq!(&expected, by_runs.finish());
         }
     }
 }
 
-/// The streamed `run_workload` (fill_batch + access_batch) path must be
+/// The streamed `run_workload` (fill_runs + access_runs) path must be
 /// byte-identical to driving the engine one access at a time, on real
 /// application models — one strided (galgel) and one chase-heavy (mcf),
 /// under every mechanism.

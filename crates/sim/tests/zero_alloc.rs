@@ -20,6 +20,10 @@
 //! prediction table evicting rows in `get_or_insert_with` all run on
 //! storage sized once, at construction.
 //!
+//! A fourth pins the page-run path: `run_workload` over generator
+//! workloads (visit runs) and over a v2 trace (collapsed records), and
+//! `access_runs` over a collected run stream.
+//!
 //! The allocation counter is thread-local, so the tests cannot perturb
 //! each other even when the harness runs them concurrently.
 
@@ -614,6 +618,94 @@ fn quarantine_decode_never_allocates_in_steady_state() {
     assert_eq!(
         allocated, 0,
         "quarantined TraceWorkload replay performed {allocated} heap allocations"
+    );
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn page_run_path_never_allocates_in_steady_state() {
+    use tlbsim_core::PageRun;
+    use tlbsim_trace::V2TraceWriter;
+    use tlbsim_workloads::{find_app, Scale, TraceWorkload};
+
+    let config = SimConfig::paper_default();
+
+    // --- Generator: Emit::fill_runs writes visit runs -> access_runs.
+    // Workload construction and the first run_workload call (which
+    // sizes the engine's run buffer and warms every table) happen
+    // before the measured window.
+    for name in ["mcf", "galgel"] {
+        let app = find_app(name).expect("registered app");
+        let mut engine = Engine::new(&config).expect("valid configuration");
+        engine.run_workload(&mut app.workload(Scale::TINY));
+        let mut workload = app.workload(Scale::TINY);
+        let before = allocations_so_far();
+        engine.run_workload(&mut workload);
+        let allocated = allocations_so_far() - before;
+        assert!(engine.stats().misses > 0, "{name} must miss");
+        assert_eq!(
+            allocated, 0,
+            "{name} generator run path performed {allocated} heap allocations"
+        );
+    }
+
+    // --- v2 trace: records collapsed into runs -> access_runs. ---
+    let lap = lap_stream();
+    let path = std::env::temp_dir().join(format!(
+        "tlbsim-zero-alloc-runs-{}.tlbt",
+        std::process::id()
+    ));
+    {
+        let mut writer = V2TraceWriter::create_with_block_len(
+            std::fs::File::create(&path).expect("temp trace file creates"),
+            64,
+        )
+        .expect("trace header writes");
+        for _ in 0..4 {
+            for access in &lap {
+                writer.write(access).expect("record writes");
+            }
+        }
+        writer.finish().expect("block index and footer write");
+    }
+    let trace = TraceWorkload::open(&path).expect("recorded trace validates");
+    let mut engine = Engine::new(&config).expect("valid configuration");
+    engine.run_workload(&mut trace.workload());
+    let mut replay = trace.workload();
+    let before = allocations_so_far();
+    engine.run_workload(&mut replay);
+    let allocated = allocations_so_far() - before;
+    assert!(
+        engine.stats().misses >= 8 * 600,
+        "the replay must actually stress the miss path, saw {} misses",
+        engine.stats().misses
+    );
+    assert_eq!(
+        allocated, 0,
+        "v2 TraceWorkload run path performed {allocated} heap allocations"
+    );
+
+    // --- A collected run stream replayed straight into access_runs. ---
+    let mut runs = Vec::new();
+    let mut chunk = [PageRun::default(); 256];
+    let mut workload = trace.workload();
+    loop {
+        let (filled, _) = workload.fill_runs(config.page_size, &mut chunk, u64::MAX);
+        if filled == 0 {
+            break;
+        }
+        runs.extend_from_slice(&chunk[..filled]);
+    }
+    let mut engine = Engine::new(&config).expect("valid configuration");
+    engine.access_runs(&runs);
+    let before = allocations_so_far();
+    engine.access_runs(&runs);
+    let allocated = allocations_so_far() - before;
+    assert_eq!(engine.stats().accesses, 2 * 4 * lap.len() as u64);
+    assert_eq!(
+        allocated, 0,
+        "access_runs over a run stream performed {allocated} heap allocations"
     );
 
     std::fs::remove_file(&path).ok();

@@ -14,7 +14,7 @@
 //! supplies the realistic byte-level stream the simulator and the trace
 //! formats consume.
 
-use tlbsim_core::{AccessKind, MemoryAccess, PageSize, Pc, VirtAddr};
+use tlbsim_core::{AccessKind, MemoryAccess, PageRun, PageSize, Pc, VirtAddr, VirtPage};
 
 /// One page visit produced by a pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +151,125 @@ impl<I: Iterator<Item = Visit>> Emit<I> {
         }
         filled
     }
+
+    /// Writes the next page runs of the stream into `out` at the
+    /// engine's `page_size`, consuming at most `limit` accesses; returns
+    /// `(runs, accesses)`, `(0, 0)` once the stream is exhausted.
+    ///
+    /// Each run is one visit, or the rest of a visit cut at `limit` or
+    /// at the end of `out`, and is written without expanding its
+    /// accesses. The emitted-access counter advances as if they had
+    /// been drawn, so a later [`fill`](Emit::fill) continues with the
+    /// same read/write mix and offsets. This is exact when `page_size`
+    /// is at least the generator's page, so a visit lies on one engine
+    /// page. Below that a visit spans several engine pages, and the
+    /// accesses are expanded and collapsed instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty `out`, as [`fill`](Emit::fill) does.
+    pub fn fill_runs(
+        &mut self,
+        page_size: PageSize,
+        out: &mut [PageRun],
+        limit: u64,
+    ) -> (usize, u64) {
+        assert!(!out.is_empty(), "fill_runs requires a non-empty run buffer");
+        if page_size.bits() < self.page_size.bits() {
+            return fill_runs_from_records(|buf| self.fill(buf), page_size, out, limit);
+        }
+        let mut runs = 0;
+        let mut accesses = 0u64;
+        while runs < out.len() && accesses < limit {
+            let (visit, done) = match self.current.take() {
+                Some(in_progress) => in_progress,
+                None => match self.visits.next() {
+                    Some(visit) => (visit, 0),
+                    None => break,
+                },
+            };
+            let left = visit.refs - done;
+            if left == 0 {
+                // A visit built with `refs: 0` emits no access.
+                continue;
+            }
+            // `take` fits a u32: it is at most `left`.
+            let take = u64::from(left).min(limit - accesses) as u32;
+            if take < left {
+                self.current = Some((visit, done + take));
+            }
+            // The page `fill` would give: offsets stay below the
+            // generator's page, which the engine page contains.
+            let base = visit.page << self.page_size.bits();
+            out[runs] = PageRun {
+                pc: Pc::new(visit.pc),
+                page: VirtPage::new(base >> page_size.bits()),
+                len: take,
+            };
+            runs += 1;
+            accesses += u64::from(take);
+            self.emitted += u64::from(take);
+        }
+        (runs, accesses)
+    }
+}
+
+/// Records drawn per refill of the stack buffer that
+/// [`fill_runs_from_records`] collapses.
+const RUN_FILL_RECORDS: usize = 256;
+
+/// Page runs from a record source: fills records into a stack buffer
+/// and collapses them into `out`, never drawing more records than
+/// `out` has room for (each record adds at most one run) or than
+/// `limit`. Within one call a record on the page of the open run
+/// extends it.
+pub(crate) fn fill_runs_from_records(
+    mut fill: impl FnMut(&mut [MemoryAccess]) -> usize,
+    page_size: PageSize,
+    out: &mut [PageRun],
+    limit: u64,
+) -> (usize, u64) {
+    let mut records = [MemoryAccess::read(0, 0); RUN_FILL_RECORDS];
+    let bits = page_size.bits();
+    // Runs written to `out`, and the open run that follows them.
+    let mut runs = 0;
+    let mut open: Option<PageRun> = None;
+    let mut accesses = 0u64;
+    loop {
+        let room = out.len() - runs - usize::from(open.is_some());
+        let want = room
+            .min(RUN_FILL_RECORDS)
+            .min(usize::try_from(limit - accesses).unwrap_or(usize::MAX));
+        if want == 0 {
+            break;
+        }
+        let filled = fill(&mut records[..want]);
+        if filled == 0 {
+            break;
+        }
+        for record in &records[..filled] {
+            let page = VirtPage::new(record.vaddr.raw() >> bits);
+            if let Some(run) = &mut open {
+                if run.page == page && run.len < u32::MAX {
+                    run.len += 1;
+                    continue;
+                }
+                out[runs] = *run;
+                runs += 1;
+            }
+            open = Some(PageRun {
+                pc: record.pc,
+                page,
+                len: 1,
+            });
+        }
+        accesses += filled as u64;
+    }
+    if let Some(run) = open {
+        out[runs] = run;
+        runs += 1;
+    }
+    (runs, accesses)
 }
 
 impl<I: Iterator<Item = Visit>> Iterator for Emit<I> {
@@ -190,6 +309,18 @@ pub trait AccessSource: Send {
     /// Fast-forwards past `n` accesses, returning how many were
     /// actually skipped.
     fn skip(&mut self, n: u64) -> u64;
+
+    /// Writes the next page runs at `page_size` into `out`, consuming
+    /// at most `limit` accesses; returns `(runs, accesses)`, `(0, 0)`
+    /// once the source is exhausted. `out` is never empty.
+    ///
+    /// The default draws records through [`fill`](AccessSource::fill)
+    /// into a fixed stack buffer and collapses them, so every record,
+    /// including a rewritten or panicking one, is produced at the same
+    /// stream position as under `fill`.
+    fn fill_runs(&mut self, page_size: PageSize, out: &mut [PageRun], limit: u64) -> (usize, u64) {
+        fill_runs_from_records(|buf| self.fill(buf), page_size, out, limit)
+    }
 }
 
 /// The two stream shapes behind a [`Workload`]: generated visits
@@ -281,6 +412,50 @@ impl Workload {
         }
     }
 
+    /// Writes the next page runs of the stream at the engine's
+    /// `page_size` into `out`, consuming at most `limit` accesses;
+    /// returns `(runs, accesses)`, `(0, 0)` once the workload is
+    /// exhausted. `out` must be non-empty (panics otherwise).
+    ///
+    /// Generators write one run per visit without expanding it (see
+    /// [`Emit::fill_runs`]); other sources collapse their records (see
+    /// [`AccessSource::fill_runs`]). Either way the stream position
+    /// advances by the accesses returned, so `fill_runs` interleaves
+    /// with [`fill_batch`](Workload::fill_batch) and
+    /// [`skip_accesses`](Workload::skip_accesses), and the records after
+    /// it are those a pure `fill_batch` stream would give.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tlbsim_core::{PageRun, PageSize};
+    /// use tlbsim_workloads::{Visit, Workload};
+    ///
+    /// let mut w = Workload::from_visits(
+    ///     "two-visits",
+    ///     Box::new([Visit::new(1, 3, 0x40), Visit::new(2, 5, 0x44)].into_iter()),
+    /// );
+    /// let mut runs = [PageRun::default(); 8];
+    /// assert_eq!(w.fill_runs(PageSize::DEFAULT, &mut runs, 6), (2, 6));
+    /// assert_eq!((runs[0].page.number(), runs[0].len), (1, 3));
+    /// assert_eq!((runs[1].page.number(), runs[1].len), (2, 3));
+    /// assert_eq!(w.count(), 2);
+    /// ```
+    pub fn fill_runs(
+        &mut self,
+        page_size: PageSize,
+        out: &mut [PageRun],
+        limit: u64,
+    ) -> (usize, u64) {
+        match &mut self.stream {
+            Stream::Visits(emit) => emit.fill_runs(page_size, out, limit),
+            Stream::Source(source) => {
+                assert!(!out.is_empty(), "fill_runs requires a non-empty run buffer");
+                source.fill_runs(page_size, out, limit)
+            }
+        }
+    }
+
     /// Fast-forwards the stream past the next `n` accesses without
     /// generating them, returning how many were actually skipped (less
     /// than `n` only when the stream ends first).
@@ -347,6 +522,23 @@ mod tests {
             .all(|a| PageSize::DEFAULT.page_of(a.vaddr).number() == 10));
         assert_eq!(PageSize::DEFAULT.page_of(accesses[3].vaddr).number(), 11);
         assert_eq!(accesses[3].pc.raw(), 0x44);
+    }
+
+    #[test]
+    fn fill_runs_writes_no_run_for_a_zero_ref_visit() {
+        let empty = Visit {
+            page: 9,
+            refs: 0,
+            pc: 0,
+        };
+        let visits = vec![Visit::new(1, 2, 0), empty, Visit::new(2, 1, 0)];
+        let mut emit = Emit::new(visits.into_iter(), PageSize::DEFAULT);
+        let mut runs = [PageRun::default(); 4];
+        assert_eq!(
+            emit.fill_runs(PageSize::DEFAULT, &mut runs, u64::MAX),
+            (2, 3)
+        );
+        assert_eq!(runs[1].page.number(), 2);
     }
 
     #[test]

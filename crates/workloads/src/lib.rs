@@ -20,9 +20,11 @@
 //!
 //! ## Streaming and splitting
 //!
-//! A [`Workload`] is consumed either as a plain iterator or — on the
-//! simulator's hot path — chunk-at-a-time through
-//! [`Workload::fill_batch`]. Streams are also *splittable*:
+//! A [`Workload`] is consumed as a plain iterator, chunk-at-a-time
+//! through [`Workload::fill_batch`], or — on the functional engine's
+//! hot path — as page runs through [`Workload::fill_runs`], which the
+//! generators write one per visit without expanding it. Streams are
+//! also *splittable*:
 //! [`AppSpec::stream_len`] reports the exact access count of a run by
 //! visit arithmetic alone, and [`Workload::skip_accesses`] seeks to any
 //! mid-stream position at visit granularity without expanding the

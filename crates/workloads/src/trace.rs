@@ -5,9 +5,10 @@
 //! [`Workload`] surface, so a trace recorded from a real machine (or
 //! dumped from a synthetic model with `xp record`) drives `run_app`,
 //! `sweep` and `run_app_sharded` exactly like a registered application:
-//! replay decodes record batches zero-copy out of the mapped file into
-//! the engines' batch buffers, and sharded replay seeks each worker's
-//! cursor in O(1) — on the fixed 17-byte cells of v1, or on the block
+//! replay decodes record batches zero-copy out of the mapped file (and
+//! collapses them into page runs for the functional engine), and
+//! sharded replay seeks each worker's cursor in O(1) — on the fixed
+//! 17-byte cells of v1, or on the block
 //! index of v2 (whose [`StreamSpec::seek_alignment`] steers shard cuts
 //! onto block boundaries). [`TraceWorkload::open_streaming`] replays v2
 //! corpora larger than RAM through a sliding mapped window.
@@ -15,12 +16,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tlbsim_core::MemoryAccess;
+use tlbsim_core::{MemoryAccess, PageRun, PageSize};
 use tlbsim_trace::{
     DecodePolicy, MmapTrace, MmapTraceCursor, TraceError, TraceHealth, V2Trace, V2TraceCursor,
 };
 
-use crate::gen::{AccessSource, Workload};
+use crate::gen::{fill_runs_from_records, AccessSource, Workload};
 use crate::scale::Scale;
 use crate::spec::StreamSpec;
 
@@ -128,11 +129,60 @@ impl TraceWorkload {
         policy: DecodePolicy,
         window_blocks: u64,
     ) -> Result<Self, TraceError> {
-        let path = path.as_ref();
+        Self::open_streaming_with(path.as_ref(), policy, window_blocks, scan_streaming)
+    }
+
+    /// Opens a trace like [`TraceWorkload::open_streaming`] and hands
+    /// its page runs at `page_size` to `each`, in stream order and in
+    /// batches: the runs a replay's [`Workload::fill_runs`] gives.
+    ///
+    /// For a v2 file the runs come out of the open-time scan itself, so
+    /// a caller that needs the whole run stream (the decode-once grid
+    /// replay) decodes the file once, through the window, instead of
+    /// scanning it and then replaying it. A v1 file is scanned by its
+    /// own pass and then replayed once for its runs.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceWorkload::open_streaming`]. `each` may already
+    /// have seen runs of a file that then fails.
+    pub fn open_streaming_runs(
+        path: impl AsRef<Path>,
+        policy: DecodePolicy,
+        window_blocks: u64,
+        page_size: PageSize,
+        mut each: impl FnMut(&[PageRun]),
+    ) -> Result<Self, TraceError> {
+        let trace = Self::open_streaming_with(path.as_ref(), policy, window_blocks, |cursor| {
+            scan_streaming_runs(cursor, page_size, &mut each)
+        })?;
+        if matches!(trace.trace, AnyTrace::V1(_)) {
+            let mut workload = trace.workload();
+            let mut runs = [PageRun::default(); SCAN_RUNS];
+            loop {
+                let (filled, _) = workload.fill_runs(page_size, &mut runs, u64::MAX);
+                if filled == 0 {
+                    break;
+                }
+                each(&runs[..filled]);
+            }
+        }
+        Ok(trace)
+    }
+
+    /// The streaming open behind [`TraceWorkload::open_streaming`] and
+    /// [`TraceWorkload::open_streaming_runs`], with the open-time scan
+    /// of a v2 cursor supplied by the caller.
+    fn open_streaming_with(
+        path: &Path,
+        policy: DecodePolicy,
+        window_blocks: u64,
+        scan: impl FnOnce(&mut V2TraceCursor) -> Result<TraceHealth, TraceError>,
+    ) -> Result<Self, TraceError> {
         match V2TraceCursor::open_streaming(path, policy, window_blocks) {
             Ok(mut cursor) => {
                 let block_len = cursor.block_len();
-                let health = scan_streaming(&mut cursor)?;
+                let health = scan(&mut cursor)?;
                 Ok(TraceWorkload {
                     name: stem_name(path),
                     trace: AnyTrace::V2Streaming {
@@ -302,6 +352,37 @@ fn scan_streaming(cursor: &mut V2TraceCursor) -> Result<TraceHealth, TraceError>
     let mut buf = [MemoryAccess::read(0, 0); 512];
     while cursor.decode_batch(&mut buf)? != 0 {}
     Ok(cursor.health())
+}
+
+/// Page runs handed on per batch by
+/// [`TraceWorkload::open_streaming_runs`].
+const SCAN_RUNS: usize = 256;
+
+/// [`scan_streaming`] that also collapses the decoded records into page
+/// runs at `page_size` and hands them to `each`.
+fn scan_streaming_runs(
+    cursor: &mut V2TraceCursor,
+    page_size: PageSize,
+    each: &mut impl FnMut(&[PageRun]),
+) -> Result<TraceHealth, TraceError> {
+    let mut runs = [PageRun::default(); SCAN_RUNS];
+    let mut failure = None;
+    loop {
+        let decode = |buf: &mut [MemoryAccess]| {
+            cursor.decode_batch(buf).unwrap_or_else(|e| {
+                failure = Some(e);
+                0
+            })
+        };
+        let (filled, _) = fill_runs_from_records(decode, page_size, &mut runs, u64::MAX);
+        if let Some(e) = failure.take() {
+            return Err(e);
+        }
+        if filled == 0 {
+            return Ok(cursor.health());
+        }
+        each(&runs[..filled]);
+    }
 }
 
 impl StreamSpec for TraceWorkload {

@@ -30,10 +30,10 @@
 //!   [`core::CandidateBuf`] sink ([`core::TlbPrefetcher::on_miss`]);
 //!   the owned-`Vec` [`core::PrefetchDecision`] survives only behind the
 //!   [`core::TlbPrefetcher::decide`] convenience wrapper;
-//! * engines process references in batches with a TLB-hit fast path
-//!   (`access_batch`), stream workloads chunk-at-a-time via
-//!   [`workloads::Workload::fill_batch`], and keep one sink plus one
-//!   batch buffer for their whole lifetime;
+//! * the functional engine simulates page runs, one TLB probe per run
+//!   (`access_runs`), streams workloads as runs via
+//!   [`workloads::Workload::fill_runs`], and keeps one sink plus one
+//!   run buffer for its whole lifetime;
 //! * the parallel [`sim::sweep`] executor recycles one engine per worker
 //!   thread across jobs ([`sim::Engine::try_recycle`]);
 //! * the `zero_alloc` integration test in `tlbsim-sim` pins the
