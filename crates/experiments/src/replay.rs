@@ -4,19 +4,20 @@
 //! fast-forwarded, then simulated. This module closes that loop for the
 //! reproduction — [`record`] dumps any registered [`AppSpec`] model to
 //! the binary `TLBT` format, and [`replay`] runs the figure grids'
-//! scheme sweep over a recorded trace: decoded once into page runs
-//! that every scheme replays job-parallel, or intra-run sharded with
-//! `--shards`. A trace produced by an external tracer replays
-//! identically: the format is the contract, not the generator.
+//! scheme sweep over a recorded trace: decoded once through one TLB
+//! into a miss stream whose miss path every scheme replays
+//! job-parallel, or intra-run sharded with `--shards`. A trace produced
+//! by an external tracer replays identically: the format is the
+//! contract, not the generator.
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tlbsim_core::{MemoryAccess, PageRun};
+use tlbsim_core::MemoryAccess;
 use tlbsim_sim::{
-    resolve_shards, run_app_sharded, sweep, sweep_runs, SimConfig, SimError, SweepJob,
+    resolve_shards, run_app_sharded, sweep, sweep_misses, MissStream, SimConfig, SimError, SweepJob,
 };
 use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, V2TraceWriter};
 use tlbsim_workloads::{find_app, AppSpec, Scale, TraceWorkload};
@@ -258,10 +259,11 @@ pub struct ReplayReport {
 /// ([`paper_scheme_grid`]).
 ///
 /// With `shards <= 1` the trace is decoded once, by the open-time scan
-/// through a sliding window of 16 v2 blocks, into one run stream (24
-/// bytes per page run), and the 30 scheme runs replay it job-parallel
-/// through [`sweep_runs`]. With more, each run is itself
-/// partitioned across `shards` workers via [`run_app_sharded`] —
+/// through a sliding window of 16 v2 blocks, and its page runs drive
+/// the paper TLB once into a [`MissStream`] (16 bytes per miss; no run
+/// stream is kept). The 30 schemes then replay only the miss path over
+/// it, job-parallel, through [`sweep_misses`]. With more, each run is
+/// itself partitioned across `shards` workers via [`run_app_sharded`] —
 /// sharded trace replay seeks each worker's cursor in O(1) — and
 /// decodes its own slice. `shards == 0` means auto: resolved against
 /// the trace's record count via [`resolve_shards`].
@@ -294,8 +296,8 @@ pub fn replay_with_policy(
 /// [`replay_with_policy`] with an optional streaming window (`xp replay
 /// --stream-window <blocks>`): each scheme run decodes the trace
 /// itself through a sliding `window` of v2 blocks, so traces larger
-/// than RAM replay in bounded memory, with no run stream held. `None`
-/// decodes once into a shared run stream (see [`replay`]). A v1 trace
+/// than RAM replay in bounded memory, with no miss stream held. `None`
+/// decodes once into a shared miss stream (see [`replay`]). A v1 trace
 /// has no block index and is always mapped whole. Neither choice
 /// changes *what* is replayed — only what is resident.
 ///
@@ -312,14 +314,14 @@ pub fn replay_with_options(
     let base = SimConfig::paper_default();
     let path = path.as_ref();
     let decode_once = stream_window.is_none() && shards <= 1;
-    let mut runs = Vec::new();
+    let mut misses = MissStream::new(base.tlb, base.page_size)?;
     let trace = match stream_window {
         _ if decode_once => TraceWorkload::open_streaming_runs(
             path,
             policy,
             DECODE_WINDOW_BLOCKS,
             base.page_size,
-            |batch| push_runs(&mut runs, batch),
+            |runs| misses.push_runs(runs),
         )?,
         Some(window) => TraceWorkload::open_streaming(path, policy, window)?,
         None => TraceWorkload::open_with_policy(path, policy)?,
@@ -336,7 +338,7 @@ pub fn replay_with_options(
                     (scheme.label(), config)
                 })
                 .collect();
-            sweep_runs(trace.name(), base.page_size, &runs, jobs)?
+            sweep_misses(trace.name(), &misses, jobs)?
         } else {
             let jobs: Vec<SweepJob> = schemes
                 .iter()
@@ -376,28 +378,8 @@ pub fn replay_with_options(
 }
 
 /// v2 blocks the decode-once replay maps at a time: a few hundred KiB
-/// of trace resident beside the run stream, instead of the whole file.
+/// of trace resident beside the miss stream, instead of the whole file.
 const DECODE_WINDOW_BLOCKS: u64 = 16;
-
-/// Page runs per chunk of a collected run stream (24 KiB).
-const RUN_CHUNK: usize = 1024;
-
-/// Appends `batch` to a run stream kept in fixed-size chunks: a chunk
-/// is allocated at its final size and runs never move, so collecting
-/// the stream costs no growth copies, and only the last chunk has
-/// unused (untouched) room.
-fn push_runs(chunks: &mut Vec<Vec<PageRun>>, batch: &[PageRun]) {
-    for &run in batch {
-        match chunks.last_mut() {
-            Some(chunk) if chunk.len() < RUN_CHUNK => chunk.push(run),
-            _ => {
-                let mut chunk = Vec::with_capacity(RUN_CHUNK);
-                chunk.push(run);
-                chunks.push(chunk);
-            }
-        }
-    }
-}
 
 impl ReplayReport {
     /// The report as a [`TextTable`].

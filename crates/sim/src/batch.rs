@@ -10,19 +10,23 @@
 //!   the page table and the **one** [`CandidateBuf`] sink the engine
 //!   ever allocates. Its [`observe_and_install`] method runs the
 //!   mechanism on a miss and installs the surviving candidates without
-//!   touching the heap.
+//!   touching the heap; its [`miss`] method is the functional miss path
+//!   around it, shared by `Engine` (against its TLB) and the miss-stream
+//!   sweep (against a residency set replayed from the stream).
 //! * [`drive_stream`] — chunks any access iterator through a reusable
 //!   batch buffer so engines process `&[MemoryAccess]` slices (the
 //!   TLB-hit fast path then runs as a tight loop over each slice).
 //!
 //! [`observe_and_install`]: PrefetchCore::observe_and_install
+//! [`miss`]: PrefetchCore::miss
 
 use tlbsim_core::{
-    Asid, CandidateBuf, MemoryAccess, MissContext, PhysPage, TlbPrefetcher, VirtPage,
+    Asid, CandidateBuf, MemoryAccess, MissContext, Pc, PhysPage, TlbPrefetcher, VirtPage,
 };
-use tlbsim_mmu::{PageTable, PrefetchBuffer};
+use tlbsim_mmu::{PageTable, PrefetchBuffer, Tlb};
 
 use crate::config::{SimConfig, SimError};
+use crate::stats::SimStats;
 
 /// Accesses, or page runs, processed per batch. Large enough to
 /// amortise the loop bookkeeping, small enough (96 KiB of
@@ -68,6 +72,28 @@ pub(crate) struct PrefetchOutcome {
     pub maintenance_ops: u32,
 }
 
+/// What the functional miss path fills and what its candidate filter
+/// asks: the TLB itself, or a sweep job's residency set replayed from a
+/// recorded miss stream.
+pub(crate) trait Residency {
+    /// Installs `page`'s translation as most recently used and returns
+    /// the translation of this context it evicted, if any.
+    fn fill(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage>;
+
+    /// Whether `page` is resident, without touching recency.
+    fn contains(&self, page: VirtPage) -> bool;
+}
+
+impl Residency for Tlb {
+    fn fill(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage> {
+        Tlb::fill(self, page, frame).evicted
+    }
+
+    fn contains(&self, page: VirtPage) -> bool {
+        Tlb::contains(self, page)
+    }
+}
+
 /// The engine-shared miss path: prefetch buffer + mechanism + page table
 /// + the single reusable candidate sink.
 pub(crate) struct PrefetchCore {
@@ -101,6 +127,42 @@ impl PrefetchCore {
             Some(frame) => (frame, true),
             None => (self.page_table.translate(page), false),
         }
+    }
+
+    /// The functional miss path after a TLB probe missed `page`:
+    /// promote-or-walk, fill `tlb`, run the mechanism on the miss and
+    /// install its candidates (filtered against `tlb` when
+    /// `filter_resident`), counting all of it into `stats`. Never
+    /// allocates in steady state.
+    pub fn miss(
+        &mut self,
+        stats: &mut SimStats,
+        page: VirtPage,
+        pc: Pc,
+        filter_resident: bool,
+        tlb: &mut impl Residency,
+    ) {
+        stats.misses += 1;
+        // The prefetch buffer is probed concurrently with the TLB; a hit
+        // promotes the translation into the TLB.
+        let (frame, pb_hit) = self.translate(page);
+        if pb_hit {
+            stats.prefetch_buffer_hits += 1;
+        } else {
+            stats.demand_walks += 1;
+        }
+        let ctx = MissContext {
+            page,
+            pc,
+            prefetch_buffer_hit: pb_hit,
+            evicted_tlb_entry: tlb.fill(page, frame),
+        };
+        let outcome =
+            self.observe_and_install(&ctx, filter_resident, |candidate| tlb.contains(candidate));
+        stats.maintenance_ops += u64::from(outcome.maintenance_ops);
+        stats.prefetches_issued += outcome.issued;
+        stats.prefetches_filtered += outcome.filtered;
+        stats.prefetches_evicted_unused += outcome.evicted_unused;
     }
 
     /// Runs the mechanism on `ctx` and installs the surviving candidates

@@ -138,13 +138,14 @@ pub enum SimError {
         /// The panic's message, for the one-line diagnosis.
         message: String,
     },
-    /// A configuration was asked to replay page runs collapsed at
-    /// another page size (see [`sweep_runs`](crate::sweep_runs)).
-    PageSizeMismatch {
-        /// Page size the runs were collapsed at.
-        runs: PageSize,
-        /// Page size of the configuration.
-        config: PageSize,
+    /// A configuration was asked to replay a miss stream recorded under
+    /// another TLB geometry or page size, whose TLB would have missed
+    /// differently (see [`sweep_misses`](crate::sweep_misses)).
+    MissStreamMismatch {
+        /// TLB geometry and page size the stream was recorded under.
+        stream: (TlbConfig, PageSize),
+        /// TLB geometry and page size of the configuration.
+        config: (TlbConfig, PageSize),
     },
 }
 
@@ -163,9 +164,16 @@ impl fmt::Display for SimError {
             SimError::ShardPanicked { shard, message } => {
                 write!(f, "shard {shard} panicked persistently: {message}")
             }
-            SimError::PageSizeMismatch { runs, config } => write!(
+            SimError::MissStreamMismatch { stream, config } => write!(
                 f,
-                "page runs collapsed at {runs} cannot drive a configuration with {config} pages"
+                "a miss stream recorded on a {}-entry {} TLB with {} pages cannot drive \
+                 a configuration with a {}-entry {} TLB and {} pages",
+                stream.0.entries,
+                stream.0.assoc,
+                stream.1,
+                config.0.entries,
+                config.0.assoc,
+                config.1
             ),
         }
     }
@@ -180,7 +188,7 @@ impl std::error::Error for SimError {
             | SimError::ZeroShards
             | SimError::ZeroAsidContexts
             | SimError::ShardPanicked { .. }
-            | SimError::PageSizeMismatch { .. } => None,
+            | SimError::MissStreamMismatch { .. } => None,
         }
     }
 }

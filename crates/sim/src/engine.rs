@@ -19,21 +19,23 @@
 //! (enforced by the `zero_alloc` integration test).
 //! [`Engine::run_workload`] streams a workload as runs via
 //! `Workload::fill_runs` through an engine-owned run buffer, without
-//! ever materialising the reference stream; a caller that already
-//! holds a run stream (the decode-once replay) drives `access_runs`
-//! directly. Record slices go through
+//! ever materialising the reference stream. The decode-once grid
+//! replay records its runs' TLB misses once in a [`MissStream`] and
+//! gives each scheme only the miss path,
+//! [`replay_misses`](Engine::replay_misses). Record slices go through
 //! [`access_batch`](Engine::access_batch), which collapses same-page
 //! references on the fly; [`Engine::run`] chunks arbitrary iterators
 //! into it. Per-record [`Engine::access`] is the oracle for both.
 
 use std::collections::HashSet;
 
-use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, MissContext, PageRun, Pc, VirtPage};
+use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, PageRun, Pc, VirtPage};
 use tlbsim_mmu::Tlb;
 use tlbsim_workloads::Workload;
 
 use crate::batch::{drive_stream, PrefetchCore, ACCESS_BATCH};
 use crate::config::{SimConfig, SimError};
+use crate::miss_stream::MissStream;
 use crate::stats::SimStats;
 
 /// A functional TLB-prefetching simulator.
@@ -67,6 +69,10 @@ pub struct Engine {
     /// miss path; re-inserting an already-recorded page (the steady
     /// state) does not allocate.
     stream_pages: Vec<HashSet<VirtPage, BuildPageHasher>>,
+    /// The recorded TLB's resident page ids during
+    /// [`replay_misses`](Engine::replay_misses), one bit each; sized on
+    /// first use.
+    replayed: Vec<u64>,
 }
 
 impl Engine {
@@ -87,6 +93,7 @@ impl Engine {
             runs: Vec::new(),
             current_stream: None,
             stream_pages: Vec::new(),
+            replayed: Vec::new(),
         })
     }
 
@@ -181,10 +188,9 @@ impl Engine {
         self.stats.accesses += accesses;
     }
 
-    /// The miss path: promote-or-walk, fill, notify the mechanism and
-    /// install its candidates. Never allocates in steady state.
+    /// The miss path: attribution, then `PrefetchCore::miss` against the
+    /// engine's TLB. Never allocates in steady state.
     fn miss(&mut self, page: VirtPage, pc: Pc) {
-        self.stats.misses += 1;
         if let Some(stream) = self.current_stream {
             // Every page a stream references demand-misses at least once
             // while attributed (shard/segment starts are cold or the
@@ -192,33 +198,44 @@ impl Engine {
             // converges to the stream's demand footprint.
             self.stream_pages[stream].insert(page);
         }
-
-        // The prefetch buffer is probed concurrently with the TLB; a hit
-        // promotes the translation into the TLB.
-        let (frame, pb_hit) = self.core.translate(page);
-        if pb_hit {
-            self.stats.prefetch_buffer_hits += 1;
-        } else {
-            self.stats.demand_walks += 1;
-        }
-        let fill = self.tlb.fill(page, frame);
-
-        let ctx = MissContext {
+        self.core.miss(
+            &mut self.stats,
             page,
             pc,
-            prefetch_buffer_hit: pb_hit,
-            evicted_tlb_entry: fill.evicted,
-        };
-        let tlb = &self.tlb;
-        let outcome =
-            self.core
-                .observe_and_install(&ctx, self.config.filter_prefetches, |candidate| {
-                    tlb.contains(candidate)
-                });
-        self.stats.maintenance_ops += u64::from(outcome.maintenance_ops);
-        self.stats.prefetches_issued += outcome.issued;
-        self.stats.prefetches_filtered += outcome.filtered;
-        self.stats.prefetches_evicted_unused += outcome.evicted_unused;
+            self.config.filter_prefetches,
+            &mut self.tlb,
+        );
+    }
+
+    /// Replays a recorded [`MissStream`] under this engine's mechanism,
+    /// buffer and filter setting, and returns the statistics: on a fresh
+    /// or recycled engine, exactly those of
+    /// [`access_runs`](Engine::access_runs) over the runs the stream
+    /// recorded.
+    ///
+    /// Each miss takes the miss path of [`access_runs`](Engine::access_runs)
+    /// with no TLB probe. The
+    /// candidate filter asks a residency set rebuilt from the recorded
+    /// misses (each inserts its page and removes its victim), which
+    /// starts empty as the stream's TLB did; the engine's own TLB is
+    /// neither probed nor filled. Per-stream attribution does not apply.
+    /// Never allocates in steady state ("Miss streams" in
+    /// `docs/DESIGN.md`).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MissStreamMismatch`] when the stream was recorded
+    /// under another TLB geometry or page size than this engine's.
+    pub fn replay_misses(&mut self, stream: &MissStream) -> Result<&SimStats, SimError> {
+        stream.check(&self.config)?;
+        stream.replay(
+            &mut self.core,
+            &mut self.stats,
+            self.config.filter_prefetches,
+            &mut self.replayed,
+        );
+        self.stats.accesses += stream.accesses();
+        Ok(self.finish())
     }
 
     /// Simulates an entire reference stream and returns the final
@@ -623,6 +640,32 @@ mod tests {
             !engine.try_recycle(&SimConfig::baseline()),
             "config mismatch must refuse recycling"
         );
+    }
+
+    #[test]
+    fn recycled_engine_replays_a_miss_stream_from_an_empty_tlb() {
+        // The stream ends on the pages it starts on: residency left over
+        // from the previous replay would filter SP's first prefetches.
+        let config = SimConfig::paper_default().with_prefetcher(PrefetcherConfig::sequential());
+        let runs: Vec<PageRun> = (0..128u64)
+            .chain(1000..1300)
+            .chain(0..128)
+            .map(|page| PageRun {
+                pc: Pc::new(0x40),
+                page: VirtPage::new(page),
+                len: 2,
+            })
+            .collect();
+        let mut misses = MissStream::new(config.tlb, config.page_size).unwrap();
+        misses.push_runs(&runs);
+        let mut direct = Engine::new(&config).unwrap();
+        direct.access_runs(&runs);
+        let expected = direct.finish().clone();
+
+        let mut engine = Engine::new(&config).unwrap();
+        assert_eq!(engine.replay_misses(&misses).unwrap(), &expected);
+        assert!(engine.try_recycle(&config));
+        assert_eq!(engine.replay_misses(&misses).unwrap(), &expected);
     }
 
     #[test]

@@ -53,8 +53,10 @@
 //! ([`tlbsim_core::PageRun`]): [`Engine::access_runs`] probes the TLB
 //! once per run of same-page references, and [`Engine::run_workload`]
 //! streams a workload as runs via `Workload::fill_runs` without
-//! materialising it. [`sweep_runs`] replays one run stream, decoded
-//! once, under a whole grid of configurations. The timing, cache and
+//! materialising it. A [`MissStream`] records the TLB misses of one
+//! run stream once, and [`sweep_misses`] replays only the miss path
+//! over them under a whole grid of configurations that share the TLB
+//! geometry and page size. The timing, cache and
 //! hierarchy engines do per-reference work and process record slices
 //! through `access_batch(&[MemoryAccess])`; every engine's `run(...)`
 //! chunks arbitrary iterators through one reusable engine-owned
@@ -93,6 +95,7 @@ mod cache_engine;
 mod config;
 mod engine;
 mod hierarchy_engine;
+mod miss_stream;
 mod multiprog;
 mod runner;
 mod shard;
@@ -103,9 +106,10 @@ pub use cache_engine::{CacheEngine, CacheStats};
 pub use config::{SimConfig, SimError};
 pub use engine::Engine;
 pub use hierarchy_engine::{HierarchyEngine, HierarchyStats};
+pub use miss_stream::MissStream;
 pub use multiprog::{run_mix, run_mix_sharded, SwitchPolicy, TablePolicy};
 pub use runner::{
-    compare_schemes, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_runs, SweepJob,
+    compare_schemes, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_misses, SweepJob,
     SweepResult, SweepSpec,
 };
 pub use shard::{

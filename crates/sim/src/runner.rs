@@ -7,17 +7,19 @@
 //! figure-scale grid of hundreds of jobs performs a handful of large
 //! allocations per worker rather than a handful per job. The same
 //! executor serves [`sweep`], where each job streams its own input,
-//! and [`sweep_runs`], where every job replays one shared run stream.
+//! and [`sweep_misses`], where every job replays only the miss path
+//! over one shared [`MissStream`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use tlbsim_core::{PageRun, PageSize, PrefetcherConfig};
+use tlbsim_core::PrefetcherConfig;
 use tlbsim_mem::TimingParams;
 use tlbsim_workloads::{Scale, StreamSpec};
 
 use crate::config::{SimConfig, SimError};
 use crate::engine::Engine;
+use crate::miss_stream::MissStream;
 use crate::stats::{SimStats, TimingStats};
 use crate::timing_engine::TimingEngine;
 
@@ -245,7 +247,7 @@ impl WorkerScratch {
     }
 }
 
-/// The job executor behind [`sweep`] and [`sweep_runs`]: runs `run` on
+/// The job executor behind [`sweep`] and [`sweep_misses`]: runs `run` on
 /// every job across all available cores, each worker with its own
 /// [`WorkerScratch`], and returns the results in submission order.
 ///
@@ -304,8 +306,9 @@ where
 /// This is *job-level* parallelism — the right tool when a figure-scale
 /// grid has more jobs than cores. To spread one large run across the
 /// machine instead, see [`run_app_sharded`](crate::run_app_sharded).
-/// When every job reads the same input, [`sweep_runs`] decodes it once
-/// instead of once per job.
+/// When every job reads the same input under the same TLB,
+/// [`sweep_misses`] simulates the input and the TLB once instead of
+/// once per job.
 ///
 /// # Errors
 ///
@@ -344,69 +347,60 @@ pub fn sweep(jobs: Vec<SweepJob>) -> Result<Vec<SweepResult>, SimError> {
     })
 }
 
-/// Runs every configuration of `jobs` over one shared run stream on the
-/// [`sweep`] executor, with the same engine recycling and result order.
+/// Runs every configuration of `jobs` over one shared [`MissStream`] on
+/// the [`sweep`] executor, with the same engine recycling and result
+/// order.
 ///
-/// `chunks` hold a whole reference stream named `app`, collapsed into
-/// page runs at `page_size` (for example by `Workload::fill_runs`) and
-/// stored in consecutive chunks; runs need not be maximal, so the
-/// stream may be cut into chunks anywhere. Every job replays the chunks
-/// in order through [`Engine::access_runs`], so the input is decoded
-/// once for the whole grid rather than once per job. Each result equals
-/// a [`sweep`] job over the stream the runs came from.
+/// `stream` holds the TLB misses of a whole reference stream named
+/// `app`, recorded once; each job replays only the miss path over them
+/// ([`Engine::replay_misses`]), so neither the input nor the TLB is
+/// simulated per job. Each result equals a [`sweep`] job over the
+/// stream the misses came from. Jobs may differ in mechanism, buffer
+/// size and `filter_prefetches`, not in TLB geometry or page size.
 ///
 /// # Errors
 ///
-/// [`SimError::PageSizeMismatch`] for a configuration whose page size
-/// is not `page_size`, whose engine would need a different collapse;
-/// otherwise the first invalid configuration, as for [`sweep`].
+/// [`SimError::MissStreamMismatch`] for a configuration whose TLB
+/// geometry or page size differs from the stream's; otherwise the
+/// first invalid configuration, as for [`sweep`].
 ///
 /// # Examples
 ///
 /// ```
-/// use tlbsim_core::PageRun;
-/// use tlbsim_sim::{run_app, sweep_runs, SimConfig};
+/// use tlbsim_core::{PageRun, PrefetcherConfig};
+/// use tlbsim_sim::{run_app, sweep_misses, MissStream, SimConfig};
 /// use tlbsim_workloads::{find_app, Scale};
 ///
 /// let app = find_app("gap").expect("registered");
 /// let config = SimConfig::paper_default();
+/// let mut misses = MissStream::new(config.tlb, config.page_size)?;
 /// let mut workload = app.workload(Scale::TINY);
-/// let mut chunks = Vec::new();
+/// let mut runs = vec![PageRun::default(); 1024];
 /// loop {
-///     let mut chunk = vec![PageRun::default(); 1024];
-///     let (n, _) = workload.fill_runs(config.page_size, &mut chunk, u64::MAX);
+///     let (n, _) = workload.fill_runs(config.page_size, &mut runs, u64::MAX);
 ///     if n == 0 {
 ///         break;
 ///     }
-///     chunk.truncate(n);
-///     chunks.push(chunk);
+///     misses.push_runs(&runs[..n]);
 /// }
-/// let jobs = vec![("DP".to_owned(), config.clone())];
-/// let results = sweep_runs("gap", config.page_size, &chunks, jobs)?;
+/// let recency = config.clone().with_prefetcher(PrefetcherConfig::recency());
+/// let jobs = vec![("DP".to_owned(), config.clone()), ("RP".to_owned(), recency.clone())];
+/// let results = sweep_misses("gap", &misses, jobs)?;
 /// assert_eq!(results[0].stats, run_app(app, Scale::TINY, &config)?);
+/// assert_eq!(results[1].stats, run_app(app, Scale::TINY, &recency)?);
 /// # Ok::<(), tlbsim_sim::SimError>(())
 /// ```
-pub fn sweep_runs<C: AsRef<[PageRun]> + Sync>(
+pub fn sweep_misses(
     app: &str,
-    page_size: PageSize,
-    chunks: &[C],
+    stream: &MissStream,
     jobs: Vec<(String, SimConfig)>,
 ) -> Result<Vec<SweepResult>, SimError> {
     execute(jobs, |scratch, (tag, config)| {
-        if config.page_size != page_size {
-            return Err(SimError::PageSizeMismatch {
-                runs: page_size,
-                config: config.page_size,
-            });
-        }
-        let engine = scratch.engine(&config)?;
-        for chunk in chunks {
-            engine.access_runs(chunk.as_ref());
-        }
+        let stats = scratch.engine(&config)?.replay_misses(stream)?.clone();
         Ok(SweepResult {
             tag,
             app: app.to_owned(),
-            stats: engine.finish().clone(),
+            stats,
         })
     })
 }
@@ -488,46 +482,6 @@ mod tests {
             let fresh = run_app(find_app("gap").unwrap(), job.scale, config).unwrap();
             assert_eq!(reused, fresh, "job {i} diverged under engine reuse");
         }
-    }
-
-    #[test]
-    fn sweep_runs_matches_run_app_and_rejects_a_foreign_page_size() {
-        let app = find_app("mcf").unwrap();
-        let page_size = SimConfig::paper_default().page_size;
-        // Chunks of uneven size: runs cut anywhere replay the same.
-        let mut workload = app.workload(Scale::TINY);
-        let mut chunks = Vec::new();
-        for size in [1usize, 777, 4096].into_iter().cycle() {
-            let mut chunk = vec![PageRun::default(); size];
-            let (filled, _) = workload.fill_runs(page_size, &mut chunk, u64::MAX);
-            if filled == 0 {
-                break;
-            }
-            chunk.truncate(filled);
-            chunks.push(chunk);
-        }
-        let configs = [
-            SimConfig::paper_default(),
-            SimConfig::paper_default(),
-            SimConfig::baseline(),
-            SimConfig::paper_default().with_prefetcher(PrefetcherConfig::recency()),
-        ];
-        let jobs = configs
-            .iter()
-            .enumerate()
-            .map(|(i, config)| (format!("job{i}"), config.clone()))
-            .collect();
-        let results = sweep_runs("mcf", page_size, &chunks, jobs).unwrap();
-        for ((result, config), i) in results.iter().zip(&configs).zip(0..) {
-            assert_eq!(result.tag, format!("job{i}"));
-            assert_eq!(result.app, "mcf");
-            assert_eq!(result.stats, run_app(app, Scale::TINY, config).unwrap());
-        }
-
-        let mut foreign = SimConfig::paper_default();
-        foreign.page_size = PageSize::new(8192).unwrap();
-        let err = sweep_runs("mcf", page_size, &chunks, vec![("8K".into(), foreign)]);
-        assert!(matches!(err, Err(SimError::PageSizeMismatch { .. })));
     }
 
     #[test]

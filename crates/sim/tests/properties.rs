@@ -1,6 +1,8 @@
 //! Property tests for the simulation engines over arbitrary reference
 //! streams.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tlbsim_core::{
     Asid, Associativity, MemoryAccess, PageRun, PageSize, PrefetcherConfig, PrefetcherKind,
@@ -8,7 +10,10 @@ use tlbsim_core::{
 use tlbsim_experiments::paper_scheme_grid;
 use tlbsim_mem::TimingParams;
 use tlbsim_mmu::TlbConfig;
-use tlbsim_sim::{Engine, SimConfig, TimingEngine};
+use tlbsim_sim::{
+    sweep, sweep_misses, Engine, MissStream, SimConfig, SimError, SweepJob, SweepSpec, TimingEngine,
+};
+use tlbsim_workloads::{AccessSource, Scale, StreamSpec, Workload};
 
 /// Arbitrary but reasonably local reference streams: a mix of small hot
 /// regions and wide-ranging pages.
@@ -127,6 +132,86 @@ impl Coin {
         self.0 ^= self.0 << 17;
         self.0.is_multiple_of(one_in)
     }
+}
+
+/// The paper TLB, a 4-way set-associative 128-entry TLB and a 16-entry
+/// TLB: the geometries the miss-stream oracle records under.
+fn oracle_tlbs() -> [TlbConfig; 3] {
+    [
+        TlbConfig::paper_default(),
+        TlbConfig {
+            entries: 128,
+            assoc: Associativity::ways_of(4),
+        },
+        TlbConfig::fully_associative(16),
+    ]
+}
+
+/// Every grid scheme on `tlb`, each with and without residency
+/// filtering of prefetch candidates.
+fn miss_stream_configs(tlb: TlbConfig) -> Vec<SimConfig> {
+    [true, false]
+        .into_iter()
+        .flat_map(|filter| {
+            paper_scheme_grid().into_iter().map(move |scheme| {
+                SimConfig::paper_default()
+                    .with_tlb(tlb)
+                    .with_prefetcher(scheme)
+                    .with_prefetch_filtering(filter)
+            })
+        })
+        .collect()
+}
+
+/// An in-memory reference stream as a [`sweep`] input.
+struct Recorded(Arc<Vec<MemoryAccess>>);
+
+/// A cursor over a [`Recorded`] stream.
+struct RecordedCursor {
+    records: Arc<Vec<MemoryAccess>>,
+    at: usize,
+}
+
+impl AccessSource for RecordedCursor {
+    fn fill(&mut self, buf: &mut [MemoryAccess]) -> usize {
+        let n = buf.len().min(self.records.len() - self.at);
+        buf[..n].copy_from_slice(&self.records[self.at..self.at + n]);
+        self.at += n;
+        n
+    }
+
+    fn skip(&mut self, n: u64) -> u64 {
+        let n = n.min((self.records.len() - self.at) as u64);
+        self.at += n as usize;
+        n
+    }
+}
+
+impl StreamSpec for Recorded {
+    fn name(&self) -> &str {
+        "recorded"
+    }
+
+    fn workload(&self, _scale: Scale) -> Workload {
+        let cursor = RecordedCursor {
+            records: Arc::clone(&self.0),
+            at: 0,
+        };
+        Workload::from_source("recorded", Box::new(cursor))
+    }
+
+    fn stream_len(&self, _scale: Scale) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+/// `(tag, config)` sweep jobs, tagged by position.
+fn tagged(configs: &[SimConfig]) -> Vec<(String, SimConfig)> {
+    configs
+        .iter()
+        .enumerate()
+        .map(|(i, config)| (format!("job{i}"), config.clone()))
+        .collect()
 }
 
 fn any_kind() -> impl Strategy<Value = PrefetcherKind> {
@@ -298,6 +383,154 @@ proptest! {
             prop_assert_eq!(&expected, batched.finish());
             prop_assert_eq!(&expected, by_runs.finish());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The TLB misses of a stream are the same under every mechanism,
+    /// so `sweep_misses` replays them once recorded. Its statistics
+    /// must equal, on every field, a per-scheme `sweep` job streaming
+    /// the records and per-record `Engine::access`, for all 30 grid
+    /// schemes with and without candidate filtering, on three TLB
+    /// geometries. The runs reach the stream collapsed with random
+    /// cuts (so not maximal) and in `push_runs` calls cut at random
+    /// runs.
+    #[test]
+    fn miss_stream_sweep_matches_per_scheme_sweeps_and_per_record_access(
+        stream in arb_page_runs(),
+        seed in 1u64..u64::MAX,
+    ) {
+        let spec: SweepSpec = Arc::new(Recorded(Arc::new(stream.clone())));
+        let mut coin = Coin(seed);
+        for tlb in oracle_tlbs() {
+            let configs = miss_stream_configs(tlb);
+            let page_size = configs[0].page_size;
+            let runs = collapse_with_cuts(&stream, page_size, || coin.flip(8));
+            let mut misses = MissStream::new(tlb, page_size).unwrap();
+            let mut from = 0;
+            for to in 1..=runs.len() {
+                if to == runs.len() || coin.flip(16) {
+                    misses.push_runs(&runs[from..to]);
+                    from = to;
+                }
+            }
+            prop_assert_eq!(misses.accesses(), stream.len() as u64);
+
+            let replayed = sweep_misses("recorded", &misses, tagged(&configs)).unwrap();
+            let jobs = tagged(&configs)
+                .into_iter()
+                .map(|(tag, config)| SweepJob {
+                    tag,
+                    spec: Arc::clone(&spec),
+                    scale: Scale::TINY,
+                    config,
+                })
+                .collect();
+            let swept = sweep(jobs).unwrap();
+            for ((config, replayed), swept) in configs.iter().zip(&replayed).zip(&swept) {
+                let mut oracle = Engine::new(config).unwrap();
+                for access in &stream {
+                    oracle.access(access);
+                }
+                let expected = oracle.finish();
+                prop_assert_eq!(&replayed.tag, &swept.tag);
+                prop_assert_eq!(&replayed.app, "recorded");
+                prop_assert_eq!(
+                    &replayed.stats,
+                    expected,
+                    "{} on {:?}, filter {}: miss replay diverged",
+                    config.prefetcher.label(),
+                    tlb,
+                    config.filter_prefetches
+                );
+                prop_assert_eq!(&swept.stats, expected);
+                prop_assert_eq!(replayed.stats.misses, misses.misses());
+            }
+        }
+    }
+}
+
+/// Miss streams longer than one storage chunk, from real application
+/// models, replay every grid scheme exactly as `sweep` runs it, on
+/// fresh and on recycled engines.
+#[test]
+fn miss_stream_sweep_matches_sweep_on_apps() {
+    use tlbsim_workloads::find_app;
+
+    let configs = miss_stream_configs(TlbConfig::paper_default());
+    for name in ["galgel", "mcf"] {
+        let app = find_app(name).expect("registered app");
+        let config = &configs[0];
+        let mut misses = MissStream::new(config.tlb, config.page_size).unwrap();
+        let mut workload = app.workload(Scale::TINY);
+        let mut runs = vec![PageRun::default(); 777];
+        loop {
+            let (filled, _) = workload.fill_runs(config.page_size, &mut runs, u64::MAX);
+            if filled == 0 {
+                break;
+            }
+            misses.push_runs(&runs[..filled]);
+        }
+        assert!(misses.misses() > 4096, "{name} must span several chunks");
+        let replayed = sweep_misses(name, &misses, tagged(&configs)).unwrap();
+        let jobs = tagged(&configs)
+            .into_iter()
+            .map(|(tag, config)| SweepJob {
+                tag,
+                spec: Arc::new(app),
+                scale: Scale::TINY,
+                config,
+            })
+            .collect();
+        let swept = sweep(jobs).unwrap();
+        for (replayed, swept) in replayed.iter().zip(&swept) {
+            assert_eq!(replayed.tag, swept.tag);
+            assert_eq!(replayed.stats, swept.stats, "{name}/{}", replayed.tag);
+        }
+        // A recycled engine replays the stream as a fresh one does.
+        let mut engine = Engine::new(config).unwrap();
+        engine.replay_misses(&misses).unwrap();
+        assert!(engine.try_recycle(config));
+        assert_eq!(engine.replay_misses(&misses).unwrap(), &swept[0].stats);
+    }
+}
+
+/// A miss stream only drives configurations of its own TLB geometry
+/// and page size; anything else is a typed error, from the sweep and
+/// from the engine alike.
+#[test]
+fn miss_stream_rejects_a_foreign_tlb_geometry_or_page_size() {
+    let config = SimConfig::paper_default();
+    let mut misses = MissStream::new(config.tlb, config.page_size).unwrap();
+    misses.push_runs(&collapse_with_cuts(
+        &(0..500u64)
+            .map(|i| MemoryAccess::read(0x40, (i % 300) * 4096))
+            .collect::<Vec<_>>(),
+        config.page_size,
+        || false,
+    ));
+    let mut huge_pages = config.clone();
+    huge_pages.page_size = PageSize::new(8192).unwrap();
+    let [_, four_way, small] = oracle_tlbs();
+    for foreign in [
+        config.clone().with_tlb(four_way),
+        config.clone().with_tlb(small),
+        huge_pages,
+    ] {
+        let jobs = vec![
+            ("native".to_owned(), config.clone()),
+            ("foreign".to_owned(), foreign.clone()),
+        ];
+        let err = sweep_misses("laps", &misses, jobs).unwrap_err();
+        assert!(matches!(err, SimError::MissStreamMismatch { .. }), "{err}");
+        assert!(err.to_string().contains("miss stream"), "{err}");
+        let mut engine = Engine::new(&foreign).unwrap();
+        assert!(matches!(
+            engine.replay_misses(&misses),
+            Err(SimError::MissStreamMismatch { .. })
+        ));
     }
 }
 

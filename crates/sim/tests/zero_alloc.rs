@@ -24,6 +24,9 @@
 //! workloads (visit runs) and over a v2 trace (collapsed records), and
 //! `access_runs` over a collected run stream.
 //!
+//! A fifth pins the sweep's miss path: `replay_misses` over a recorded
+//! `MissStream`, under every grid scheme.
+//!
 //! The allocation counter is thread-local, so the tests cannot perturb
 //! each other even when the harness runs them concurrently.
 
@@ -709,4 +712,51 @@ fn page_run_path_never_allocates_in_steady_state() {
     );
 
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn miss_stream_replay_never_allocates_in_steady_state() {
+    use tlbsim_core::PageRun;
+    use tlbsim_experiments::paper_scheme_grid;
+    use tlbsim_sim::MissStream;
+
+    // Record the misses of four laps once; recording may allocate.
+    let config = SimConfig::paper_default();
+    let runs: Vec<PageRun> = lap_stream()
+        .iter()
+        .map(|access| PageRun {
+            pc: access.pc,
+            page: config.page_size.page_of(access.vaddr),
+            len: 1,
+        })
+        .collect();
+    let mut misses = MissStream::new(config.tlb, config.page_size).expect("paper geometry");
+    for _ in 0..4 {
+        misses.push_runs(&runs);
+    }
+    assert!(
+        misses.misses() >= 4 * 600,
+        "the laps must stress the miss path, saw {} misses",
+        misses.misses()
+    );
+
+    for scheme in paper_scheme_grid() {
+        let label = scheme.label();
+        let mut engine =
+            Engine::new(&config.clone().with_prefetcher(scheme)).expect("valid configuration");
+        // Warm-up: one replay sizes the residency bits and fills the
+        // page table, the prediction tables and every container.
+        engine
+            .replay_misses(&misses)
+            .expect("the stream's geometry");
+        let before = allocations_so_far();
+        engine
+            .replay_misses(&misses)
+            .expect("the stream's geometry");
+        let allocated = allocations_so_far() - before;
+        assert_eq!(
+            allocated, 0,
+            "{label}: miss-stream replay performed {allocated} heap allocations"
+        );
+    }
 }
