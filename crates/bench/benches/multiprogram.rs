@@ -1,6 +1,6 @@
 //! Single-stream versus multiprogrammed-interleave throughput.
 //!
-//! `multiprogram` runs the telemetry fixture (gap + mcf interleaved
+//! `multiprogram` runs the shared fixture (gap + mcf interleaved
 //! round-robin at a 4096-access quantum under the representative DP
 //! configuration) through the functional engine twice over the identical
 //! accesses: the component streams back-to-back (`run_app` each), and as
@@ -11,15 +11,11 @@
 //! regression past that floor means the multiprogram layer started doing
 //! per-access work (or allocating) and `cargo bench` fails loudly
 //! instead of drifting.
-//!
-//! The fixture is identical to the `multiprogram` section `xp
-//! bench-json` snapshots into `BENCH_throughput.json`, so gate and
-//! telemetry stay comparable.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tlbsim_experiments::throughput::multiprogram_fixture;
+use tlbsim_bench::multiprogram_fixture;
 use tlbsim_sim::{run_app, run_mix, SwitchPolicy, TablePolicy};
 
 /// The gate: interleaved throughput must be at least this fraction of

@@ -1,11 +1,9 @@
 //! End-to-end throughput of the batched, zero-allocation miss path.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `engine_throughput` — accesses/sec of the full functional engine
-//!   per scheme (none/SP/ASP/MP/RP/DP) on a miss-heavy looping stream;
-//!   this is the number `xp bench-json` snapshots into
-//!   `BENCH_throughput.json` for the perf trajectory.
+//!   per scheme (none/SP/ASP/MP/RP/DP) on a miss-heavy looping stream.
 //! * `dp_miss_path` — the DP mechanism alone on the mixed miss stream:
 //!   the reusable-sink hot path versus the legacy `decide()` wrapper
 //!   that allocates an owned `PrefetchDecision` per miss (the seed's

@@ -9,16 +9,12 @@
 //! running visit arithmetic, so a regression past that floor means the
 //! zero-copy path stopped being zero-copy (or started allocating) and
 //! `cargo bench` fails loudly instead of drifting.
-//!
-//! The fixture is identical to the `trace_replay` section `xp
-//! bench-json` snapshots into `BENCH_throughput.json`, so gate and
-//! telemetry stay comparable.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use tlbsim_bench::{trace_replay_fixture, TempFileGuard};
 use tlbsim_experiments::replay::record_spec;
-use tlbsim_experiments::throughput::{trace_replay_fixture, TempFileGuard};
 use tlbsim_sim::run_app;
 use tlbsim_workloads::TraceWorkload;
 

@@ -13,16 +13,12 @@
 //!   pointer-chasing stream delta-compresses well below the 17-byte
 //!   flat cell, and a size regression means the encoder stopped
 //!   exploiting the deltas.
-//!
-//! The fixture is identical to the `trace_v2` section `xp bench-json`
-//! snapshots into `BENCH_throughput.json`, so gate and telemetry stay
-//! comparable.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use tlbsim_bench::{trace_replay_fixture, TempFileGuard};
 use tlbsim_experiments::replay::{record_spec, record_spec_with_format, RecordFormat};
-use tlbsim_experiments::throughput::{trace_replay_fixture, TempFileGuard};
 use tlbsim_sim::run_app;
 use tlbsim_workloads::TraceWorkload;
 

@@ -16,7 +16,6 @@
 //! xp check --trace <path> [--quarantine <n|unlimited>]
 //! xp chaos --trace <path> --out <path> [--seed <n>] [--corrupt <k>]
 //!          [--wild <k>] [--truncate]
-//! xp bench-json [--out <path>]
 //! xp serve [--socket <path>] [--workers <n>] [--queue-depth <n>]
 //! xp submit (--trace <path> | --app <name>) [--socket <path>]
 //!           [--scheme none|sp|asp|mp|rp|dp] [--scale <s>] [--shards <n|auto>]
@@ -90,21 +89,13 @@
 //! deterministic seeded fault plan into a copy of a clean trace, so a
 //! corrupt input can be manufactured reproducibly from the command
 //! line.
-//!
-//! `bench-json` measures simulator throughput (accesses/sec per scheme,
-//! the DP miss-path microbench, sharded-vs-sequential scaling of a
-//! figure-scale DP run, mmap trace replay vs the generator, and
-//! daemon-served trace ingest vs in-process batch replay) and writes
-//! `BENCH_throughput.json` — the perf-trajectory telemetry successive
-//! PRs compare against.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tlbsim_core::{ConfidenceConfig, PrefetcherConfig, PrefetcherKind};
 use tlbsim_experiments::{
-    extras, figure7, figure8, figure9, health, mix, replay, table1, table2, table3, throughput,
-    tracestat,
+    extras, figure7, figure8, figure9, health, mix, replay, table1, table2, table3, tracestat,
 };
 use tlbsim_service::{Client, JobSpec, Server, ServerConfig};
 use tlbsim_sim::{SwitchPolicy, TablePolicy};
@@ -158,7 +149,6 @@ fn usage() -> &'static str {
      xp check --trace <path> [--quarantine <n|unlimited>]\n       \
      xp chaos --trace <path> --out <path> [--seed <n>] [--corrupt <k>] \
      [--wild <k>] [--truncate]\n       \
-     xp bench-json [--out <path>]\n       \
      xp serve [--socket <path>] [--workers <n>] [--queue-depth <n>]\n       \
      xp submit (--trace <path> | --app <name>) [--socket <path>] \
      [--scheme none|sp|asp|mp|rp|dp|tp[,<w>]|ep[:a+b]|c+<base>] [--scale <s>] [--shards <n|auto>] \
@@ -607,17 +597,6 @@ fn run_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run_bench_json(out: &Option<PathBuf>) -> Result<(), String> {
-    let report = throughput::run().map_err(|e| format!("bench-json: {e}"))?;
-    println!("{}", report.render());
-    let path = out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_throughput.json"));
-    std::fs::write(&path, report.to_json()).map_err(|e| format!("writing {path:?}: {e}"))?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
-}
-
 const SCHEME_HINT: &str = "want none|sp|asp|mp|rp|dp|tp[,<window>]|ep[:<a>+<b>+...]|c+<base>";
 
 /// Base mechanism kinds addressable as ensemble components.
@@ -958,7 +937,6 @@ fn main() -> ExitCode {
         }
     };
     if let Some(outcome) = match args.experiment.as_str() {
-        "bench-json" => Some(run_bench_json(&args.out)),
         "record" => Some(run_record(&args)),
         "replay" => Some(run_replay(&args)),
         "mix" => Some(run_mix(&args)),

@@ -6,9 +6,8 @@
 //! together with derived element throughput when the group declared one.
 //! There is no statistical regression machinery — results are for
 //! eyeballing and for in-bench assertions via [`Criterion::results`].
-//! (`xp bench-json` measures the same stream fixtures but with its own
-//! min-of-N harness, so its absolute numbers are not interchangeable
-//! with these medians.)
+//! End-to-end numbers with a spread come from the repository benchmark
+//! (`perfbench/`).
 //!
 //! Environment knobs:
 //!

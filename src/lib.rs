@@ -37,9 +37,7 @@
 //! * the parallel [`sim::sweep`] executor recycles one engine per worker
 //!   thread across jobs ([`sim::Engine::try_recycle`]);
 //! * the `zero_alloc` integration test in `tlbsim-sim` pins the
-//!   guarantee with a counting global allocator, and
-//!   `xp bench-json` snapshots accesses/sec per scheme into
-//!   `BENCH_throughput.json` for a PR-over-PR perf trajectory.
+//!   guarantee with a counting global allocator.
 //!
 //! ## Sharded execution
 //!
@@ -123,9 +121,7 @@
 //! a snapshot cadence streams incremental [`sim::SimStats`] checkpoints
 //! that finish bit-identical to the equivalent batch run.
 //! [`service::Client`] is the in-process client; `xp serve` /
-//! `xp submit` / `xp shutdown` drive it from the command line, and
-//! `xp bench-json`'s `service` section tracks served-vs-batch ingest
-//! throughput.
+//! `xp submit` / `xp shutdown` drive it from the command line.
 //!
 //! ## Quick start
 //!

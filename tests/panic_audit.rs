@@ -44,12 +44,13 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     // began — same invariant as the sharded executor's worker engines.
     ("crates/sim", 11),
     ("crates/service", 0),
-    // experiments 22 → 23 (ASID PR): the asid-variant kernel in the
-    // multiprogram throughput probe, mirroring its flush twin.
-    // 23 → 25 (trace-format-v2 PR): the raw-vs-compressed replay
-    // kernels in the trace_v2 throughput probe, mirroring the
-    // existing trace-replay kernel's validated-config invariant.
-    ("crates/experiments", 25),
+    // experiments 25 → 8 (one measurement harness): the throughput
+    // telemetry module held 17 sites; its three shared fixture
+    // `expect`s moved to tlbsim-bench below, the rest went with it.
+    ("crates/experiments", 8),
+    // bench: the recorded-trace and multiprogram fixtures' registry and
+    // mix-validity invariants (3) plus `run_functional`'s engine (1).
+    ("crates/bench", 4),
     ("src", 0),
 ];
 
