@@ -89,20 +89,16 @@ impl Associativity {
         }
         Ok(capacity / ways)
     }
-
-    /// Short label matching the paper's figure legends: `D`, `2`, `4`, `F`.
-    pub fn label(self) -> String {
-        match self {
-            Associativity::Direct => "D".to_owned(),
-            Associativity::SetAssociative(n) => n.get().to_string(),
-            Associativity::Full => "F".to_owned(),
-        }
-    }
 }
 
+/// The paper's figure-legend form: `D`, `2`, `4`, `F`.
 impl fmt::Display for Associativity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        match self {
+            Associativity::Direct => f.write_str("D"),
+            Associativity::SetAssociative(n) => write!(f, "{n}"),
+            Associativity::Full => f.write_str("F"),
+        }
     }
 }
 
@@ -148,9 +144,8 @@ mod tests {
 
     #[test]
     fn labels_match_paper_legends() {
-        assert_eq!(Associativity::Direct.label(), "D");
-        assert_eq!(Associativity::ways_of(4).label(), "4");
-        assert_eq!(Associativity::Full.label(), "F");
+        assert_eq!(Associativity::Direct.to_string(), "D");
+        assert_eq!(Associativity::ways_of(4).to_string(), "4");
         assert_eq!(Associativity::Full.to_string(), "F");
     }
 

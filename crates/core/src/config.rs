@@ -378,31 +378,10 @@ impl PrefetcherConfig {
         })
     }
 
-    /// A compact label for figure legends, e.g. `DP,256,D`, `TP,8`,
-    /// `EP:DP+ASP` — confidence-throttled variants gain a `C+` prefix
-    /// (`C+DP,256,D`).
+    /// The figure-legend text of the scheme, e.g. `DP,256,D`, `TP,8`,
+    /// `EP:DP+ASP` or `C+MP,256,D;slots=4` (the `Display` form).
     pub fn label(&self) -> String {
-        let base = match self.kind {
-            PrefetcherKind::None => "none".to_owned(),
-            PrefetcherKind::Sequential => "SP".to_owned(),
-            PrefetcherKind::Recency => "RP".to_owned(),
-            PrefetcherKind::Stride => format!("ASP,{}", self.rows),
-            PrefetcherKind::TrendStride => format!("TP,{}", self.window),
-            PrefetcherKind::Ensemble => format!(
-                "EP:{}",
-                self.ensemble
-                    .iter()
-                    .map(|k| k.abbrev())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            ),
-            _ => format!("{},{},{}", self.kind, self.rows, self.assoc.label()),
-        };
-        if self.confidence.is_some() {
-            format!("C+{base}")
-        } else {
-            base
-        }
+        self.to_string()
     }
 
     /// Validates geometry and slots without building.
@@ -462,12 +441,6 @@ impl PrefetcherConfig {
 impl Default for PrefetcherConfig {
     fn default() -> Self {
         PrefetcherConfig::distance()
-    }
-}
-
-impl fmt::Display for PrefetcherConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
     }
 }
 
@@ -549,10 +522,22 @@ mod tests {
         assert_eq!(ep.label(), "EP:DP+ASP");
         let mut cdp = PrefetcherConfig::distance();
         cdp.confidence(ConfidenceConfig::passthrough());
-        assert_eq!(cdp.label(), "C+DP,256,D");
+        assert_eq!(cdp.label(), "C+DP,256,D;conf=0/0");
         let mut casp = PrefetcherConfig::stride();
         casp.rows(64).confidence(ConfidenceConfig::adaptive());
         assert_eq!(casp.label(), "C+ASP,64");
+        // Parsed text prints canonically: omitted head fields filled in,
+        // other settings as keys in the grammar's order.
+        for (text, canonical) in [
+            ("dp", "DP,256,D"),
+            ("mp,1024,4", "MP,1024,4"),
+            ("ep", "EP:DP+ASP"),
+            ("c+c+rp", "C+RP"),
+            ("sp;rows=32;pc=1", "SP;rows=32;pc=1"),
+            ("tp,4;assoc=2;slots=3", "TP,4;slots=3;assoc=2"),
+        ] {
+            assert_eq!(text.parse::<PrefetcherConfig>().unwrap().label(), canonical);
+        }
     }
 
     #[test]

@@ -87,6 +87,7 @@ mod lru;
 mod markov;
 mod prefetcher;
 mod recency;
+mod scheme;
 mod sequential;
 mod sink;
 mod slots;

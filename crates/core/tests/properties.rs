@@ -2,9 +2,11 @@
 //! prefetching mechanisms' global invariants.
 
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
+
 use tlbsim_core::{
-    Associativity, CandidateBuf, Distance, MissContext, Pc, PredictionTable, PrefetcherConfig,
-    PrefetcherKind, SlotList, VirtPage,
+    Associativity, CandidateBuf, ConfidenceConfig, Distance, MissContext, Pc, PredictionTable,
+    PrefetcherConfig, PrefetcherKind, SlotList, VirtPage,
 };
 
 /// Strategy for valid (rows, associativity) geometries.
@@ -188,5 +190,106 @@ proptest! {
         table.insert(Distance::new(d2), d2);
         prop_assert_eq!(table.get(Distance::new(d1)), Some(&d1));
         prop_assert_eq!(table.get(Distance::new(d2)), Some(&d2));
+    }
+}
+
+/// Every kind, the ensemble included, so component lists can nest.
+fn every_kind() -> impl Strategy<Value = PrefetcherKind> {
+    prop_oneof![
+        Just(PrefetcherKind::None),
+        any_kind(),
+        Just(PrefetcherKind::TrendStride),
+        Just(PrefetcherKind::Ensemble),
+    ]
+}
+
+/// Small values, zero and the whole `usize` range (most draws exceed
+/// `u32::MAX`).
+fn any_count() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), 0usize..64, any::<usize>()]
+}
+
+fn any_assoc() -> impl Strategy<Value = Associativity> {
+    prop_oneof![
+        Just(Associativity::Direct),
+        Just(Associativity::Full),
+        any_count()
+            .prop_map(|n| Associativity::SetAssociative(NonZeroUsize::MIN.saturating_add(n))),
+    ]
+}
+
+fn any_confidence() -> impl Strategy<Value = Option<ConfidenceConfig>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(ConfidenceConfig::adaptive())),
+        (any::<u8>(), any::<u32>()).prop_map(|(threshold, max_degree)| Some(ConfidenceConfig {
+            threshold,
+            max_degree,
+        })),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn every_config_parses_back_from_its_text(
+        kind in every_kind(),
+        (rows, slots, window) in (any_count(), any_count(), any_count()),
+        assoc in any_assoc(),
+        (pc, pair) in (any::<bool>(), any::<bool>()),
+        confidence in any_confidence(),
+        components in prop::collection::vec(every_kind(), 0..8),
+    ) {
+        let mut cfg = if kind == PrefetcherKind::Ensemble {
+            PrefetcherConfig::ensemble_of(&components)
+        } else {
+            PrefetcherConfig::new(kind)
+        };
+        cfg.rows(rows).slots(slots).assoc(assoc).window(window).pc_qualified(pc).pair_indexed(pair);
+        if let Some(confidence) = confidence {
+            cfg.confidence(confidence);
+        }
+        let text = cfg.to_string();
+        prop_assert_eq!(text.parse::<PrefetcherConfig>(), Ok(cfg.clone()), "{}", text);
+        prop_assert_eq!(text.to_lowercase().parse::<PrefetcherConfig>(), Ok(cfg));
+    }
+}
+
+/// Every `--scheme` spelling the command line took before the grammar
+/// existed still means the same scheme, with or without `c+`.
+#[test]
+fn every_older_cli_spelling_parses_to_the_same_config() {
+    use PrefetcherKind::{Distance as D, Markov as M, Recency as R, Sequential as S, Stride as A};
+    type C = PrefetcherConfig;
+    let mut tp4 = C::trend_stride();
+    tp4.window(4);
+    let table = [
+        (&["none"][..], C::none()),
+        (&["sp", "sequential", "SP"], C::sequential()),
+        (&["asp", "stride"], C::stride()),
+        (&["mp", "markov"], C::markov()),
+        (&["rp", "recency"], C::recency()),
+        (&["dp", "distance", "Distance"], C::distance()),
+        (&["tp", "trend", "tp,8"], C::trend_stride()),
+        (&["tp,4", "TP,4"], tp4),
+        (
+            &["ep", "ep:dp+asp", "ep:distance+stride"],
+            C::ensemble_of(&[D, A]),
+        ),
+        (&["ep:dp+asp+mp"], C::ensemble_of(&[D, A, M])),
+        (
+            &["ep:sp+rp", "EP:sequential+recency"],
+            C::ensemble_of(&[S, R]),
+        ),
+    ];
+    for (spellings, mut want) in table {
+        for text in spellings {
+            assert_eq!(text.parse::<C>(), Ok(want.clone()), "{text}");
+        }
+        want.confidence(ConfidenceConfig::adaptive());
+        for text in spellings {
+            for throttled in [format!("c+{text}"), format!("C+c+{text}")] {
+                assert_eq!(throttled.parse::<C>(), Ok(want.clone()), "{throttled}");
+            }
+        }
     }
 }

@@ -1,29 +1,8 @@
 //! `xp` — regenerate the paper's tables and figures from the command
 //! line.
 //!
-//! ```text
-//! xp <table1|table2|table3|figure7|figure8|figure9|extras|all>
-//!    [--scale tiny|small|standard|<factor>]
-//!    [--shards <n>]
-//!    [--csv <dir>]
-//! xp record --app <name> [--scale <s>] [--limit <n>] [--out <path>]
-//!           [--format v1|v2] [--block-len <n>]
-//! xp replay --trace <path> [--shards <n>] [--quarantine <n|unlimited>]
-//!           [--stream-window <blocks>] [--csv <dir>]
-//! xp mix --streams <a,b,…> [--quantum <n>] [--switch-policy none|flush|asid]
-//!        [--asid-contexts <n>] [--table-policy shared|partitioned]
-//!        [--scale <s>] [--shards <n>] [--quarantine <n|unlimited>] [--csv <dir>]
-//! xp check --trace <path> [--quarantine <n|unlimited>]
-//! xp chaos --trace <path> --out <path> [--seed <n>] [--corrupt <k>]
-//!          [--wild <k>] [--truncate]
-//! xp serve [--socket <path>] [--workers <n>] [--queue-depth <n>]
-//! xp submit (--trace <path> | --app <name>) [--socket <path>]
-//!           [--scheme none|sp|asp|mp|rp|dp] [--scale <s>] [--shards <n|auto>]
-//!           [--quarantine <n|unlimited>] [--snapshot-every <n>]
-//! xp shutdown [--socket <path>] [--no-drain]
-//! xp convert --trace <path> --out <path> [--format v1|v2|text] [--block-len <n>]
-//! xp tracestat <paths...> [--quarantine <n|unlimited>] [--csv <dir>]
-//! ```
+//! Run `xp` without arguments for the synopsis of every subcommand and
+//! flag; `usage()` below is its only copy.
 //!
 //! `--shards <n|auto>` switches the accuracy-grid drivers (figure7,
 //! figure8, table2) — and `replay`/`mix` — from job-level parallelism to
@@ -41,7 +20,9 @@
 //! application under the chosen scheme) and prints the final statistics
 //! plus any incremental snapshots; `shutdown` stops a running daemon,
 //! draining queued jobs unless `--no-drain`. The framing and job model
-//! are specified normatively in `docs/PROTOCOL.md`.
+//! are specified normatively in `docs/PROTOCOL.md`. `--scheme` (default
+//! `dp`) takes the scheme grammar of `docs/DESIGN.md`, case-insensitive:
+//! `DP,512,4`, `asp`, `tp,8`, `ep:dp+asp+mp`, `c+dp`, `MP,256,F;slots=4`.
 //!
 //! `convert` translates traces between the three on-disk formats (flat
 //! v1 binary, block-compressed v2 binary, line-oriented text). The
@@ -93,7 +74,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tlbsim_core::{ConfidenceConfig, PrefetcherConfig, PrefetcherKind};
 use tlbsim_experiments::{
     extras, figure7, figure8, figure9, health, mix, replay, table1, table2, table3, tracestat,
 };
@@ -151,7 +131,7 @@ fn usage() -> &'static str {
      [--wild <k>] [--truncate]\n       \
      xp serve [--socket <path>] [--workers <n>] [--queue-depth <n>]\n       \
      xp submit (--trace <path> | --app <name>) [--socket <path>] \
-     [--scheme none|sp|asp|mp|rp|dp|tp[,<w>]|ep[:a+b]|c+<base>] [--scale <s>] [--shards <n|auto>] \
+     [--scheme <scheme>] [--scale <s>] [--shards <n|auto>] \
      [--quarantine <n|unlimited>] [--snapshot-every <n>]\n       \
      xp shutdown [--socket <path>] [--no-drain]\n       \
      xp convert --trace <path> --out <path> [--format v1|v2|text] [--block-len <n>]\n       \
@@ -597,65 +577,6 @@ fn run_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const SCHEME_HINT: &str = "want none|sp|asp|mp|rp|dp|tp[,<window>]|ep[:<a>+<b>+...]|c+<base>";
-
-/// Base mechanism kinds addressable as ensemble components.
-fn parse_base_kind(name: &str) -> Option<PrefetcherKind> {
-    match name {
-        "sp" | "sequential" => Some(PrefetcherKind::Sequential),
-        "asp" | "stride" => Some(PrefetcherKind::Stride),
-        "mp" | "markov" => Some(PrefetcherKind::Markov),
-        "rp" | "recency" => Some(PrefetcherKind::Recency),
-        "dp" | "distance" => Some(PrefetcherKind::Distance),
-        _ => None,
-    }
-}
-
-fn parse_scheme(name: &str) -> Result<PrefetcherConfig, String> {
-    let lower = name.to_ascii_lowercase();
-    if let Some(base) = lower.strip_prefix("c+") {
-        let mut cfg = parse_scheme(base)?;
-        cfg.confidence(ConfidenceConfig::adaptive());
-        return Ok(cfg);
-    }
-    if lower == "ep" {
-        // Default duel: the paper's two strongest contenders.
-        return Ok(PrefetcherConfig::ensemble_of(&[
-            PrefetcherKind::Distance,
-            PrefetcherKind::Stride,
-        ]));
-    }
-    if let Some(list) = lower.strip_prefix("ep:") {
-        let mut kinds = Vec::new();
-        for part in list.split('+') {
-            kinds.push(
-                parse_base_kind(part).ok_or_else(|| {
-                    format!("unknown ensemble component {part:?} ({SCHEME_HINT})")
-                })?,
-            );
-        }
-        return Ok(PrefetcherConfig::ensemble_of(&kinds));
-    }
-    if lower == "tp" || lower.starts_with("tp,") {
-        let mut cfg = PrefetcherConfig::trend_stride();
-        if let Some(w) = lower.strip_prefix("tp,") {
-            let window = w
-                .parse::<usize>()
-                .map_err(|_| format!("bad trend window {w:?} ({SCHEME_HINT})"))?;
-            cfg.window(window);
-        }
-        return Ok(cfg);
-    }
-    match lower.as_str() {
-        "none" => Ok(PrefetcherConfig::none()),
-        "trend" => Ok(PrefetcherConfig::trend_stride()),
-        other => match parse_base_kind(other) {
-            Some(kind) => Ok(PrefetcherConfig::new(kind)),
-            None => Err(format!("unknown scheme {other:?} ({SCHEME_HINT})")),
-        },
-    }
-}
-
 fn run_serve(args: &Args) -> Result<(), String> {
     let server = Server::bind(
         &args.socket,
@@ -689,7 +610,10 @@ fn run_submit(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    job.scheme = parse_scheme(&args.scheme)?;
+    let scheme = &args.scheme;
+    job.scheme = scheme
+        .parse()
+        .map_err(|e| format!("bad scheme {scheme:?}: {e}"))?;
     job.scale = args.scale;
     job.shards = u32::try_from(args.shards).map_err(|_| "shard count overflows u32".to_owned())?;
     job.policy = args.policy;

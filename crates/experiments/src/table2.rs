@@ -70,7 +70,7 @@ pub fn run_sharded(scale: Scale, shards: usize) -> Result<Table2, SimError> {
             weight_den += cell.miss_rate;
         }
         rows.push(Table2Row {
-            scheme: short_name(&scheme.label()),
+            scheme: scheme.kind().abbrev().to_owned(),
             average: sum / n,
             weighted: if weight_den == 0.0 {
                 0.0
@@ -81,10 +81,6 @@ pub fn run_sharded(scale: Scale, shards: usize) -> Result<Table2, SimError> {
     }
     rows.sort_by(|a, b| b.average.total_cmp(&a.average));
     Ok(Table2 { rows })
-}
-
-fn short_name(label: &str) -> String {
-    label.split(',').next().unwrap_or(label).to_owned()
 }
 
 impl Table2 {
@@ -145,11 +141,5 @@ mod tests {
         // DP leads unweighted; RP leads weighted.
         assert!(reference[0].1 > reference[1].1);
         assert!(reference[1].2 > reference[0].2);
-    }
-
-    #[test]
-    fn short_names() {
-        assert_eq!(short_name("DP,256,D"), "DP");
-        assert_eq!(short_name("RP"), "RP");
     }
 }

@@ -97,16 +97,18 @@ impl PrefetchChannel {
     }
 
     /// Drops in-flight records that completed at or before `now`,
-    /// invoking `deliver` for each — the engine installs these into the
-    /// prefetch buffer.
+    /// invoking `deliver` for each in completion order — the engine
+    /// installs these into the LRU prefetch buffer, where the order
+    /// decides which entries are evicted first.
     pub fn drain_arrived(&mut self, now: u64, mut deliver: impl FnMut(VirtPage)) {
-        let arrived: Vec<VirtPage> = self
+        let mut arrived: Vec<(u64, VirtPage)> = self
             .in_flight
             .iter()
             .filter(|(_, done)| **done <= now)
-            .map(|(page, _)| *page)
+            .map(|(page, done)| (*done, *page))
             .collect();
-        for page in arrived {
+        arrived.sort_unstable();
+        for (_, page) in arrived {
             self.in_flight.remove(&page);
             deliver(page);
         }
@@ -182,15 +184,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_delivers_only_arrived_fetches() {
+    fn drain_delivers_arrived_fetches_in_completion_order() {
         let mut ch = PrefetchChannel::new(50);
-        ch.issue_fetch(0, VirtPage::new(1)); // done at 50
-        ch.issue_fetch(0, VirtPage::new(2)); // done at 100
+        // Fetch `i` completes at 50 * (i + 1); its page is not `i`.
+        let pages: Vec<u64> = (0..64).map(|i| (i * 37) % 64).collect();
+        for &page in &pages {
+            ch.issue_fetch(0, VirtPage::new(page));
+        }
         let mut delivered = Vec::new();
-        ch.drain_arrived(60, |p| delivered.push(p.number()));
-        assert_eq!(delivered, vec![1]);
         ch.drain_arrived(100, |p| delivered.push(p.number()));
-        assert_eq!(delivered, vec![1, 2]);
+        assert_eq!(delivered, pages[..2]);
+        ch.drain_arrived(u64::MAX, |p| delivered.push(p.number()));
+        assert_eq!(delivered, pages);
     }
 
     #[test]

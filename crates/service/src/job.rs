@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use tlbsim_core::PrefetcherConfig;
 use tlbsim_sim::{
-    resolve_shards, run_app_checkpointed, run_app_sharded, run_mix_sharded, Engine, RunHealth,
-    SimConfig, SimError, SimStats, SwitchPolicy, SHARD_ATTEMPTS,
+    panic_message, resolve_shards, run_app_checkpointed, run_app_sharded, run_mix_sharded, Engine,
+    RunHealth, SimConfig, SimError, SimStats, SwitchPolicy, SHARD_ATTEMPTS,
 };
 use tlbsim_trace::{DecodePolicy, FaultKind, FaultPlan};
 use tlbsim_workloads::{
@@ -329,18 +329,6 @@ pub fn resolve(job: &JobSpec) -> Result<ResolvedJob, JobFailure> {
         snapshot_every: job.snapshot_every,
         quarantined_records,
     })
-}
-
-/// Stringifies a panic payload the way the sharded executor does, so
-/// `Panicked` job errors read identically across both run paths.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_owned()
-    }
 }
 
 fn map_sim_error(err: SimError) -> JobFailure {

@@ -15,7 +15,6 @@
 
 use std::io::{Read, Write};
 
-use tlbsim_core::{Associativity, ConfidenceConfig, PrefetcherConfig, PrefetcherKind};
 use tlbsim_sim::{
     PerStreamStats, RunHealth, SimStats, StreamStats, SwitchPolicy, TablePolicy, MAX_STREAMS,
 };
@@ -26,17 +25,10 @@ use crate::job::{ErrorCode, JobSource, JobSpec};
 
 /// Protocol version spoken by this build; exchanged in [`Frame::Hello`].
 ///
-/// v2 widened the per-stream breakdown count to a `u16` (mixes of
-/// hundreds of streams), added `footprint_pages` to each per-stream
-/// record, and grew `JobSpec` with a mix source and a switch policy.
-///
-/// v3 grew the scheme record for the adaptive mechanism families:
-/// kind tags 6 (trend-vote stride, `TP`) and 7 (set-dueling ensemble,
-/// `EP`), plus three new trailing fields on every scheme — the trend
-/// window (`u32`), an optional confidence throttle (presence byte +
-/// threshold `u8` + max degree `u32`), and the ensemble component
-/// list (`u8` count + one kind byte per component).
-pub const PROTOCOL_VERSION: u16 = 3;
+/// v4 carries the scheme as one string in the grammar of
+/// `PrefetcherConfig`'s `Display`/`FromStr`, so a new mechanism or
+/// setting needs no wire change. `docs/PROTOCOL.md` has the history.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on one frame's payload, in bytes. A length prefix above
 /// this is rejected before any allocation, so garbage on the socket
@@ -446,173 +438,6 @@ fn decode_health(r: &mut Reader<'_>) -> Result<RunHealth, FrameError> {
     })
 }
 
-fn kind_to_u8(kind: PrefetcherKind) -> u8 {
-    match kind {
-        PrefetcherKind::None => 0,
-        PrefetcherKind::Sequential => 1,
-        PrefetcherKind::Stride => 2,
-        PrefetcherKind::Markov => 3,
-        PrefetcherKind::Recency => 4,
-        PrefetcherKind::Distance => 5,
-        PrefetcherKind::TrendStride => 6,
-        PrefetcherKind::Ensemble => 7,
-    }
-}
-
-fn kind_from_u8(tag: u8, field: &'static str) -> Result<PrefetcherKind, FrameError> {
-    Ok(match tag {
-        0 => PrefetcherKind::None,
-        1 => PrefetcherKind::Sequential,
-        2 => PrefetcherKind::Stride,
-        3 => PrefetcherKind::Markov,
-        4 => PrefetcherKind::Recency,
-        5 => PrefetcherKind::Distance,
-        6 => PrefetcherKind::TrendStride,
-        7 => PrefetcherKind::Ensemble,
-        tag => return Err(FrameError::UnknownTag { field, tag }),
-    })
-}
-
-fn encode_scheme(buf: &mut Vec<u8>, scheme: &PrefetcherConfig) -> Result<(), FrameError> {
-    buf.push(kind_to_u8(scheme.kind()));
-    let rows = u32::try_from(scheme.row_count()).map_err(|_| FrameError::BadValue {
-        field: "scheme.rows",
-    })?;
-    let slots = u32::try_from(scheme.slot_count()).map_err(|_| FrameError::BadValue {
-        field: "scheme.slots",
-    })?;
-    put_u32(buf, rows);
-    put_u32(buf, slots);
-    match scheme.associativity() {
-        Associativity::Direct => {
-            buf.push(0);
-            put_u32(buf, 0);
-        }
-        Associativity::Full => {
-            buf.push(1);
-            put_u32(buf, 0);
-        }
-        Associativity::SetAssociative(ways) => {
-            buf.push(2);
-            let ways = u32::try_from(ways.get()).map_err(|_| FrameError::BadValue {
-                field: "scheme.ways",
-            })?;
-            put_u32(buf, ways);
-        }
-    }
-    buf.push(u8::from(scheme.is_pc_qualified()));
-    buf.push(u8::from(scheme.is_pair_indexed()));
-    let window = u32::try_from(scheme.window_len()).map_err(|_| FrameError::BadValue {
-        field: "scheme.window",
-    })?;
-    put_u32(buf, window);
-    match scheme.confidence_config() {
-        None => {
-            buf.push(0);
-            buf.push(0);
-            put_u32(buf, 0);
-        }
-        Some(conf) => {
-            buf.push(1);
-            buf.push(conf.threshold);
-            put_u32(buf, conf.max_degree);
-        }
-    }
-    let components = scheme.ensemble_components();
-    let count = u8::try_from(components.len()).map_err(|_| FrameError::BadValue {
-        field: "scheme.ensemble.count",
-    })?;
-    buf.push(count);
-    for kind in components {
-        buf.push(kind_to_u8(*kind));
-    }
-    Ok(())
-}
-
-fn decode_scheme(r: &mut Reader<'_>) -> Result<PrefetcherConfig, FrameError> {
-    let kind = kind_from_u8(r.u8("scheme.kind")?, "scheme.kind")?;
-    let rows = r.u32("scheme.rows")? as usize;
-    let slots = r.u32("scheme.slots")? as usize;
-    let assoc_tag = r.u8("scheme.assoc")?;
-    let ways = r.u32("scheme.ways")? as usize;
-    let assoc = match (assoc_tag, ways) {
-        (0, _) => Associativity::Direct,
-        (1, _) => Associativity::Full,
-        (2, 0) => {
-            return Err(FrameError::BadValue {
-                field: "scheme.ways",
-            })
-        }
-        (2, n) => Associativity::ways_of(n),
-        (tag, _) => {
-            return Err(FrameError::UnknownTag {
-                field: "scheme.assoc",
-                tag,
-            })
-        }
-    };
-    let pc_qualified = r.bool("scheme.pc_qualified")?;
-    let pair_indexed = r.bool("scheme.pair_indexed")?;
-    let window = r.u32("scheme.window")? as usize;
-    let confidence = match r.u8("scheme.confidence")? {
-        0 => {
-            // Fixed layout: the throttle fields are present (and
-            // ignored) even when no throttle is configured, mirroring
-            // the switch-policy record.
-            let _ = r.u8("scheme.confidence.threshold")?;
-            let _ = r.u32("scheme.confidence.max_degree")?;
-            None
-        }
-        1 => Some(ConfidenceConfig {
-            threshold: r.u8("scheme.confidence.threshold")?,
-            max_degree: r.u32("scheme.confidence.max_degree")?,
-        }),
-        tag => {
-            return Err(FrameError::UnknownTag {
-                field: "scheme.confidence",
-                tag,
-            })
-        }
-    };
-    let count = r.u8("scheme.ensemble.count")? as usize;
-    let mut components = Vec::with_capacity(count);
-    for _ in 0..count {
-        let component = kind_from_u8(
-            r.u8("scheme.ensemble.component")?,
-            "scheme.ensemble.component",
-        )?;
-        if component == PrefetcherKind::Ensemble {
-            return Err(FrameError::BadValue {
-                field: "scheme.ensemble.component",
-            });
-        }
-        components.push(component);
-    }
-    // Canonical encoding: a component list appears exactly when the
-    // scheme is an ensemble.
-    if (kind == PrefetcherKind::Ensemble) == components.is_empty() {
-        return Err(FrameError::BadValue {
-            field: "scheme.ensemble.count",
-        });
-    }
-    let mut scheme = if kind == PrefetcherKind::Ensemble {
-        PrefetcherConfig::ensemble_of(&components)
-    } else {
-        PrefetcherConfig::new(kind)
-    };
-    scheme
-        .rows(rows)
-        .slots(slots)
-        .assoc(assoc)
-        .pc_qualified(pc_qualified)
-        .pair_indexed(pair_indexed)
-        .window(window);
-    if let Some(conf) = confidence {
-        scheme.confidence(conf);
-    }
-    Ok(scheme)
-}
-
 fn encode_job(buf: &mut Vec<u8>, job: &JobSpec) -> Result<(), FrameError> {
     match &job.source {
         JobSource::Trace { path } => {
@@ -635,7 +460,7 @@ fn encode_job(buf: &mut Vec<u8>, job: &JobSpec) -> Result<(), FrameError> {
             put_u64(buf, *quantum);
         }
     }
-    encode_scheme(buf, &job.scheme)?;
+    put_string(buf, &job.scheme.to_string())?;
     put_u32(buf, job.scale.factor());
     put_u32(buf, job.shards);
     match job.policy {
@@ -680,7 +505,12 @@ fn decode_job(r: &mut Reader<'_>) -> Result<JobSpec, FrameError> {
             })
         }
     };
-    let scheme = decode_scheme(r)?;
+    let scheme = r
+        .string("job.scheme")?
+        .parse()
+        .map_err(|_| FrameError::BadValue {
+            field: "job.scheme",
+        })?;
     let factor = r.u32("job.scale")?;
     if factor == 0 {
         return Err(FrameError::BadValue { field: "job.scale" });
@@ -944,11 +774,7 @@ mod tests {
                 job.policy = DecodePolicy::quarantine(9);
                 job.snapshot_every = 500;
                 job.fault_panics = 2;
-                job.scheme = {
-                    let mut s = PrefetcherConfig::markov();
-                    s.rows(512).assoc(Associativity::ways_of(4));
-                    s
-                };
+                job.scheme = "MP,512,4".parse().unwrap();
                 job
             },
         });
@@ -963,42 +789,12 @@ mod tests {
                 job
             },
         });
-        roundtrip(Frame::Submit {
-            job_id: 12,
-            job: {
-                let mut job = JobSpec::app("gap");
-                job.scheme = {
-                    let mut s = PrefetcherConfig::trend_stride();
-                    s.window(4);
-                    s
-                };
-                job
-            },
-        });
-        roundtrip(Frame::Submit {
-            job_id: 13,
-            job: {
-                let mut job = JobSpec::app("gap");
-                job.scheme = {
-                    let mut s = PrefetcherConfig::distance();
-                    s.confidence(ConfidenceConfig::adaptive());
-                    s
-                };
-                job
-            },
-        });
-        roundtrip(Frame::Submit {
-            job_id: 14,
-            job: {
-                let mut job = JobSpec::app("gap");
-                job.scheme = PrefetcherConfig::ensemble_of(&[
-                    PrefetcherKind::Distance,
-                    PrefetcherKind::Stride,
-                    PrefetcherKind::Markov,
-                ]);
-                job
-            },
-        });
+        for (job_id, scheme) in (12..).zip(["TP,4", "C+DP,256,D;slots=4;conf=1/0", "EP:DP+ASP+MP"])
+        {
+            let mut job = JobSpec::app("gap");
+            job.scheme = scheme.parse().unwrap();
+            roundtrip(Frame::Submit { job_id, job });
+        }
         roundtrip(Frame::Accepted {
             job_id: 1,
             shards: 4,
@@ -1097,44 +893,6 @@ mod tests {
         // Failed encodes leave the buffer reusable: a good frame after a
         // bad one round-trips.
         roundtrip(Frame::Hello { version: 1 });
-    }
-
-    #[test]
-    fn ensemble_component_lists_must_match_the_kind() {
-        let frame = Frame::Submit {
-            job_id: 1,
-            job: {
-                let mut job = JobSpec::app("g");
-                job.scheme = PrefetcherConfig::ensemble_of(&[
-                    PrefetcherKind::Distance,
-                    PrefetcherKind::Stride,
-                ]);
-                job
-            },
-        };
-        let mut buf = Vec::new();
-        frame.encode_into(&mut buf).unwrap();
-        let mut payload = buf[4..].to_vec();
-        // frame kind + job id + source tag + name length + name "g".
-        let kind_at = 1 + 8 + 1 + 2 + 1;
-        assert_eq!(payload[kind_at], 7, "ensemble kind byte");
-        // A component list on a non-ensemble scheme is non-canonical.
-        payload[kind_at] = 5;
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::BadValue {
-                field: "scheme.ensemble.count"
-            })
-        );
-        // Unassigned kind tags stay typed errors.
-        payload[kind_at] = 8;
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::UnknownTag {
-                field: "scheme.kind",
-                tag: 8
-            })
-        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! typed [`FrameError`]s, never panics and never silently-wrong values.
 
 use proptest::prelude::*;
-use tlbsim_core::{Associativity, ConfidenceConfig, PrefetcherConfig, PrefetcherKind};
-use tlbsim_service::{read_frame, ErrorCode, Frame, JobSpec, WireError, PROTOCOL_VERSION};
+use tlbsim_core::PrefetcherConfig;
+use tlbsim_service::{
+    read_frame, resolve, ErrorCode, Frame, FrameError, JobSpec, WireError, PROTOCOL_VERSION,
+};
 use tlbsim_sim::{PerStreamStats, RunHealth, SimStats, StreamStats, SwitchPolicy, TablePolicy};
 use tlbsim_trace::DecodePolicy;
 use tlbsim_workloads::Scale;
@@ -58,65 +60,17 @@ fn arb_health() -> impl Strategy<Value = RunHealth> {
     })
 }
 
+/// Schemes of assorted shapes, valid or not: the wire carries any
+/// scheme and leaves validity to `resolve`. The text round trip itself
+/// is `tlbsim-core`'s property to pin.
 fn arb_scheme() -> impl Strategy<Value = PrefetcherConfig> {
-    (
-        0u8..8,
-        1u32..5000,
-        1u32..16,
-        0u8..3,
-        (0u8..2, 0u8..2, 0u8..2),
-    )
-        .prop_map(|(kind, rows, slots, assoc, (pc, pair, throttled))| {
-            let kind = match kind {
-                0 => PrefetcherKind::None,
-                1 => PrefetcherKind::Sequential,
-                2 => PrefetcherKind::Stride,
-                3 => PrefetcherKind::Markov,
-                4 => PrefetcherKind::Recency,
-                5 => PrefetcherKind::Distance,
-                6 => PrefetcherKind::TrendStride,
-                _ => PrefetcherKind::Ensemble,
-            };
-            let assoc = match assoc {
-                0 => Associativity::Direct,
-                1 => Associativity::Full,
-                _ => Associativity::ways_of(1 + (rows % 8) as usize),
-            };
-            let mut scheme = if kind == PrefetcherKind::Ensemble {
-                // Derive a 1–3 component duel from the other draws; the
-                // codec carries any base-kind list, validity is build's
-                // concern.
-                let bases = [
-                    PrefetcherKind::Sequential,
-                    PrefetcherKind::Stride,
-                    PrefetcherKind::Markov,
-                    PrefetcherKind::Recency,
-                    PrefetcherKind::Distance,
-                ];
-                let count = 1 + (rows as usize % 3);
-                let start = slots as usize % bases.len();
-                let components: Vec<PrefetcherKind> = (0..count)
-                    .map(|i| bases[(start + i) % bases.len()])
-                    .collect();
-                PrefetcherConfig::ensemble_of(&components)
-            } else {
-                PrefetcherConfig::new(kind)
-            };
-            scheme
-                .rows(rows as usize)
-                .slots(slots as usize)
-                .assoc(assoc)
-                .pc_qualified(pc == 1)
-                .pair_indexed(pair == 1)
-                .window(2 + (rows as usize % 15));
-            if throttled == 1 {
-                scheme.confidence(ConfidenceConfig {
-                    threshold: (rows % 4) as u8,
-                    max_degree: slots % 9,
-                });
-            }
-            scheme
-        })
+    const SCHEMES: &str = "none|SP|RP;rows=0|ASP,64|MP,1024,4|DP,32,F;slots=6;pc=1;pair=1|\
+                           TP,16|EP:|EP:EP+DP|C+DP,256,1;conf=3/0|\
+                           C+EP:DP+ASP+MP;window=4|C+none;assoc=F";
+    (0usize..12).prop_map(|i| {
+        let text = SCHEMES.split('|').nth(i).expect("12 schemes");
+        text.parse().expect("schemes in the grammar")
+    })
 }
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -231,6 +185,37 @@ fn encode(frame: &Frame) -> Vec<u8> {
     buf
 }
 
+/// A scheme's text with one character overwritten by one of the
+/// grammar's own characters or a stranger: it may or may not parse.
+fn arb_scheme_text() -> impl Strategy<Value = String> {
+    (arb_scheme(), any::<usize>(), any::<usize>()).prop_map(|(scheme, at, c)| {
+        let chars = b"dpasmrtneCDF+,;:=/012489x ";
+        let mut text: Vec<char> = scheme.to_string().chars().collect();
+        let at = at % text.len();
+        text[at] = char::from(chars[c % chars.len()]);
+        text.into_iter().collect()
+    })
+}
+
+/// A `Submit` payload for app `g` whose scheme field holds `scheme`
+/// verbatim.
+fn submit_with_scheme(scheme: &[u8]) -> Vec<u8> {
+    let payload = encode(&Frame::Submit {
+        job_id: 1,
+        job: JobSpec::app("g"),
+    })[4..]
+        .to_vec();
+    // frame kind + job id + source tag + name length + name "g".
+    let at = 1 + 8 + 1 + 2 + 1;
+    let old_len = usize::from(u16::from_le_bytes([payload[at], payload[at + 1]]));
+    let mut out = payload[..at].to_vec();
+    let len = u16::try_from(scheme.len()).expect("short test scheme");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(scheme);
+    out.extend_from_slice(&payload[at + 2 + old_len..]);
+    out
+}
+
 proptest! {
     #[test]
     fn every_frame_roundtrips_bit_exactly(frame in arb_frame()) {
@@ -279,6 +264,18 @@ proptest! {
     }
 
     #[test]
+    fn scheme_strings_decode_exactly_when_they_parse(text in arb_scheme_text()) {
+        let decoded = Frame::decode(&submit_with_scheme(text.as_bytes()));
+        match text.parse::<PrefetcherConfig>() {
+            Ok(scheme) => prop_assert!(
+                matches!(&decoded, Ok(Frame::Submit { job, .. }) if job.scheme == scheme),
+                "{text:?} parses but decoded to {decoded:?}"
+            ),
+            Err(_) => prop_assert_eq!(decoded, Err(FrameError::BadValue { field: "job.scheme" })),
+        }
+    }
+
+    #[test]
     fn frame_streams_replay_in_order(frames in prop::collection::vec(arb_frame(), 0..12)) {
         let mut stream = Vec::new();
         let mut scratch = Vec::new();
@@ -304,5 +301,40 @@ fn handshake_version_is_stable() {
     // The version constant participates in every handshake; changing it
     // is a protocol revision and must be deliberate (update
     // docs/PROTOCOL.md alongside).
-    assert_eq!(PROTOCOL_VERSION, 3);
+    assert_eq!(PROTOCOL_VERSION, 4);
+}
+
+#[test]
+fn unparsable_schemes_are_typed_decode_errors() {
+    // v3 carried a kind tag, so these were unknown tags or non-canonical
+    // component lists; v4 carries text, and text outside the grammar is
+    // one out-of-domain value.
+    for text in "|XP|dp:dp+asp|EP:DP+|C+|DP,256,D;rows=1|TP;conf=1/1".split('|') {
+        let decoded = Frame::decode(&submit_with_scheme(text.as_bytes()));
+        let want = FrameError::BadValue {
+            field: "job.scheme",
+        };
+        assert_eq!(decoded, Err(want), "{text:?}");
+    }
+    let decoded = Frame::decode(&submit_with_scheme(&[0xC3, 0x28]));
+    assert_eq!(
+        decoded,
+        Err(FrameError::BadUtf8 {
+            field: "job.scheme"
+        })
+    );
+}
+
+#[test]
+fn schemes_that_parse_but_are_invalid_decode_and_then_fail_resolve() {
+    // v3 rejected the empty and nested ensembles at decode; v4 leaves
+    // every validity check to resolve, as it always did for geometry.
+    for text in ["EP:", "EP:EP", "TP,99", "MP,10,4"] {
+        let decoded = Frame::decode(&submit_with_scheme(text.as_bytes()));
+        let Ok(Frame::Submit { job, .. }) = decoded else {
+            panic!("{text:?} decodes, got {decoded:?}");
+        };
+        let code = resolve(&job).err().map(|(code, _)| code);
+        assert_eq!(code, Some(ErrorCode::Sim), "{text:?}");
+    }
 }

@@ -1,6 +1,6 @@
 //! # tlbsim-sim — simulation engines
 //!
-//! Two engines drive the prefetching mechanisms of `tlbsim-core` through
+//! Four engines drive the prefetching mechanisms of `tlbsim-core` through
 //! the MMU substrate of `tlbsim-mmu`:
 //!
 //! * [`Engine`] — the functional simulator behind Figures 7–9 and
@@ -11,11 +11,13 @@
 //!   prefetch traffic serialises on a single channel
 //!   (`tlbsim_mem::PrefetchChannel`), in-flight prefetches stall the CPU
 //!   until arrival, and in-memory prediction state (RP) serialises the
-//!   miss handler on its pointer updates.
+//!   miss handler on its pointer updates;
+//! * [`CacheEngine`] and [`HierarchyEngine`] — the same mechanisms over
+//!   data-cache lines, and behind an L1/L2 TLB pair.
 //!
 //! [`run_app`], [`compare_schemes`] and the parallel [`sweep`] executor
-//! run the synthetic applications of `tlbsim-workloads` through either
-//! engine.
+//! run the synthetic applications of `tlbsim-workloads` through the
+//! first two.
 //!
 //! ## Two axes of parallelism
 //!
@@ -113,8 +115,8 @@ pub use runner::{
     SweepResult, SweepSpec,
 };
 pub use shard::{
-    auto_shard_count, resolve_shards, run_app_sharded, RunHealth, ShardOutcome, ShardPlan,
-    ShardRange, ShardedRun, AUTO_SHARD_MIN_SLICE, SHARD_ATTEMPTS,
+    auto_shard_count, panic_message, resolve_shards, run_app_sharded, RunHealth, ShardOutcome,
+    ShardPlan, ShardRange, ShardedRun, AUTO_SHARD_MIN_SLICE, SHARD_ATTEMPTS,
 };
 pub use stats::{PerStreamStats, SimStats, StreamStats, TimingStats, MAX_STREAMS};
 pub use timing_engine::TimingEngine;

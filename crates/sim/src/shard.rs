@@ -130,8 +130,9 @@ impl std::fmt::Display for RunHealth {
     }
 }
 
-/// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a human-readable message from a panic payload, so every
+/// run path (sharded executor, served jobs) reports panics alike.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
