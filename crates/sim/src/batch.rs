@@ -1,27 +1,32 @@
-//! The shared batched access loop and miss-path core.
+//! The one miss path every engine shares, and the batched access loop.
 //!
-//! All four engines used to duplicate the same inner loop — look the
-//! page up in the TLB, and on a miss promote-or-walk the translation,
-//! call the prefetcher, and install its candidates — each with its own
-//! per-miss `Vec` handling. This module centralises the two halves the
-//! engines share:
+//! The paper's evaluation loop (§2, Figure 1) is trigger → predict →
+//! filter → install: a TLB miss runs the mechanism, and its surviving
+//! candidates are installed somewhere. Every engine runs that loop
+//! through this module; only the front (what misses) and the install
+//! target differ:
 //!
-//! * [`PrefetchCore`] — the prefetch buffer, the mechanism under test,
-//!   the page table and the **one** [`CandidateBuf`] sink the engine
-//!   ever allocates. Its [`observe_and_install`] method runs the
-//!   mechanism on a miss and installs the surviving candidates without
-//!   touching the heap; its [`miss`] method is the functional miss path
-//!   around it, shared by `Engine` (against its TLB) and the miss-stream
-//!   sweep (against a residency set replayed from the stream).
-//! * [`drive_stream`] — chunks any access iterator through a reusable
-//!   batch buffer so engines process `&[MemoryAccess]` slices (the
-//!   TLB-hit fast path then runs as a tight loop over each slice).
+//! * [`Mechanism`] — the mechanism under test and the **one**
+//!   [`CandidateBuf`] sink an engine ever allocates. [`Mechanism::observe`]
+//!   is the only `on_miss` call in the crate. `CacheEngine`, which fills
+//!   predicted lines straight into its cache, holds one directly.
+//! * [`PrefetchCore`] — a `Mechanism` plus the prefetch buffer and the
+//!   page table. Its [`miss`] method is the functional miss path: `Engine`
+//!   runs it against its TLB, the miss-stream sweep against a residency
+//!   set replayed from the stream, and `HierarchyEngine` against its
+//!   L1/L2 pair. `TimingEngine` keeps its own front (in-flight stalls,
+//!   maintenance serialisation) and installs through its prefetch
+//!   channel, but owns its buffer, page table and mechanism through a
+//!   `PrefetchCore` too.
+//! * [`drive_stream`] — chunks an access iterator through a reusable
+//!   batch buffer for `Engine::run`, whose TLB-hit fast path then runs
+//!   as a tight loop over each slice.
 //!
-//! [`observe_and_install`]: PrefetchCore::observe_and_install
 //! [`miss`]: PrefetchCore::miss
 
 use tlbsim_core::{
-    Asid, CandidateBuf, MemoryAccess, MissContext, Pc, PhysPage, TlbPrefetcher, VirtPage,
+    Asid, CandidateBuf, MemoryAccess, MissContext, Pc, PhysPage, PrefetcherConfig, TlbPrefetcher,
+    VirtPage,
 };
 use tlbsim_mmu::{PageTable, PrefetchBuffer, Tlb};
 
@@ -37,12 +42,11 @@ pub(crate) const ACCESS_BATCH: usize = 4096;
 /// invoking `process` once per chunk. `scratch` is only grown once; its
 /// allocation is reused across calls when the caller retains it.
 ///
-/// The chunk copy is the cost of the uniform `&[MemoryAccess]`
-/// streaming contract. Only the functional `Engine` hoists work out of
-/// its batch loop today; the timing/hierarchy/cache engines do heavy
-/// per-access work that dwarfs the copy, and sharing the shape keeps
-/// all four drivable by the same batch producers (`fill_batch`, the
-/// sweep runner).
+/// `Engine::run` is the one caller: its `access_batch` hoists the
+/// same-page collapse out of the per-record loop, which pays for the
+/// chunk copy. The timing, cache and hierarchy engines do heavy
+/// per-access work, gain nothing from the copy, and loop over their
+/// streams directly.
 pub(crate) fn drive_stream<I, F>(stream: I, scratch: &mut Vec<MemoryAccess>, mut process: F)
 where
     I: IntoIterator<Item = MemoryAccess>,
@@ -59,22 +63,9 @@ where
     }
 }
 
-/// What [`PrefetchCore::observe_and_install`] did for one miss.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PrefetchOutcome {
-    /// Candidates fetched into the prefetch buffer.
-    pub issued: u64,
-    /// Candidates dropped by the residency/self filter.
-    pub filtered: u64,
-    /// Buffered-but-unused entries displaced by the inserts.
-    pub evicted_unused: u64,
-    /// State-maintenance memory operations the mechanism reported.
-    pub maintenance_ops: u32,
-}
-
 /// What the functional miss path fills and what its candidate filter
-/// asks: the TLB itself, or a sweep job's residency set replayed from a
-/// recorded miss stream.
+/// asks: the TLB itself, a sweep job's residency set replayed from a
+/// recorded miss stream, or the L1/L2 TLB pair.
 pub(crate) trait Residency {
     /// Installs `page`'s translation as most recently used and returns
     /// the translation of this context it evicted, if any.
@@ -94,13 +85,41 @@ impl Residency for Tlb {
     }
 }
 
-/// The engine-shared miss path: prefetch buffer + mechanism + page table
-/// + the single reusable candidate sink.
+/// The mechanism under test and the single reusable candidate sink it
+/// fills on every miss.
+pub(crate) struct Mechanism {
+    pub prefetcher: Box<dyn TlbPrefetcher>,
+    sink: CandidateBuf,
+}
+
+impl Mechanism {
+    /// Builds the mechanism `config` describes.
+    pub fn new(config: &PrefetcherConfig) -> Result<Self, SimError> {
+        Ok(Mechanism {
+            prefetcher: config.build()?,
+            sink: CandidateBuf::new(),
+        })
+    }
+
+    /// Shows the mechanism one miss and returns its candidates, in
+    /// priority order, with the maintenance traffic it reported.
+    pub fn observe(&mut self, ctx: &MissContext) -> &CandidateBuf {
+        self.sink.clear();
+        self.prefetcher.on_miss(ctx, &mut self.sink);
+        debug_assert_eq!(
+            self.sink.overflowed(),
+            0,
+            "a mechanism overflowed the candidate sink"
+        );
+        &self.sink
+    }
+}
+
+/// The engine-shared miss path: prefetch buffer + mechanism + page table.
 pub(crate) struct PrefetchCore {
     pub buffer: PrefetchBuffer,
-    pub prefetcher: Box<dyn TlbPrefetcher>,
+    pub mechanism: Mechanism,
     pub page_table: PageTable,
-    sink: CandidateBuf,
 }
 
 impl PrefetchCore {
@@ -114,26 +133,19 @@ impl PrefetchCore {
         }
         Ok(PrefetchCore {
             buffer: PrefetchBuffer::new(config.prefetch_buffer_entries)?,
-            prefetcher: config.prefetcher.build()?,
+            mechanism: Mechanism::new(&config.prefetcher)?,
             page_table: PageTable::new(),
-            sink: CandidateBuf::new(),
         })
     }
 
-    /// Promote-or-walk: returns the translation for `page` and whether
-    /// it came from the prefetch buffer.
-    pub fn translate(&mut self, page: VirtPage) -> (PhysPage, bool) {
-        match self.buffer.promote(page) {
-            Some(frame) => (frame, true),
-            None => (self.page_table.translate(page), false),
-        }
-    }
-
     /// The functional miss path after a TLB probe missed `page`:
-    /// promote-or-walk, fill `tlb`, run the mechanism on the miss and
-    /// install its candidates (filtered against `tlb` when
-    /// `filter_resident`), counting all of it into `stats`. Never
-    /// allocates in steady state.
+    /// promote from the buffer or walk, fill `tlb`, run the mechanism on
+    /// the miss and install its candidates into the prefetch buffer,
+    /// counting all of it into `stats`. Never allocates in steady state.
+    ///
+    /// A candidate is filtered out when it equals the missing page, or —
+    /// if `filter_resident` — when it is already buffered or resident in
+    /// `tlb`.
     pub fn miss(
         &mut self,
         stats: &mut SimStats,
@@ -144,70 +156,38 @@ impl PrefetchCore {
     ) {
         stats.misses += 1;
         // The prefetch buffer is probed concurrently with the TLB; a hit
-        // promotes the translation into the TLB.
-        let (frame, pb_hit) = self.translate(page);
-        if pb_hit {
-            stats.prefetch_buffer_hits += 1;
-        } else {
-            stats.demand_walks += 1;
-        }
+        // promotes the translation into the TLB, a miss walks.
+        let (frame, pb_hit) = match self.buffer.promote(page) {
+            Some(frame) => {
+                stats.prefetch_buffer_hits += 1;
+                (frame, true)
+            }
+            None => {
+                stats.demand_walks += 1;
+                (self.page_table.translate(page), false)
+            }
+        };
         let ctx = MissContext {
             page,
             pc,
             prefetch_buffer_hit: pb_hit,
             evicted_tlb_entry: tlb.fill(page, frame),
         };
-        let outcome =
-            self.observe_and_install(&ctx, filter_resident, |candidate| tlb.contains(candidate));
-        stats.maintenance_ops += u64::from(outcome.maintenance_ops);
-        stats.prefetches_issued += outcome.issued;
-        stats.prefetches_filtered += outcome.filtered;
-        stats.prefetches_evicted_unused += outcome.evicted_unused;
-    }
-
-    /// Runs the mechanism on `ctx` and installs the surviving candidates
-    /// into the prefetch buffer — the allocation-free tail of the miss
-    /// path.
-    ///
-    /// A candidate is filtered out when it equals the missing page, or —
-    /// if `filter_resident` — when it is already buffered or
-    /// `extra_resident` reports it resident elsewhere (the engines pass
-    /// their TLB lookup here; the hierarchy engine, which never filters
-    /// on TLB residency, passes a constant `false`).
-    pub fn observe_and_install(
-        &mut self,
-        ctx: &MissContext,
-        filter_resident: bool,
-        extra_resident: impl Fn(VirtPage) -> bool,
-    ) -> PrefetchOutcome {
-        self.sink.clear();
-        self.prefetcher.on_miss(ctx, &mut self.sink);
-        debug_assert_eq!(
-            self.sink.overflowed(),
-            0,
-            "a mechanism overflowed the candidate sink"
-        );
-
-        let mut outcome = PrefetchOutcome {
-            maintenance_ops: self.sink.maintenance_ops(),
-            ..PrefetchOutcome::default()
-        };
-        for i in 0..self.sink.len() {
-            let candidate = self.sink.pages()[i];
-            if candidate == ctx.page
-                || (filter_resident
-                    && (self.buffer.contains(candidate) || extra_resident(candidate)))
+        let sink = self.mechanism.observe(&ctx);
+        stats.maintenance_ops += u64::from(sink.maintenance_ops());
+        for &candidate in sink.pages() {
+            if candidate == page
+                || (filter_resident && (self.buffer.contains(candidate) || tlb.contains(candidate)))
             {
-                outcome.filtered += 1;
+                stats.prefetches_filtered += 1;
                 continue;
             }
             let frame = self.page_table.translate(candidate);
             if self.buffer.insert(candidate, frame).is_some() {
-                outcome.evicted_unused += 1;
+                stats.prefetches_evicted_unused += 1;
             }
-            outcome.issued += 1;
+            stats.prefetches_issued += 1;
         }
-        outcome
     }
 
     /// Flushes the buffer and the mechanism's learned state (context
@@ -215,7 +195,7 @@ impl PrefetchCore {
     /// context switch; use [`reset`](Self::reset) for full recycling.
     pub fn flush(&mut self) {
         self.buffer.flush();
-        self.prefetcher.flush();
+        self.mechanism.prefetcher.flush();
     }
 
     /// Retags the miss path to `asid` — the flush-free context switch.
@@ -226,7 +206,7 @@ impl PrefetchCore {
     /// flush and ASID switching).
     pub fn set_asid(&mut self, asid: Asid) {
         self.buffer.set_asid(asid);
-        self.prefetcher.set_asid(asid);
+        self.mechanism.prefetcher.set_asid(asid);
     }
 
     /// Drops every buffered entry, tagged row and banked register
@@ -236,7 +216,7 @@ impl PrefetchCore {
     /// exactly a flush (no waste counters move in either path).
     pub fn evict_asid(&mut self, asid: Asid) {
         self.buffer.evict_asid(asid);
-        self.prefetcher.evict_asid(asid);
+        self.mechanism.prefetcher.evict_asid(asid);
     }
 
     /// Returns the core to its just-built state so an engine can be
@@ -245,7 +225,7 @@ impl PrefetchCore {
     /// bit-identical to a fresh one).
     pub fn reset(&mut self) {
         self.buffer.flush();
-        self.prefetcher.flush();
+        self.mechanism.prefetcher.flush();
         self.page_table = PageTable::new();
     }
 }
@@ -254,7 +234,7 @@ impl std::fmt::Debug for PrefetchCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrefetchCore")
             .field("buffer_capacity", &self.buffer.capacity())
-            .field("prefetcher", &self.prefetcher.name())
+            .field("prefetcher", &self.mechanism.prefetcher.name())
             .finish()
     }
 }
@@ -262,7 +242,6 @@ impl std::fmt::Debug for PrefetchCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlbsim_core::{MissContext, Pc};
 
     #[test]
     fn drive_stream_covers_every_access_in_order() {
@@ -299,25 +278,39 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_install_filters_the_missing_page() {
-        let mut core = PrefetchCore::new(&SimConfig::paper_default()).unwrap();
-        // Sequential-style warm-up so DP predicts page+1 == the page we
-        // then mark "missing".
-        for page in [10u64, 11, 12] {
-            let ctx = MissContext::demand(VirtPage::new(page), Pc::new(0));
-            core.observe_and_install(&ctx, true, |_| false);
+    fn miss_filters_the_missing_page() {
+        let config = SimConfig::paper_default();
+        let mut core = PrefetchCore::new(&config).unwrap();
+        let mut tlb = Tlb::new(config.tlb).unwrap();
+        let mut stats = SimStats::default();
+        // Sequential warm-up: DP has learned stride 1 only by the miss
+        // on 13, which predicts exactly one page, 14.
+        for page in 10u64..=13 {
+            core.miss(&mut stats, VirtPage::new(page), Pc::new(0), true, &mut tlb);
         }
-        let ctx = MissContext::demand(VirtPage::new(13), Pc::new(0));
-        let outcome = core.observe_and_install(&ctx, true, |_| false);
-        assert_eq!(outcome.issued, 1);
         assert!(core.buffer.contains(VirtPage::new(14)));
+        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.prefetches_issued, 1);
+        assert_eq!(stats.prefetches_filtered, 0);
+        assert_eq!(
+            stats.prefetch_buffer_hits + stats.demand_walks,
+            stats.misses
+        );
+        // The miss on 14 hits the buffer and predicts 15, which is already
+        // resident in the TLB: the filter drops it instead of issuing.
+        let _ = tlb.fill(VirtPage::new(15), PhysPage::new(999));
+        core.miss(&mut stats, VirtPage::new(14), Pc::new(0), true, &mut tlb);
+        assert_eq!(stats.prefetch_buffer_hits, 1);
+        assert_eq!(stats.prefetches_filtered, 1);
+        assert_eq!(stats.prefetches_issued, 1);
+        assert!(!core.buffer.contains(VirtPage::new(15)));
     }
 
     #[test]
     fn reset_restores_fresh_frame_numbering() {
         let mut core = PrefetchCore::new(&SimConfig::paper_default()).unwrap();
-        let first = core.translate(VirtPage::new(7)).0;
+        let first = core.page_table.translate(VirtPage::new(7));
         core.reset();
-        assert_eq!(core.translate(VirtPage::new(99)).0, first);
+        assert_eq!(core.page_table.translate(VirtPage::new(99)), first);
     }
 }

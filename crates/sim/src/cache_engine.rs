@@ -9,10 +9,10 @@
 //! (next-level-backed fills, no separate buffer, the common arrangement
 //! for L1 prefetching).
 
-use tlbsim_core::{CandidateBuf, MemoryAccess, MissContext, TlbPrefetcher};
+use tlbsim_core::{MemoryAccess, MissContext};
 use tlbsim_mmu::{CacheAccess, DataCache, DataCacheConfig};
 
-use crate::batch::drive_stream;
+use crate::batch::Mechanism;
 use crate::config::SimError;
 
 /// Counters from a cache-prefetching simulation.
@@ -59,10 +59,8 @@ impl CacheStats {
 /// ```
 pub struct CacheEngine {
     cache: DataCache,
-    prefetcher: Box<dyn TlbPrefetcher>,
+    mechanism: Mechanism,
     stats: CacheStats,
-    sink: CandidateBuf,
-    batch: Vec<MemoryAccess>,
 }
 
 impl CacheEngine {
@@ -77,10 +75,8 @@ impl CacheEngine {
     ) -> Result<Self, SimError> {
         Ok(CacheEngine {
             cache: DataCache::new(cache)?,
-            prefetcher: prefetcher.build()?,
+            mechanism: Mechanism::new(prefetcher)?,
             stats: CacheStats::default(),
-            sink: CandidateBuf::new(),
-            batch: Vec::new(),
         })
     }
 
@@ -100,18 +96,15 @@ impl CacheEngine {
             }
         };
         let line = self.cache.line_of(access.vaddr);
-        self.sink.clear();
-        self.prefetcher.on_miss(
-            &MissContext {
-                page: line,
-                pc: access.pc,
-                prefetch_buffer_hit: pb_hit,
-                evicted_tlb_entry: None,
-            },
-            &mut self.sink,
-        );
-        for i in 0..self.sink.len() {
-            let candidate = self.sink.pages()[i];
+        let sink = self.mechanism.observe(&MissContext {
+            page: line,
+            pc: access.pc,
+            prefetch_buffer_hit: pb_hit,
+            evicted_tlb_entry: None,
+        });
+        // The install policy: fill surviving candidates straight into
+        // the cache.
+        for &candidate in sink.pages() {
             if candidate == line || self.cache.contains_line(candidate) {
                 continue;
             }
@@ -120,21 +113,11 @@ impl CacheEngine {
         }
     }
 
-    /// Simulates a batch of references (the cache-hit early return
-    /// inside [`access`](Self::access) keeps hits cheap; there is no
-    /// additional hoisting here).
-    pub fn access_batch(&mut self, batch: &[MemoryAccess]) {
-        for access in batch {
-            self.access(access);
-        }
-    }
-
-    /// Simulates an entire stream, chunked through a reusable internal
-    /// batch buffer.
+    /// Simulates an entire stream and returns the final statistics.
     pub fn run(&mut self, stream: impl IntoIterator<Item = MemoryAccess>) -> &CacheStats {
-        let mut batch = std::mem::take(&mut self.batch);
-        drive_stream(stream, &mut batch, |chunk| self.access_batch(chunk));
-        self.batch = batch;
+        for access in stream {
+            self.access(&access);
+        }
         &self.stats
     }
 

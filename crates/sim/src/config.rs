@@ -38,7 +38,10 @@ pub struct SimConfig {
     /// Drop prefetch candidates already resident in the TLB or the
     /// buffer (the default, and what the paper's hardware does via the
     /// concurrent lookup). Disabling it is an ablation that shows the
-    /// buffer-pollution cost of issuing blindly.
+    /// buffer-pollution cost of issuing blindly. `Engine` and
+    /// `HierarchyEngine` honour it; `TimingEngine` always filters, as
+    /// the paper's prefetch channel never fetches a resident or
+    /// in-flight translation.
     pub filter_prefetches: bool,
 }
 

@@ -405,11 +405,6 @@ impl Engine {
         self.core.page_table.pages_snapshot()
     }
 
-    /// The mechanism under test.
-    pub fn prefetcher_name(&self) -> &'static str {
-        self.core.prefetcher.name()
-    }
-
     /// The configuration this engine was built from.
     pub fn config(&self) -> &SimConfig {
         &self.config

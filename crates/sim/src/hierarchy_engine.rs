@@ -9,10 +9,10 @@
 //! configuration watches — and prefetched translations promote L2-ward
 //! on use.
 
-use tlbsim_core::{MemoryAccess, MissContext};
+use tlbsim_core::{MemoryAccess, PhysPage, VirtPage};
 use tlbsim_mmu::{HierarchyConfig, HierarchyHit, TlbHierarchy};
 
-use crate::batch::{drive_stream, PrefetchCore};
+use crate::batch::{PrefetchCore, Residency};
 use crate::config::{SimConfig, SimError};
 use crate::stats::SimStats;
 
@@ -60,6 +60,22 @@ impl HierarchyStats {
     }
 }
 
+/// The L1/L2 pair as the install target of the shared miss path.
+impl Residency for TlbHierarchy {
+    /// Fills both levels. L2 evictions are not tracked by the hierarchy
+    /// model, so recency prefetching is exercised at a single level only.
+    fn fill(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage> {
+        TlbHierarchy::fill(self, page, frame);
+        None
+    }
+
+    /// Candidates are filtered only against the prefetch buffer: the
+    /// engine never probes two TLB levels for residency.
+    fn contains(&self, _page: VirtPage) -> bool {
+        false
+    }
+}
+
 /// A functional simulator over a two-level TLB.
 ///
 /// # Examples
@@ -79,8 +95,9 @@ pub struct HierarchyEngine {
     hierarchy: TlbHierarchy,
     core: PrefetchCore,
     config: SimConfig,
+    /// The L2 miss path's counters (`misses` counts L2 misses).
+    sim: SimStats,
     stats: HierarchyStats,
-    batch: Vec<MemoryAccess>,
 }
 
 impl HierarchyEngine {
@@ -95,8 +112,8 @@ impl HierarchyEngine {
             hierarchy: TlbHierarchy::new(hierarchy)?,
             core: PrefetchCore::new(config)?,
             config: config.clone(),
+            sim: SimStats::default(),
             stats: HierarchyStats::default(),
-            batch: Vec::new(),
         })
     }
 
@@ -105,73 +122,35 @@ impl HierarchyEngine {
         self.stats.accesses += 1;
         let page = self.config.page_size.page_of(access.vaddr);
         match self.hierarchy.lookup(page) {
-            HierarchyHit::L1(_) => return,
-            HierarchyHit::L2(_) => {
-                self.stats.l1_misses += 1;
-                return;
-            }
+            HierarchyHit::L1(_) => {}
+            HierarchyHit::L2(_) => self.stats.l1_misses += 1,
             HierarchyHit::Miss => {
                 self.stats.l1_misses += 1;
-                self.stats.l2_misses += 1;
+                self.core.miss(
+                    &mut self.sim,
+                    page,
+                    access.pc,
+                    self.config.filter_prefetches,
+                    &mut self.hierarchy,
+                );
+                self.stats.l2_misses = self.sim.misses;
+                self.stats.prefetch_buffer_hits = self.sim.prefetch_buffer_hits;
+                self.stats.prefetches_issued = self.sim.prefetches_issued;
             }
         }
-
-        let (frame, pb_hit) = self.core.translate(page);
-        if pb_hit {
-            self.stats.prefetch_buffer_hits += 1;
-        }
-        self.hierarchy.fill(page, frame);
-
-        let ctx = MissContext {
-            page,
-            pc: access.pc,
-            prefetch_buffer_hit: pb_hit,
-            // L2 evictions are not tracked by the hierarchy model;
-            // recency prefetching is exercised at a single level only.
-            evicted_tlb_entry: None,
-        };
-        // The hierarchy engine filters only against the buffer (it never
-        // probes two TLB levels for residency), hence the constant-false
-        // extra filter.
-        let outcome = self.core.observe_and_install(&ctx, true, |_| false);
-        self.stats.prefetches_issued += outcome.issued;
     }
 
-    /// Simulates a batch of references (the L1-hit early return inside
-    /// [`access`](Self::access) keeps hits cheap; there is no additional
-    /// hoisting here).
-    pub fn access_batch(&mut self, batch: &[MemoryAccess]) {
-        for access in batch {
-            self.access(access);
-        }
-    }
-
-    /// Simulates an entire stream, chunked through a reusable internal
-    /// batch buffer.
+    /// Simulates an entire stream and returns the final statistics.
     pub fn run(&mut self, stream: impl IntoIterator<Item = MemoryAccess>) -> &HierarchyStats {
-        let mut batch = std::mem::take(&mut self.batch);
-        drive_stream(stream, &mut batch, |chunk| self.access_batch(chunk));
-        self.batch = batch;
+        for access in stream {
+            self.access(&access);
+        }
         &self.stats
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
-    }
-
-    /// Converts to the single-level stats shape for uniform reporting
-    /// (misses = L2 misses).
-    pub fn as_sim_stats(&self) -> SimStats {
-        SimStats {
-            accesses: self.stats.accesses,
-            misses: self.stats.l2_misses,
-            prefetch_buffer_hits: self.stats.prefetch_buffer_hits,
-            demand_walks: self.stats.l2_misses - self.stats.prefetch_buffer_hits,
-            prefetches_issued: self.stats.prefetches_issued,
-            footprint_pages: self.core.page_table.len() as u64,
-            ..SimStats::default()
-        }
     }
 }
 
@@ -210,6 +189,7 @@ mod tests {
         let s = e.stats();
         assert!(s.l1_misses >= s.l2_misses);
         assert!(s.l2_misses > 0);
+        assert_eq!(e.sim.prefetch_buffer_hits + e.sim.demand_walks, s.l2_misses);
     }
 
     #[test]
@@ -240,11 +220,25 @@ mod tests {
     }
 
     #[test]
-    fn as_sim_stats_is_consistent() {
-        let mut e = engine(16, 128);
-        e.run(sequential(1000, 2));
-        let s = e.as_sim_stats();
-        assert_eq!(s.misses, e.stats().l2_misses);
-        assert_eq!(s.prefetch_buffer_hits + s.demand_walks, s.misses);
+    fn unfiltered_prefetching_issues_more_for_the_same_misses() {
+        // A 64-page loop through a 16-entry L2: DP keeps predicting
+        // pages that are already buffered, which only the filter drops.
+        let run = |filter: bool| {
+            let mut e = HierarchyEngine::new(
+                &SimConfig::paper_default().with_prefetch_filtering(filter),
+                HierarchyConfig {
+                    l1: TlbConfig::fully_associative(4),
+                    l2: TlbConfig::fully_associative(16),
+                },
+            )
+            .unwrap();
+            e.run((0..20_000u64).map(|i| MemoryAccess::read(0, (i % 64) * 4096)));
+            (*e.stats(), e.sim.prefetches_filtered)
+        };
+        let (filtered, dropped) = run(true);
+        let (unfiltered, _) = run(false);
+        assert!(dropped > 0, "{filtered:?}");
+        assert!(unfiltered.prefetches_issued > filtered.prefetches_issued);
+        assert_eq!(unfiltered.l2_misses, filtered.l2_misses);
     }
 }

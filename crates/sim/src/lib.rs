@@ -15,6 +15,15 @@
 //! * [`CacheEngine`] and [`HierarchyEngine`] — the same mechanisms over
 //!   data-cache lines, and behind an L1/L2 TLB pair.
 //!
+//! All four share one miss path: one crate-private mechanism wrapper
+//! makes the crate's only `on_miss` call into the engine's single
+//! candidate sink, and the functional miss path around it (buffer
+//! promote-or-walk, fill, filter, install) serves `Engine` and
+//! `HierarchyEngine`. Each engine keeps only its own front (a TLB, the
+//! L1/L2 pair, Table 3's clocked TLB, or cache lines) and install
+//! target (the prefetch buffer, the timed prefetch channel, or the
+//! cache); `docs/DESIGN.md` ("One miss path") has the table.
+//!
 //! [`run_app`], [`compare_schemes`] and the parallel [`sweep`] executor
 //! run the synthetic applications of `tlbsim-workloads` through the
 //! first two.
@@ -58,14 +67,15 @@
 //! materialising it. A [`MissStream`] records the TLB misses of one
 //! run stream once, and [`sweep_misses`] replays only the miss path
 //! over them under a whole grid of configurations that share the TLB
-//! geometry and page size. The timing, cache and
-//! hierarchy engines do per-reference work and process record slices
-//! through `access_batch(&[MemoryAccess])`; every engine's `run(...)`
-//! chunks arbitrary iterators through one reusable engine-owned
-//! buffer. On a miss, engines hand their single long-lived
-//! `CandidateBuf` sink to the mechanism, so the steady-state miss path
-//! performs **zero heap allocations** — the `zero_alloc` integration
-//! test pins this with a counting allocator. The [`sweep`] executor
+//! geometry and page size. [`Engine::run`] chunks arbitrary iterators
+//! through one reusable engine-owned buffer into
+//! [`Engine::access_batch`]. The timing, cache and hierarchy engines
+//! do per-reference work (cycles, cache traffic, two TLB levels), so
+//! their `run(...)` simply calls `access` on each reference. On a miss,
+//! every engine hands its single long-lived `CandidateBuf` sink to the
+//! mechanism, so the steady-state miss path performs **zero heap
+//! allocations** — the `zero_alloc` integration test pins this with a
+//! counting allocator. The [`sweep`] executor
 //! extends the same discipline across jobs: each worker thread
 //! recycles one engine and its buffers for its whole lifetime
 //! ([`Engine::try_recycle`]).

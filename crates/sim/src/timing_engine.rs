@@ -15,11 +15,11 @@
 //!   prefetches ("there would be only 4 memory transactions instead of
 //!   6").
 
-use tlbsim_core::{CandidateBuf, MemoryAccess, MissContext, StateLocation, TlbPrefetcher};
+use tlbsim_core::{MemoryAccess, MissContext, StateLocation};
 use tlbsim_mem::{PrefetchChannel, TimingParams};
-use tlbsim_mmu::{PageTable, PrefetchBuffer, Tlb};
+use tlbsim_mmu::Tlb;
 
-use crate::batch::drive_stream;
+use crate::batch::PrefetchCore;
 use crate::config::{SimConfig, SimError};
 use crate::stats::TimingStats;
 
@@ -44,9 +44,9 @@ use crate::stats::TimingStats;
 /// ```
 pub struct TimingEngine {
     tlb: Tlb,
-    buffer: PrefetchBuffer,
-    prefetcher: Box<dyn TlbPrefetcher>,
-    page_table: PageTable,
+    /// The prefetch buffer, page table and mechanism; prefetches reach
+    /// the buffer through `channel` rather than the core's own install.
+    core: PrefetchCore,
     config: SimConfig,
     params: TimingParams,
     channel: PrefetchChannel,
@@ -57,8 +57,6 @@ pub struct TimingEngine {
     maintenance_blocking: bool,
     now: f64,
     stats: TimingStats,
-    sink: CandidateBuf,
-    batch: Vec<MemoryAccess>,
 }
 
 impl TimingEngine {
@@ -68,16 +66,13 @@ impl TimingEngine {
     ///
     /// Returns [`SimError`] if the configuration is invalid.
     pub fn new(config: &SimConfig, params: TimingParams) -> Result<Self, SimError> {
-        if config.prefetch_buffer_entries == 0 {
-            return Err(SimError::ZeroPrefetchBuffer);
-        }
-        let prefetcher = config.prefetcher.build()?;
-        let maintenance_blocking = prefetcher.profile().location == StateLocation::InMemory;
+        let tlb = Tlb::new(config.tlb)?;
+        let core = PrefetchCore::new(config)?;
+        let maintenance_blocking =
+            core.mechanism.prefetcher.profile().location == StateLocation::InMemory;
         Ok(TimingEngine {
-            tlb: Tlb::new(config.tlb)?,
-            buffer: PrefetchBuffer::new(config.prefetch_buffer_entries)?,
-            prefetcher,
-            page_table: PageTable::new(),
+            tlb,
+            core,
             config: config.clone(),
             channel: PrefetchChannel::new(params.memory_op_cost),
             params,
@@ -85,8 +80,6 @@ impl TimingEngine {
             maintenance_blocking,
             now: 0.0,
             stats: TimingStats::default(),
-            sink: CandidateBuf::new(),
-            batch: Vec::new(),
         })
     }
 
@@ -97,11 +90,10 @@ impl TimingEngine {
         let now_ticks = self.now as u64;
 
         // Completed prefetch fetches land in the buffer.
-        let buffer = &mut self.buffer;
-        let page_table = &mut self.page_table;
+        let core = &mut self.core;
         self.channel.drain_arrived(now_ticks, |page| {
-            let frame = page_table.translate(page);
-            buffer.insert(page, frame);
+            let frame = core.page_table.translate(page);
+            core.buffer.insert(page, frame);
         });
 
         let page = self.config.page_size.page_of(access.vaddr);
@@ -125,7 +117,7 @@ impl TimingEngine {
 
         let channel_busy_at_miss = self.channel.is_busy(self.now as u64);
 
-        let (frame, pb_hit) = if let Some(frame) = self.buffer.promote(page) {
+        let (frame, pb_hit) = if let Some(frame) = self.core.buffer.promote(page) {
             self.stats.covered_hits += 1;
             (frame, true)
         } else if let Some(done) = self.channel.pending_completion(page) {
@@ -140,12 +132,12 @@ impl TimingEngine {
             self.stats.inflight_hits += 1;
             self.now += wait;
             self.channel.consume(page);
-            (self.page_table.translate(page), true)
+            (self.core.page_table.translate(page), true)
         } else {
             self.stats.demand_misses += 1;
             self.stats.stall_demand += self.params.tlb_miss_penalty as f64;
             self.now += self.params.tlb_miss_penalty as f64;
-            (self.page_table.translate(page), false)
+            (self.core.page_table.translate(page), false)
         };
         let fill = self.tlb.fill(page, frame);
 
@@ -155,11 +147,10 @@ impl TimingEngine {
             prefetch_buffer_hit: pb_hit,
             evicted_tlb_entry: fill.evicted,
         };
-        self.sink.clear();
-        self.prefetcher.on_miss(&ctx, &mut self.sink);
+        let sink = self.core.mechanism.observe(&ctx);
 
         let now_ticks = self.now as u64;
-        let maintenance_ops = self.sink.maintenance_ops();
+        let maintenance_ops = sink.maintenance_ops();
         if maintenance_ops > 0 {
             self.maintenance_done = self.channel.issue_maintenance(now_ticks, maintenance_ops);
             self.stats.channel_maintenance += u64::from(maintenance_ops);
@@ -169,22 +160,24 @@ impl TimingEngine {
         // outstanding when the miss occurs, only the stack update happens
         // and the prefetches are skipped.
         if self.maintenance_blocking && channel_busy_at_miss {
-            self.stats.prefetches_skipped_busy += self.sink.len() as u64;
+            self.stats.prefetches_skipped_busy += sink.len() as u64;
             return;
         }
 
-        for i in 0..self.sink.len() {
-            let candidate = self.sink.pages()[i];
+        // The install policy: always filtered (the paper's channel never
+        // fetches a resident or in-flight translation), then issued on
+        // the channel; arrivals reach the buffer at the top of `access`.
+        for &candidate in sink.pages() {
             if candidate == page
                 || self.tlb.contains(candidate)
-                || self.buffer.contains(candidate)
+                || self.core.buffer.contains(candidate)
                 || self.channel.pending_completion(candidate).is_some()
             {
                 continue;
             }
             // Bound outstanding fetches by the buffer capacity: a longer
             // queue could never be useful before eviction.
-            if self.channel.in_flight_count() >= self.buffer.capacity() {
+            if self.channel.in_flight_count() >= self.core.buffer.capacity() {
                 self.stats.prefetches_dropped_backlog += 1;
                 continue;
             }
@@ -193,21 +186,11 @@ impl TimingEngine {
         }
     }
 
-    /// Simulates a batch of references.
-    pub fn access_batch(&mut self, batch: &[MemoryAccess]) {
-        for access in batch {
-            self.access(access);
-        }
-    }
-
     /// Simulates an entire stream and returns the final statistics.
-    ///
-    /// The stream is chunked through a reusable internal batch buffer,
-    /// matching the functional engine's streaming shape.
     pub fn run(&mut self, stream: impl IntoIterator<Item = MemoryAccess>) -> &TimingStats {
-        let mut batch = std::mem::take(&mut self.batch);
-        drive_stream(stream, &mut batch, |chunk| self.access_batch(chunk));
-        self.batch = batch;
+        for access in stream {
+            self.access(&access);
+        }
         self.stats.cycles = self.now;
         &self.stats
     }
@@ -216,11 +199,6 @@ impl TimingEngine {
     /// [`TimingEngine::run`]).
     pub fn stats(&self) -> &TimingStats {
         &self.stats
-    }
-
-    /// The mechanism under test.
-    pub fn prefetcher_name(&self) -> &'static str {
-        self.prefetcher.name()
     }
 }
 
