@@ -30,7 +30,8 @@
 //! hardware (`r` rows, `s` slots, D/2/4/F indexing — the knobs the paper
 //! sweeps) lives in [`PredictionTable`] and [`SlotList`].
 //! [`TaggedLru`] is the O(1) set-associative, ASID-tagged LRU map under
-//! `tlbsim-mmu`'s TLB, prefetch buffer and data cache, and
+//! `tlbsim-mmu`'s TLB, prefetch buffer and data cache and under the
+//! prediction tables' sets of more than four ways, and
 //! [`BuildPageHasher`] the cheap integer hasher for the simulator's
 //! page-keyed hash maps.
 //!

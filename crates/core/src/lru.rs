@@ -1,6 +1,7 @@
 //! The tagged, set-associative, true-LRU map under the simulator's
 //! translation structures: the TLB, the prefetch buffer and the data
-//! cache (all through `tlbsim_mmu::AssocCache`).
+//! cache (all through `tlbsim_mmu::AssocCache`), and under the wide sets
+//! of [`PredictionTable`](crate::PredictionTable).
 //!
 //! The paper's default machine is fully associative almost everywhere
 //! (a 128-entry TLB and a 16-entry buffer probed on every reference), so
@@ -27,18 +28,19 @@
 //!   tombstones. Grouping the buckets by set keeps the buckets of
 //!   neighbouring pages neighbours on set-associative geometries.
 //!
-//! The set index is `key.index_value() % sets` and the context lives in
-//! the tag only, as in an ASID-tagged hardware TLB. Replacement picks the
-//! tail of the set's recency list: every hit or fill moves its slot to
-//! the head, so list order is exactly the order of last use — the order
-//! a per-way "last used" tick would give, with the tail the smallest
-//! tick (see `docs/DESIGN.md`).
+//! The set index is `key.index_value() % sets` (a mask when `sets` is a
+//! power of two) and the context lives in the tag only, as in an
+//! ASID-tagged hardware TLB. Replacement picks the tail of the set's
+//! recency list: every hit or fill moves its slot to the head, so list
+//! order is exactly the order of last use — the order a per-way "last
+//! used" tick would give, with the tail the smallest tick (see
+//! `docs/DESIGN.md`).
 
 use std::mem;
 
 use crate::assoc::{Associativity, InvalidGeometry};
 use crate::hash::FIBONACCI;
-use crate::table::TableKey;
+use crate::table::{SetSelect, TableKey};
 use crate::types::Asid;
 
 /// End-of-list, end-of-chain and empty-bucket marker.
@@ -117,8 +119,7 @@ pub struct TaggedLru<K, V> {
     buckets: Vec<u32>,
     /// `log2` of the buckets per set.
     bucket_bits: u32,
-    /// `sets - 1` when the set count is a power of two.
-    set_mask: Option<u64>,
+    select: SetSelect,
     ways: usize,
     assoc: Associativity,
     len: usize,
@@ -158,7 +159,7 @@ impl<K: TableKey, V> TaggedLru<K, V> {
             sets: vec![empty; set_count],
             buckets: vec![NIL; buckets_per_set * set_count],
             bucket_bits: buckets_per_set.trailing_zeros(),
-            set_mask: set_count.is_power_of_two().then(|| set_count as u64 - 1),
+            select: SetSelect::new(set_count),
             ways,
             assoc,
             len: 0,
@@ -192,11 +193,7 @@ impl<K: TableKey, V> TaggedLru<K, V> {
 
     #[inline(always)]
     fn set_of(&self, key: K) -> usize {
-        let value = key.index_value();
-        match self.set_mask {
-            Some(mask) => (value & mask) as usize,
-            None => (value % self.sets.len() as u64) as usize,
-        }
+        self.select.of(key)
     }
 
     /// The bucket of `key`, which maps to `set`, under the current

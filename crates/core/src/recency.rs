@@ -105,11 +105,12 @@ impl RecencyPrefetcher {
         out
     }
 
-    /// Unlinks `page` from the stack, returning the number of pointer
-    /// writes performed.
-    fn unlink(&mut self, page: VirtPage) -> u32 {
+    /// Unlinks `page` from the stack, returning its node (its stack
+    /// neighbours before the unlink) and the number of pointer writes
+    /// performed.
+    fn unlink(&mut self, page: VirtPage) -> (Option<StackNode>, u32) {
         let Some(node) = self.nodes.remove(&page) else {
-            return 0;
+            return (None, 0);
         };
         let mut writes = 0;
         if let Some(above) = node.above {
@@ -127,7 +128,7 @@ impl RecencyPrefetcher {
                 writes += 1;
             }
         }
-        writes
+        (Some(node), writes)
     }
 
     /// Pushes `page` on top of the stack, returning pointer writes.
@@ -154,11 +155,11 @@ impl RecencyPrefetcher {
 
 impl TlbPrefetcher for RecencyPrefetcher {
     fn on_miss(&mut self, ctx: &MissContext, sink: &mut CandidateBuf) {
-        let mut ops = 0;
-
-        // Neighbours *before* unlinking: the pages evicted just before
-        // and just after the missing page was evicted.
-        if let Some(node) = self.nodes.get(&ctx.page) {
+        // The missing page returns to the TLB, so it leaves the stack;
+        // its neighbours as it leaves are the pages evicted just before
+        // and just after it was.
+        let (node, mut ops) = self.unlink(ctx.page);
+        if let Some(node) = node {
             if let Some(above) = node.above {
                 sink.push(above);
             }
@@ -167,14 +168,11 @@ impl TlbPrefetcher for RecencyPrefetcher {
             }
         }
 
-        // The missing page returns to the TLB, so it leaves the stack.
-        ops += self.unlink(ctx.page);
-
         // The evicted translation becomes the most recently evicted.
         if let Some(evicted) = ctx.evicted_tlb_entry {
             // Defensive: a flushed-then-refilled TLB could evict a page
             // that still has a stale stack node.
-            ops += self.unlink(evicted);
+            ops += self.unlink(evicted).1;
             ops += self.push_top(evicted);
         }
 
@@ -275,11 +273,10 @@ mod tests {
         for e in 1..=3u64 {
             miss(&mut p, 100 + e, Some(e));
         }
-        // Stack (top->bottom): 3, 2, 1. Missing page 2 prefetches 3 and 1.
+        // Stack (top->bottom): 3, 2, 1. Missing page 2 prefetches 3 and
+        // 1, the above-neighbour first.
         let d = miss(&mut p, 2, Some(4));
-        assert!(d.pages.contains(&VirtPage::new(3)));
-        assert!(d.pages.contains(&VirtPage::new(1)));
-        assert_eq!(d.pages.len(), 2);
+        assert_eq!(d.pages, vec![VirtPage::new(3), VirtPage::new(1)]);
         // Page 2 left the stack; 4 joined on top.
         assert_eq!(
             p.stack_snapshot(),

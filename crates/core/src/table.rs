@@ -1,6 +1,7 @@
-//! The generic on-chip prediction table used by ASP, MP and DP.
+//! The generic on-chip prediction table used by ASP, MP, DP, TP and the
+//! confidence throttle.
 //!
-//! The paper parameterises all three table-based prefetchers identically:
+//! The paper parameterises all the table-based prefetchers identically:
 //! `r` rows, indexed direct-mapped / 2-way / 4-way / fully-associative,
 //! with a tag of the indexing field stored per row (§2.6, Table 1). The
 //! row payload differs per scheme (an RPT entry for ASP, `s` page slots
@@ -8,23 +9,36 @@
 //! over both the key and the payload. Replacement within a set is true
 //! LRU, matching row-eviction "because of conflicts" in §2.3.
 //!
-//! Rows are found by scanning the ways of their set and evicted by the
-//! smallest last-use tick. That is cheap at the D/2/4 geometries the
-//! mechanisms mostly run, but a fully associative table scans every row
-//! per lookup. The TLB and the prefetch buffer avoid the scan through
-//! [`TaggedLru`](crate::TaggedLru), which has the same contract; the
-//! differential oracle in `crates/mmu/tests/lru_oracle.rs` checks this
-//! table and the map against one linear-scan reference.
+//! The table picks its storage once, in [`PredictionTable::new`], from
+//! the width of its sets:
+//!
+//! * sets of at most four ways (D, 2-way, 4-way, and F tables of up to
+//!   four rows) keep a per-set `Vec` of rows. A lookup scans the set's
+//!   ways, at most four rows, and a fill into a full set evicts the row
+//!   with the smallest last-use tick;
+//! * wider sets (in the paper's grid, only `MP,256,F`) go through
+//!   [`TaggedLru`](crate::TaggedLru), whose bucket index makes lookup,
+//!   fill and victim choice O(1) under the same ASID-tagged, true-LRU
+//!   contract, instead of scanning every row twice per fill.
+//!
+//! Either way the set is chosen by a mask when the set count is a power
+//! of two and by `%` otherwise, and no operation allocates after `new`.
+//! The differential oracle in `crates/mmu/tests/lru_oracle.rs` checks
+//! both storages and the map against one linear-scan reference, and
+//! `crates/core/tests/properties.rs` drives a wide table and a
+//! `TaggedLru` of the same geometry through the remaining operations.
 
 use std::fmt;
 
 use crate::assoc::{Associativity, InvalidGeometry};
+use crate::lru::TaggedLru;
 use crate::types::Asid;
 
 /// A key usable to index a [`PredictionTable`].
 ///
-/// The returned index is reduced modulo the set count; the full key is
-/// stored alongside each row as the tag.
+/// The returned index is reduced modulo the set count (a mask when the
+/// count is a power of two); the full key is stored alongside each row as
+/// the tag.
 pub trait TableKey: Copy + Eq {
     /// Projects the key onto an unsigned value used for set selection.
     fn index_value(self) -> u64;
@@ -53,12 +67,192 @@ impl TableKey for crate::types::Distance {
     }
 }
 
+/// Set selection shared by [`PredictionTable`] and
+/// [`TaggedLru`](crate::TaggedLru): `index_value % sets`, computed as a
+/// mask when the set count is a power of two.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetSelect {
+    sets: u64,
+    /// `sets - 1` when the set count is a power of two.
+    mask: Option<u64>,
+}
+
+impl SetSelect {
+    pub(crate) fn new(sets: usize) -> Self {
+        SetSelect {
+            sets: sets as u64,
+            mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+        }
+    }
+
+    /// The set `key` maps to.
+    #[inline(always)]
+    pub(crate) fn of(self, key: impl TableKey) -> usize {
+        let value = key.index_value();
+        match self.mask {
+            Some(mask) => (value & mask) as usize,
+            None => (value % self.sets) as usize,
+        }
+    }
+}
+
+/// Widest set that is scanned in place; wider sets use [`TaggedLru`].
+const SCAN_WAYS: usize = 4;
+
 #[derive(Debug, Clone)]
 struct Row<K, V> {
     asid: Asid,
     tag: K,
     value: V,
     last_used: u64,
+}
+
+/// Narrow-set storage: one `Vec` of at most [`SCAN_WAYS`] rows per set,
+/// scanned per lookup, with the victim chosen by the smallest tick.
+#[derive(Debug, Clone)]
+struct ScanSets<K, V> {
+    sets: Vec<Vec<Row<K, V>>>,
+    select: SetSelect,
+    ways: usize,
+    tick: u64,
+    evictions: u64,
+    asid: Asid,
+}
+
+impl<K: TableKey, V> ScanSets<K, V> {
+    fn new(set_count: usize, ways: usize) -> Self {
+        let mut sets = Vec::with_capacity(set_count);
+        for _ in 0..set_count {
+            sets.push(Vec::with_capacity(ways));
+        }
+        ScanSets {
+            sets,
+            select: SetSelect::new(set_count),
+            ways,
+            tick: 0,
+            evictions: 0,
+            asid: Asid::DEFAULT,
+        }
+    }
+
+    fn bump(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    fn get(&self, key: K) -> Option<&V> {
+        self.sets[self.select.of(key)]
+            .iter()
+            .find(|row| row.tag == key && row.asid == self.asid)
+            .map(|row| &row.value)
+    }
+
+    fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        let tick = self.bump();
+        let asid = self.asid;
+        let idx = self.select.of(key);
+        self.sets[idx]
+            .iter_mut()
+            .find(|row| row.tag == key && row.asid == asid)
+            .map(|row| {
+                row.last_used = tick;
+                &mut row.value
+            })
+    }
+
+    /// Makes room in the set `idx` for a new row: drops its LRU row if
+    /// the set is full, returning it.
+    fn make_room(&mut self, idx: usize) -> Option<Row<K, V>> {
+        let set = &mut self.sets[idx];
+        if set.len() < self.ways {
+            return None;
+        }
+        let victim = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, row)| row.last_used)
+            .map(|(i, _)| i)?;
+        self.evictions += 1;
+        Some(set.swap_remove(victim))
+    }
+
+    fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+        let tick = self.bump();
+        let asid = self.asid;
+        let idx = self.select.of(key);
+        if let Some(row) = self.sets[idx]
+            .iter_mut()
+            .find(|row| row.tag == key && row.asid == asid)
+        {
+            row.last_used = tick;
+            let old = std::mem::replace(&mut row.value, value);
+            return Some((key, old));
+        }
+        let displaced = self.make_room(idx).map(|row| (row.tag, row.value));
+        self.sets[idx].push(Row {
+            asid,
+            tag: key,
+            value,
+            last_used: tick,
+        });
+        displaced
+    }
+
+    fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
+        let tick = self.bump();
+        let asid = self.asid;
+        let idx = self.select.of(key);
+        let pos = match self.sets[idx]
+            .iter()
+            .position(|row| row.tag == key && row.asid == asid)
+        {
+            Some(pos) => pos,
+            None => {
+                self.make_room(idx);
+                self.sets[idx].push(Row {
+                    asid,
+                    tag: key,
+                    value: default(),
+                    last_used: tick,
+                });
+                self.sets[idx].len() - 1
+            }
+        };
+        let row = &mut self.sets[idx][pos];
+        row.last_used = tick;
+        &mut row.value
+    }
+
+    fn evict_asid(&mut self, asid: Asid) {
+        for set in &mut self.sets {
+            set.retain(|row| row.asid != asid);
+        }
+    }
+
+    fn clear(&mut self) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.sets
+            .iter()
+            .flat_map(|set| set.iter().map(|row| (&row.tag, &row.value)))
+    }
+}
+
+/// The table's storage, chosen in [`PredictionTable::new`] by set width.
+#[derive(Debug, Clone)]
+enum Storage<K, V> {
+    /// Sets of at most [`SCAN_WAYS`] ways.
+    Scan(ScanSets<K, V>),
+    /// Wider sets.
+    Indexed(TaggedLru<K, V>),
 }
 
 /// A fixed-capacity, set-associative, tagged prediction table with LRU
@@ -85,13 +279,9 @@ struct Row<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PredictionTable<K, V> {
-    sets: Vec<Vec<Row<K, V>>>,
-    ways: usize,
+    storage: Storage<K, V>,
     rows: usize,
     assoc: Associativity,
-    tick: u64,
-    evictions: u64,
-    asid: Asid,
 }
 
 impl<K: TableKey, V> PredictionTable<K, V> {
@@ -104,72 +294,61 @@ impl<K: TableKey, V> PredictionTable<K, V> {
     pub fn new(rows: usize, assoc: Associativity) -> Result<Self, InvalidGeometry> {
         let set_count = assoc.sets(rows)?;
         let ways = assoc.ways(rows);
-        let mut sets = Vec::with_capacity(set_count);
-        for _ in 0..set_count {
-            sets.push(Vec::with_capacity(ways));
-        }
+        let storage = if ways <= SCAN_WAYS {
+            Storage::Scan(ScanSets::new(set_count, ways))
+        } else {
+            Storage::Indexed(TaggedLru::new(rows, assoc)?)
+        };
         Ok(PredictionTable {
-            sets,
-            ways,
+            storage,
             rows,
             assoc,
-            tick: 0,
-            evictions: 0,
-            asid: Asid::DEFAULT,
         })
-    }
-
-    fn set_index(&self, key: K) -> usize {
-        (key.index_value() % self.sets.len() as u64) as usize
     }
 
     /// Switches the current context: subsequent lookups and inserts are
     /// tagged with `asid`. No row is touched.
     pub fn set_asid(&mut self, asid: Asid) {
-        self.asid = asid;
+        match &mut self.storage {
+            Storage::Scan(s) => s.asid = asid,
+            Storage::Indexed(m) => m.set_asid(asid),
+        }
     }
 
     /// The current context tag.
     pub fn asid(&self) -> Asid {
-        self.asid
+        match &self.storage {
+            Storage::Scan(s) => s.asid,
+            Storage::Indexed(m) => m.asid(),
+        }
     }
 
     /// Drops every row tagged with `asid` without counting conflict
     /// evictions — the targeted analogue of
     /// [`clear`](PredictionTable::clear).
     pub fn evict_asid(&mut self, asid: Asid) {
-        for set in &mut self.sets {
-            set.retain(|row| row.asid != asid);
+        match &mut self.storage {
+            Storage::Scan(s) => s.evict_asid(asid),
+            Storage::Indexed(m) => m.evict_asid(asid),
         }
-    }
-
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Looks up `key` in the current context without updating recency
     /// ("peek").
     pub fn get(&self, key: K) -> Option<&V> {
-        let set = &self.sets[self.set_index(key)];
-        set.iter()
-            .find(|row| row.tag == key && row.asid == self.asid)
-            .map(|row| &row.value)
+        match &self.storage {
+            Storage::Scan(s) => s.get(key),
+            Storage::Indexed(m) => m.peek(key),
+        }
     }
 
     /// Looks up `key` in the current context, marking the row most
     /// recently used on a hit.
     pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        let tick = self.bump();
-        let asid = self.asid;
-        let idx = self.set_index(key);
-        let set = &mut self.sets[idx];
-        set.iter_mut()
-            .find(|row| row.tag == key && row.asid == asid)
-            .map(|row| {
-                row.last_used = tick;
-                &mut row.value
-            })
+        match &mut self.storage {
+            Storage::Scan(s) => s.get_mut(key),
+            Storage::Indexed(m) => m.touch(key),
+        }
     }
 
     /// Inserts `key -> value`, replacing an existing row with the same tag
@@ -178,38 +357,10 @@ impl<K: TableKey, V> PredictionTable<K, V> {
     /// Returns the displaced `(key, value)` pair, if any. A replaced
     /// same-tag row returns its old value under the same key.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        let tick = self.bump();
-        let ways = self.ways;
-        let asid = self.asid;
-        let idx = self.set_index(key);
-        let set = &mut self.sets[idx];
-        if let Some(row) = set
-            .iter_mut()
-            .find(|row| row.tag == key && row.asid == asid)
-        {
-            row.last_used = tick;
-            let old = std::mem::replace(&mut row.value, value);
-            return Some((key, old));
+        match &mut self.storage {
+            Storage::Scan(s) => s.insert(key, value),
+            Storage::Indexed(m) => m.insert(key, value).map(|d| (d.key, d.value)),
         }
-        let mut displaced = None;
-        if set.len() == ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, row)| row.last_used)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
-            let row = set.swap_remove(victim);
-            self.evictions += 1;
-            displaced = Some((row.tag, row.value));
-        }
-        set.push(Row {
-            asid,
-            tag: key,
-            value,
-            last_used: tick,
-        });
-        displaced
     }
 
     /// Returns the row for `key`, inserting `default()` first if absent.
@@ -218,37 +369,10 @@ impl<K: TableKey, V> PredictionTable<K, V> {
     /// evicts a conflicting row, that row is dropped (the hardware simply
     /// overwrites it).
     pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let tick = self.bump();
-        let ways = self.ways;
-        let asid = self.asid;
-        let idx = self.set_index(key);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set
-            .iter()
-            .position(|row| row.tag == key && row.asid == asid)
-        {
-            let row = &mut set[pos];
-            row.last_used = tick;
-            return &mut row.value;
+        match &mut self.storage {
+            Storage::Scan(s) => s.get_or_insert_with(key, default),
+            Storage::Indexed(m) => m.get_or_insert_with(key, default),
         }
-        if set.len() == ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, row)| row.last_used)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
-            set.swap_remove(victim);
-            self.evictions += 1;
-        }
-        set.push(Row {
-            asid,
-            tag: key,
-            value: default(),
-            last_used: tick,
-        });
-        let pos = set.len() - 1;
-        &mut set[pos].value
     }
 
     /// Returns `true` if a row with `key`'s tag is resident.
@@ -258,12 +382,15 @@ impl<K: TableKey, V> PredictionTable<K, V> {
 
     /// Number of occupied rows.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        match &self.storage {
+            Storage::Scan(s) => s.len(),
+            Storage::Indexed(m) => m.len(),
+        }
     }
 
     /// Returns `true` if no row is occupied.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.len() == 0
     }
 
     /// Total row capacity (`r` in the paper).
@@ -278,22 +405,30 @@ impl<K: TableKey, V> PredictionTable<K, V> {
 
     /// Number of rows displaced by conflicts since creation.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        match &self.storage {
+            Storage::Scan(s) => s.evictions,
+            Storage::Indexed(m) => m.evictions(),
+        }
     }
 
     /// Drops every row (a context-switch flush), keeping geometry and the
     /// eviction counter.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        match &mut self.storage {
+            Storage::Scan(s) => s.clear(),
+            Storage::Indexed(m) => m.flush(),
         }
     }
 
     /// Iterates over `(key, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|row| (&row.tag, &row.value)))
+        let (scan, indexed) = match &self.storage {
+            Storage::Scan(s) => (Some(s.iter()), None),
+            Storage::Indexed(m) => (None, Some(m.iter())),
+        };
+        scan.into_iter()
+            .flatten()
+            .chain(indexed.into_iter().flatten())
     }
 }
 

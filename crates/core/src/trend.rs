@@ -63,18 +63,28 @@ impl TrendRow {
     }
 
     /// The delta held by a strict majority (> w/2) of a full window.
+    ///
+    /// One Boyer–Moore pass finds the only delta that can hold a strict
+    /// majority; one counting pass confirms it (Leap's linear-time vote).
     fn majority(&self, window: usize) -> Option<Distance> {
         if (self.len as usize) < window {
             return None;
         }
         let live = &self.deltas[..window];
-        for candidate in live {
-            let votes = live.iter().filter(|d| *d == candidate).count();
-            if votes * 2 > window {
-                return Some(*candidate);
+        let mut candidate = live[0];
+        let mut lead = 0usize;
+        for &d in live {
+            if lead == 0 {
+                candidate = d;
+                lead = 1;
+            } else if d == candidate {
+                lead += 1;
+            } else {
+                lead -= 1;
             }
         }
-        None
+        let votes = live.iter().filter(|&&d| d == candidate).count();
+        (votes * 2 > window).then_some(candidate)
     }
 }
 
@@ -216,6 +226,45 @@ impl TlbPrefetcher for TrendStridePrefetcher {
 mod tests {
     use super::*;
     use crate::stride::StridePrefetcher;
+
+    /// The quadratic vote `majority` replaced: every live delta counts
+    /// its own votes.
+    fn majority_by_scan(row: &TrendRow, window: usize) -> Option<Distance> {
+        if (row.len as usize) < window {
+            return None;
+        }
+        let live = &row.deltas[..window];
+        live.iter()
+            .find(|&candidate| live.iter().filter(|d| *d == candidate).count() * 2 > window)
+            .copied()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn linear_vote_matches_the_quadratic_scan(
+            window in TrendStridePrefetcher::MIN_WINDOW..=TrendStridePrefetcher::MAX_WINDOW,
+            favourite in -3i64..=3,
+            // About half the deltas are the favourite, so windows land on
+            // both sides of a strict majority; recording twice the largest
+            // window wraps the ring.
+            draws in proptest::collection::vec(
+                (proptest::bool::ANY, -3i64..=3),
+                2 * TrendStridePrefetcher::MAX_WINDOW,
+            ),
+        ) {
+            let mut row = TrendRow::new(VirtPage::new(0));
+            for (i, &(pick, other)) in draws.iter().enumerate() {
+                let delta = if pick { favourite } else { other };
+                row.record(Distance::new(delta), window);
+                proptest::prop_assert_eq!(
+                    row.majority(window),
+                    majority_by_scan(&row, window),
+                    "after {} deltas",
+                    i + 1
+                );
+            }
+        }
+    }
 
     fn tp(rows: usize, window: usize) -> TrendStridePrefetcher {
         TrendStridePrefetcher::new(rows, Associativity::Direct, window).unwrap()

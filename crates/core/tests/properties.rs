@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
 use tlbsim_core::{
-    Associativity, CandidateBuf, ConfidenceConfig, Distance, MissContext, Pc, PredictionTable,
-    PrefetcherConfig, PrefetcherKind, SlotList, VirtPage,
+    Asid, Associativity, CandidateBuf, ConfidenceConfig, Distance, MissContext, Pc,
+    PredictionTable, PrefetcherConfig, PrefetcherKind, SlotList, TaggedLru, VirtPage,
 };
 
 /// Strategy for valid (rows, associativity) geometries.
@@ -289,6 +289,132 @@ fn every_older_cli_spelling_parses_to_the_same_config() {
         for text in spellings {
             for throttled in [format!("c+{text}"), format!("C+c+{text}")] {
                 assert_eq!(throttled.parse::<C>(), Ok(want.clone()), "{throttled}");
+            }
+        }
+    }
+}
+
+/// Geometries for the table-versus-map differential: sets wider than
+/// four ways (the table delegates to `TaggedLru`), plus narrow and wide
+/// tables whose set count is not a power of two (set choice by `%`).
+fn differential_geometry() -> impl Strategy<Value = (usize, Associativity)> {
+    prop_oneof![
+        (5usize..=256).prop_map(|r| (r, Associativity::Full)),
+        (1usize..=16).prop_map(|k| (k * 8, Associativity::ways_of(8))),
+        (1usize..=8).prop_map(|k| (k * 16, Associativity::ways_of(16))),
+        Just((24, Associativity::Direct)),
+        Just((12, Associativity::ways_of(2))),
+        Just((12, Associativity::ways_of(4))),
+        Just((48, Associativity::ways_of(8))),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TableOp {
+    Insert(u64, u64),
+    GetMut(u64),
+    Get(u64),
+    GetOrInsert(u64, u64),
+    SetAsid(u16),
+    EvictAsid(u16),
+    Clear,
+}
+
+/// Contexts the differential switches among.
+const TABLE_ASIDS: u16 = 3;
+
+/// Fills dominate so wide sets fill and evict; `evict_asid` is rare and
+/// `clear` rarer still.
+fn table_op() -> impl Strategy<Value = TableOp> {
+    let key = || any::<u64>();
+    prop_oneof![
+        (key(), any::<u64>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+        (key(), any::<u64>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+        (key(), any::<u64>()).prop_map(|(k, v)| TableOp::GetOrInsert(k, v)),
+        (key(), any::<u64>()).prop_map(|(k, v)| TableOp::GetOrInsert(k, v)),
+        key().prop_map(TableOp::GetMut),
+        key().prop_map(TableOp::Get),
+        (0u16..64).prop_map(|x| match x {
+            0 => TableOp::Clear,
+            1..=3 => TableOp::EvictAsid(x - 1),
+            _ => TableOp::SetAsid(x % TABLE_ASIDS),
+        }),
+    ]
+}
+
+fn multiset<'a>(pairs: impl Iterator<Item = (&'a VirtPage, &'a u64)>) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = pairs.map(|(k, v)| (k.number(), *v)).collect();
+    v.sort_unstable();
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `PredictionTable` and a `TaggedLru` of one geometry agree on
+    /// every return value, `len`, `evictions` and the resident multiset
+    /// through `get_or_insert_with`, `iter`, `clear` and `evict_asid`.
+    #[test]
+    fn table_matches_tagged_lru_of_the_same_geometry(
+        (rows, assoc) in differential_geometry(),
+        sequence in prop::collection::vec(table_op(), 1..1200),
+    ) {
+        let key_space = rows as u64 + rows as u64 / 2 + 2;
+        let page = |k: u64| VirtPage::new(k % key_space);
+        let mut table: PredictionTable<VirtPage, u64> = PredictionTable::new(rows, assoc).unwrap();
+        let mut map: TaggedLru<VirtPage, u64> = TaggedLru::new(rows, assoc).unwrap();
+        for (i, &op) in sequence.iter().enumerate() {
+            let ctx = format!("op {i} {op:?} on {rows} x {assoc}");
+            match op {
+                TableOp::Insert(k, v) => {
+                    let want = map.insert(page(k), v).map(|d| (d.key, d.value));
+                    prop_assert_eq!(table.insert(page(k), v), want, "{}", ctx);
+                }
+                TableOp::GetMut(k) => {
+                    let want = map.touch(page(k)).copied();
+                    prop_assert_eq!(table.get_mut(page(k)).copied(), want, "{}", ctx);
+                }
+                TableOp::Get(k) => {
+                    prop_assert_eq!(table.get(page(k)), map.peek(page(k)), "{}", ctx);
+                    prop_assert_eq!(table.contains(page(k)), map.contains(page(k)), "{}", ctx);
+                }
+                TableOp::GetOrInsert(k, v) => {
+                    let want = map.get_or_insert_with(page(k), || v);
+                    let got = table.get_or_insert_with(page(k), || v);
+                    prop_assert_eq!(*got, *want, "{}", ctx);
+                    // The returned row is the resident one: a write lands.
+                    *got ^= 1;
+                    *want ^= 1;
+                }
+                TableOp::SetAsid(a) => {
+                    table.set_asid(Asid::new(a));
+                    map.set_asid(Asid::new(a));
+                    prop_assert_eq!(table.asid(), Asid::new(a));
+                }
+                TableOp::EvictAsid(a) => {
+                    table.evict_asid(Asid::new(a));
+                    map.evict_asid(Asid::new(a));
+                }
+                TableOp::Clear => {
+                    table.clear();
+                    map.flush();
+                }
+            }
+            prop_assert_eq!(table.len(), map.len(), "len {}", ctx);
+            prop_assert_eq!(table.is_empty(), map.is_empty(), "empty {}", ctx);
+            prop_assert_eq!(table.evictions(), map.evictions(), "evictions {}", ctx);
+            prop_assert!(table.len() <= table.capacity(), "capacity {}", ctx);
+            if i % 8 == 0 || i + 1 == sequence.len() {
+                prop_assert_eq!(multiset(table.iter()), multiset(map.iter()), "residents {}", ctx);
+            }
+        }
+        // Every context's view, key by key: the multiset cannot tell
+        // which context a row belongs to.
+        for a in 0..TABLE_ASIDS {
+            table.set_asid(Asid::new(a));
+            map.set_asid(Asid::new(a));
+            for k in 0..key_space {
+                prop_assert_eq!(table.get(page(k)), map.peek(page(k)), "asid {} key {}", a, k);
             }
         }
     }
