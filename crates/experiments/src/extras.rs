@@ -56,12 +56,9 @@ fn panel(
     Ok(Figure9Panel::from_parts(title.to_owned(), labels, rows))
 }
 
-/// Runs both panels.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a configuration is invalid.
-pub fn run(scale: Scale) -> Result<Extras, SimError> {
+/// Both panels' titles and labelled configurations: page size, then
+/// TLB associativity.
+pub fn panels() -> Vec<(&'static str, Vec<(String, SimConfig)>)> {
     let page_size = [4096u64, 8192, 16384]
         .into_iter()
         .map(|bytes| {
@@ -88,13 +85,28 @@ pub fn run(scale: Scale) -> Result<Extras, SimError> {
     })
     .collect();
 
-    Ok(Extras {
-        page_size: panel("Extras: DP accuracy vs page size", page_size, scale)?,
-        tlb_assoc: panel(
+    vec![
+        ("Extras: DP accuracy vs page size", page_size),
+        (
             "Extras: DP accuracy vs 128-entry TLB associativity",
             tlb_assoc,
-            scale,
-        )?,
+        ),
+    ]
+}
+
+/// Runs both panels.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if a configuration is invalid.
+pub fn run(scale: Scale) -> Result<Extras, SimError> {
+    let mut panels = panels()
+        .into_iter()
+        .map(|(title, variants)| panel(title, variants, scale));
+    let mut next = || panels.next().expect("two panels");
+    Ok(Extras {
+        page_size: next()?,
+        tlb_assoc: next()?,
     })
 }
 

@@ -109,12 +109,10 @@ fn dp(rows: usize, assoc: Associativity, slots: usize) -> PrefetcherConfig {
     cfg
 }
 
-/// Runs all four sensitivity panels.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a configuration is invalid.
-pub fn run(scale: Scale) -> Result<Figure9, SimError> {
+/// The four panels' titles and labelled configurations, in panel
+/// order: (a) table size × associativity, (b) slots, (c) prefetch
+/// buffer size, (d) TLB entries.
+pub fn panels() -> Vec<(&'static str, Vec<(String, SimConfig)>)> {
     let base = SimConfig::paper_default;
 
     // Panel (a): the paper's 14 geometry variants.
@@ -164,15 +162,29 @@ pub fn run(scale: Scale) -> Result<Figure9, SimError> {
         })
         .collect();
 
+    vec![
+        ("Figure 9a: DP table size and associativity", geometry),
+        ("Figure 9b: DP prediction slots", slots),
+        ("Figure 9c: prefetch buffer size", buffer),
+        ("Figure 9d: TLB size", tlb),
+    ]
+}
+
+/// Runs all four sensitivity panels.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if a configuration is invalid.
+pub fn run(scale: Scale) -> Result<Figure9, SimError> {
+    let mut panels = panels()
+        .into_iter()
+        .map(|(title, variants)| panel(title, variants, scale));
+    let mut next = || panels.next().expect("four panels");
     Ok(Figure9 {
-        geometry: panel(
-            "Figure 9a: DP table size and associativity",
-            geometry,
-            scale,
-        )?,
-        slots: panel("Figure 9b: DP prediction slots", slots, scale)?,
-        buffer: panel("Figure 9c: prefetch buffer size", buffer, scale)?,
-        tlb: panel("Figure 9d: TLB size", tlb, scale)?,
+        geometry: next()?,
+        slots: next()?,
+        buffer: next()?,
+        tlb: next()?,
     })
 }
 
