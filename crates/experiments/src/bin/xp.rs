@@ -4,15 +4,19 @@
 //! Run `xp` without arguments for the synopsis of every subcommand and
 //! flag; `usage()` below is its only copy.
 //!
-//! `--shards <n|auto>` switches the accuracy-grid drivers (figure7,
-//! figure8, table2) — and `replay`/`mix` — from job-level parallelism to
-//! intra-run sharding: jobs run one at a time, each partitioned across
-//! `n` worker shards (`tlbsim_sim::run_app_sharded`) — the mode for very
-//! large `--scale` runs where a single job should own the whole machine.
-//! `auto` resolves per run from the machine's available parallelism,
-//! clamped so no shard's slice falls below a useful minimum
-//! (`tlbsim_sim::auto_shard_count`). The other experiments ignore the
-//! flag. `--shards 1` is bit-identical to the default.
+//! The tables and figures run job-parallel: `tlbsim_sim::sweep` spreads
+//! each grid's cells over the cores and replays one TLB miss stream per
+//! application, TLB and page size. They take no `--shards`; passing it
+//! to them exits 1 with the usage string.
+//!
+//! `--shards <n|auto>` switches `replay`, `mix` and `submit` from
+//! job-level parallelism to intra-run sharding: each run is partitioned
+//! across `n` worker shards (`tlbsim_sim::run_app_sharded`), the mode
+//! for a trace or mix large enough to own the whole machine. `auto`
+//! resolves per run from the machine's available parallelism, clamped
+//! so no shard's slice falls below a useful minimum
+//! (`tlbsim_sim::auto_shard_count`). `--shards 1` is bit-identical to
+//! the default.
 //!
 //! `serve` runs the simulation daemon (`tlbsim_service::Server`) on a
 //! Unix-domain socket until a client asks it to shut down; `submit`
@@ -88,7 +92,7 @@ use tlbsim_workloads::Scale;
 struct Args {
     experiment: String,
     scale: Scale,
-    shards: usize,
+    shards: Option<usize>,
     csv_dir: Option<PathBuf>,
     out: Option<PathBuf>,
     app: Option<String>,
@@ -116,9 +120,16 @@ struct Args {
     paths: Vec<PathBuf>,
 }
 
+impl Args {
+    /// `--shards`, 1 when absent.
+    fn shards(&self) -> usize {
+        self.shards.unwrap_or(1)
+    }
+}
+
 fn usage() -> &'static str {
     "usage: xp <table1|table2|table3|figure7|figure8|figure9|extras|all> \
-     [--scale tiny|small|standard|<factor>] [--shards <n|auto>] [--csv <dir>]\n       \
+     [--scale tiny|small|standard|<factor>] [--csv <dir>]\n       \
      xp record --app <name> [--scale <s>] [--limit <n>] [--out <path>] \
      [--format v1|v2] [--block-len <n>]\n       \
      xp replay --trace <path> [--shards <n|auto>] [--quarantine <n|unlimited>] \
@@ -146,7 +157,7 @@ fn default_socket() -> PathBuf {
 fn parse_args() -> Result<Args, String> {
     let mut experiment = None;
     let mut scale = Scale::STANDARD;
-    let mut shards = 1usize;
+    let mut shards = None;
     let mut csv_dir = None;
     let mut out = None;
     let mut app = None;
@@ -300,12 +311,12 @@ fn parse_args() -> Result<Args, String> {
                 let value = argv.next().ok_or("--shards needs <n|auto>")?;
                 // 0 is the internal "auto" sentinel (resolved per run by
                 // `tlbsim_sim::resolve_shards`); only the word spells it.
-                shards = match value.as_str() {
+                shards = Some(match value.as_str() {
                     "auto" => 0,
                     n => n.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
                         format!("bad shard count {n:?} (want an integer >= 1, or \"auto\")")
                     })?,
-                };
+                });
             }
             "--socket" => {
                 socket = PathBuf::from(argv.next().ok_or("--socket needs a path")?);
@@ -462,7 +473,7 @@ fn run_replay(args: &Args) -> Result<(), String> {
         .trace
         .as_deref()
         .ok_or_else(|| format!("replay needs --trace <path>\n{}", usage()))?;
-    let report = replay::replay_with_options(trace, args.shards, args.policy, args.stream_window)
+    let report = replay::replay_with_options(trace, args.shards(), args.policy, args.stream_window)
         .map_err(|e| format!("replay: {e}"))?;
     emit("replay", report.render(), report.to_csv(), &args.csv_dir)
 }
@@ -523,7 +534,7 @@ fn run_mix(args: &Args) -> Result<(), String> {
         args.scale,
         args.quantum,
         switch_policy,
-        args.shards,
+        args.shards(),
         args.policy,
     )
     .map_err(|e| format!("mix: {e}"))?;
@@ -615,7 +626,8 @@ fn run_submit(args: &Args) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad scheme {scheme:?}: {e}"))?;
     job.scale = args.scale;
-    job.shards = u32::try_from(args.shards).map_err(|_| "shard count overflows u32".to_owned())?;
+    job.shards =
+        u32::try_from(args.shards()).map_err(|_| "shard count overflows u32".to_owned())?;
     job.policy = args.policy;
     job.snapshot_every = args.snapshot_every;
     let mut client = Client::connect(&args.socket)
@@ -809,23 +821,15 @@ fn emit(
     Ok(())
 }
 
-fn run_one(
-    name: &str,
-    scale: Scale,
-    shards: usize,
-    csv_dir: &Option<PathBuf>,
-) -> Result<(), String> {
+fn run_one(name: &str, scale: Scale, csv_dir: &Option<PathBuf>) -> Result<(), String> {
     let fail = |e: tlbsim_sim::SimError| format!("{name}: {e}");
-    // Grid streams at any real --scale sit far past the auto clamp's
-    // minimum slice, so "auto" resolves to the machine's parallelism.
-    let shards = tlbsim_sim::resolve_shards(shards, u64::MAX);
     match name {
         "table1" => {
             let t = table1::run();
             emit(name, t.render(), t.to_csv(), csv_dir)
         }
         "table2" => {
-            let t = table2::run_sharded(scale, shards).map_err(fail)?;
+            let t = table2::run(scale).map_err(fail)?;
             emit(name, t.render(), t.to_csv(), csv_dir)
         }
         "table3" => {
@@ -833,11 +837,11 @@ fn run_one(
             emit(name, t.render(), t.to_csv(), csv_dir)
         }
         "figure7" => {
-            let f = figure7::run_sharded(scale, shards).map_err(fail)?;
+            let f = figure7::run(scale).map_err(fail)?;
             emit(name, f.render(), f.to_csv(), csv_dir)
         }
         "figure8" => {
-            let f = figure8::run_sharded(scale, shards).map_err(fail)?;
+            let f = figure8::run(scale).map_err(fail)?;
             emit(name, f.render(), f.to_csv(), csv_dir)
         }
         "figure9" => {
@@ -888,19 +892,22 @@ fn main() -> ExitCode {
     } else {
         vec![args.experiment.as_str()]
     };
-    let sharding = match args.shards {
-        0 => " with auto worker shards per run".to_owned(),
-        1 => String::new(),
-        n => format!(" with {n} shards per run"),
-    };
+    if args.shards.is_some() {
+        eprintln!(
+            "--shards applies to replay, mix and submit, not to {}\n{}",
+            args.experiment,
+            usage()
+        );
+        return ExitCode::FAILURE;
+    }
     eprintln!(
-        "running {} at scale {}{sharding} …",
+        "running {} at scale {} …",
         experiments.join(", "),
         args.scale
     );
     for name in experiments {
         let started = std::time::Instant::now();
-        if let Err(message) = run_one(name, args.scale, args.shards, &args.csv_dir) {
+        if let Err(message) = run_one(name, args.scale, &args.csv_dir) {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }

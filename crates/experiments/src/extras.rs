@@ -7,14 +7,12 @@
 //! (4/8/16 KiB) and TLB associativity (2-way/4-way/full at 128
 //! entries).
 
-use std::sync::Arc;
-
 use tlbsim_core::{Associativity, PageSize};
 use tlbsim_mmu::TlbConfig;
-use tlbsim_sim::{sweep, SimConfig, SimError, SweepJob};
-use tlbsim_workloads::{high_miss_apps, Scale};
+use tlbsim_sim::{SimConfig, SimError};
+use tlbsim_workloads::Scale;
 
-use crate::figure9::Figure9Panel;
+use crate::figure9::{run_panels, Figure9Panel};
 
 /// The regenerated extra-sensitivity panels.
 #[derive(Debug, Clone)]
@@ -23,37 +21,6 @@ pub struct Extras {
     pub page_size: Figure9Panel,
     /// DP accuracy vs TLB associativity (128 entries).
     pub tlb_assoc: Figure9Panel,
-}
-
-fn panel(
-    title: &str,
-    variants: Vec<(String, SimConfig)>,
-    scale: Scale,
-) -> Result<Figure9Panel, SimError> {
-    let apps = high_miss_apps();
-    let mut jobs = Vec::new();
-    for (app, _) in &apps {
-        for (label, config) in &variants {
-            jobs.push(SweepJob {
-                tag: label.clone(),
-                spec: Arc::new(*app),
-                scale,
-                config: config.clone(),
-            });
-        }
-    }
-    let results = sweep(jobs)?;
-    let labels: Vec<String> = variants.iter().map(|(l, _)| l.clone()).collect();
-    let mut rows = Vec::new();
-    let mut iter = results.into_iter();
-    for (app, _) in &apps {
-        let mut accs = Vec::with_capacity(labels.len());
-        for _ in 0..labels.len() {
-            accs.push(iter.next().expect("one result per job").stats.accuracy());
-        }
-        rows.push((app.name, accs));
-    }
-    Ok(Figure9Panel::from_parts(title.to_owned(), labels, rows))
 }
 
 /// Both panels' titles and labelled configurations: page size, then
@@ -100,13 +67,11 @@ pub fn panels() -> Vec<(&'static str, Vec<(String, SimConfig)>)> {
 ///
 /// Returns [`SimError`] if a configuration is invalid.
 pub fn run(scale: Scale) -> Result<Extras, SimError> {
-    let mut panels = panels()
-        .into_iter()
-        .map(|(title, variants)| panel(title, variants, scale));
-    let mut next = || panels.next().expect("two panels");
+    let [page_size, tlb_assoc] =
+        <[_; 2]>::try_from(run_panels(panels(), scale)?).expect("two panels");
     Ok(Extras {
-        page_size: next()?,
-        tlb_assoc: next()?,
+        page_size,
+        tlb_assoc,
     })
 }
 

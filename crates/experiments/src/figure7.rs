@@ -4,7 +4,7 @@
 use tlbsim_sim::SimError;
 use tlbsim_workloads::{suite_apps, Scale, Suite};
 
-use crate::grid::{accuracy_grid, accuracy_grid_sharded, paper_scheme_grid, GridRow};
+use crate::grid::{accuracy_grid, paper_scheme_grid, scheme_variants, GridRow};
 use crate::report::{fmt3, TextTable};
 
 /// The regenerated Figure 7 data.
@@ -21,21 +21,7 @@ pub struct Figure7 {
 /// Returns [`SimError`] if a configuration is invalid.
 pub fn run(scale: Scale) -> Result<Figure7, SimError> {
     let apps = suite_apps(Suite::SpecCpu2000);
-    let rows = accuracy_grid(&apps, &paper_scheme_grid(), scale)?;
-    Ok(Figure7 { rows })
-}
-
-/// Like [`run`], but each application run is partitioned across `shards`
-/// worker shards (`xp figure7 --shards N`); see
-/// [`accuracy_grid_sharded`] for when this mode pays off and how `shards
-/// = 1` relates to the sequential grid.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a configuration is invalid.
-pub fn run_sharded(scale: Scale, shards: usize) -> Result<Figure7, SimError> {
-    let apps = suite_apps(Suite::SpecCpu2000);
-    let rows = accuracy_grid_sharded(&apps, &paper_scheme_grid(), scale, shards)?;
+    let rows = accuracy_grid(&apps, &scheme_variants(&paper_scheme_grid()), scale)?;
     Ok(Figure7 { rows })
 }
 

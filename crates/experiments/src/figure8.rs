@@ -6,7 +6,7 @@ use tlbsim_sim::SimError;
 use tlbsim_workloads::{suite_apps, Scale, Suite};
 
 use crate::figure7::{render_rows, rows_to_table};
-use crate::grid::{accuracy_grid, accuracy_grid_sharded, paper_scheme_grid, GridRow};
+use crate::grid::{accuracy_grid, paper_scheme_grid, scheme_variants, GridRow};
 
 /// The regenerated Figure 8 data, one block per suite.
 #[derive(Debug, Clone)]
@@ -25,27 +25,11 @@ pub struct Figure8 {
 ///
 /// Returns [`SimError`] if a configuration is invalid.
 pub fn run(scale: Scale) -> Result<Figure8, SimError> {
-    let grid = paper_scheme_grid();
+    let grid = scheme_variants(&paper_scheme_grid());
     Ok(Figure8 {
         mediabench: accuracy_grid(&suite_apps(Suite::MediaBench), &grid, scale)?,
         etch: accuracy_grid(&suite_apps(Suite::Etch), &grid, scale)?,
         pointer: accuracy_grid(&suite_apps(Suite::PointerIntensive), &grid, scale)?,
-    })
-}
-
-/// Like [`run`], but each application run is partitioned across `shards`
-/// worker shards (`xp figure8 --shards N`); see
-/// [`accuracy_grid_sharded`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a configuration is invalid.
-pub fn run_sharded(scale: Scale, shards: usize) -> Result<Figure8, SimError> {
-    let grid = paper_scheme_grid();
-    Ok(Figure8 {
-        mediabench: accuracy_grid_sharded(&suite_apps(Suite::MediaBench), &grid, scale, shards)?,
-        etch: accuracy_grid_sharded(&suite_apps(Suite::Etch), &grid, scale, shards)?,
-        pointer: accuracy_grid_sharded(&suite_apps(Suite::PointerIntensive), &grid, scale, shards)?,
     })
 }
 

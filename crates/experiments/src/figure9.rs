@@ -9,13 +9,12 @@
 //! of these parameters, and even a small direct-mapped 32-256 entry
 //! table suffices".
 
-use std::sync::Arc;
-
 use tlbsim_core::{Associativity, PrefetcherConfig};
 use tlbsim_mmu::TlbConfig;
-use tlbsim_sim::{sweep, SimConfig, SimError, SweepJob};
+use tlbsim_sim::{SimConfig, SimError};
 use tlbsim_workloads::{high_miss_apps, Scale};
 
+use crate::grid::accuracy_grid;
 use crate::report::{fmt3, TextTable};
 
 /// One panel of Figure 9: a labelled set of DP variants per application.
@@ -30,20 +29,6 @@ pub struct Figure9Panel {
 }
 
 impl Figure9Panel {
-    /// Assembles a panel from its parts (used by the extra-sensitivity
-    /// experiments that share this rendering).
-    pub fn from_parts(
-        title: String,
-        labels: Vec<String>,
-        rows: Vec<(&'static str, Vec<f64>)>,
-    ) -> Self {
-        Figure9Panel {
-            title,
-            labels,
-            rows,
-        }
-    }
-
     /// Variant labels in legend order.
     pub fn labels(&self) -> &[String] {
         &self.labels
@@ -68,39 +53,35 @@ pub struct Figure9 {
     pub tlb: Figure9Panel,
 }
 
-fn panel(
-    title: &str,
-    variants: Vec<(String, SimConfig)>,
+/// Runs labelled panels on the eight high-miss applications as one
+/// [`accuracy_grid`], so every variant of every panel that shares a TLB
+/// and a page size replays one miss stream per application.
+pub(crate) fn run_panels(
+    panels: Vec<(&'static str, Vec<(String, SimConfig)>)>,
     scale: Scale,
-) -> Result<Figure9Panel, SimError> {
-    let apps = high_miss_apps();
-    let mut jobs = Vec::new();
-    for (app, _) in &apps {
-        for (label, config) in &variants {
-            jobs.push(SweepJob {
-                tag: label.clone(),
-                spec: Arc::new(*app),
-                scale,
-                config: config.clone(),
-            });
-        }
-    }
-    let results = sweep(jobs)?;
-    let labels: Vec<String> = variants.iter().map(|(l, _)| l.clone()).collect();
-    let mut rows = Vec::new();
-    let mut iter = results.into_iter();
-    for (app, _) in &apps {
-        let mut accs = Vec::with_capacity(labels.len());
-        for _ in 0..labels.len() {
-            accs.push(iter.next().expect("one result per job").stats.accuracy());
-        }
-        rows.push((app.name, accs));
-    }
-    Ok(Figure9Panel {
-        title: title.to_owned(),
-        labels,
-        rows,
-    })
+) -> Result<Vec<Figure9Panel>, SimError> {
+    let apps: Vec<_> = high_miss_apps().iter().map(|(app, _)| *app).collect();
+    let variants: Vec<_> = panels.iter().flat_map(|(_, v)| v.iter().cloned()).collect();
+    let grid = accuracy_grid(&apps, &variants, scale)?;
+    let mut start = 0;
+    Ok(panels
+        .into_iter()
+        .map(|(title, variants)| {
+            let cells = start..start + variants.len();
+            start = cells.end;
+            Figure9Panel {
+                title: title.to_owned(),
+                labels: variants.into_iter().map(|(label, _)| label).collect(),
+                rows: grid
+                    .iter()
+                    .map(|row| {
+                        let accs = row.cells[cells.clone()].iter().map(|c| c.accuracy);
+                        (row.app, accs.collect())
+                    })
+                    .collect(),
+            }
+        })
+        .collect())
 }
 
 fn dp(rows: usize, assoc: Associativity, slots: usize) -> PrefetcherConfig {
@@ -176,15 +157,13 @@ pub fn panels() -> Vec<(&'static str, Vec<(String, SimConfig)>)> {
 ///
 /// Returns [`SimError`] if a configuration is invalid.
 pub fn run(scale: Scale) -> Result<Figure9, SimError> {
-    let mut panels = panels()
-        .into_iter()
-        .map(|(title, variants)| panel(title, variants, scale));
-    let mut next = || panels.next().expect("four panels");
+    let [geometry, slots, buffer, tlb] =
+        <[_; 4]>::try_from(run_panels(panels(), scale)?).expect("four panels");
     Ok(Figure9 {
-        geometry: next()?,
-        slots: next()?,
-        buffer: next()?,
-        tlb: next()?,
+        geometry,
+        slots,
+        buffer,
+        tlb,
     })
 }
 

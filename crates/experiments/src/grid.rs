@@ -1,10 +1,11 @@
 //! The prefetcher-configuration grids the paper sweeps, and the shared
-//! accuracy-grid runner behind Figures 7 and 8.
+//! accuracy-grid runner behind Figures 7, 8 and 9, Table 2 and the
+//! extra sensitivity panels.
 
 use std::sync::Arc;
 
 use tlbsim_core::{Associativity, ConfidenceConfig, PrefetcherConfig, PrefetcherKind};
-use tlbsim_sim::{run_app_sharded, sweep, SimConfig, SimError, SweepJob};
+use tlbsim_sim::{sweep, SimConfig, SimError, SweepJob, SweepSpec};
 use tlbsim_workloads::{AppSpec, Scale};
 
 /// The per-application scheme grid of Figures 7 and 8, plus the
@@ -120,97 +121,64 @@ impl GridRow {
     }
 }
 
-/// Runs `apps × schemes` through the functional engine in parallel.
+/// The paper's representative configuration under each of `schemes`,
+/// labelled in the legend style: the variants of Figures 7 and 8,
+/// Table 2, `xp replay` and `xp mix`.
+pub fn scheme_variants(schemes: &[PrefetcherConfig]) -> Vec<(String, SimConfig)> {
+    schemes
+        .iter()
+        .map(|scheme| {
+            let config = SimConfig::paper_default().with_prefetcher(scheme.clone());
+            (scheme.label(), config)
+        })
+        .collect()
+}
+
+/// Runs `apps × variants` as one [`sweep`], one shared spec per
+/// application, so the variants that share a TLB and a page size replay
+/// one miss stream per application. Each row's cells carry the variant
+/// labels, in order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if any configuration is invalid.
 pub fn accuracy_grid(
     apps: &[&'static AppSpec],
-    schemes: &[PrefetcherConfig],
+    variants: &[(String, SimConfig)],
     scale: Scale,
 ) -> Result<Vec<GridRow>, SimError> {
-    let base = SimConfig::paper_default();
-    let mut jobs = Vec::with_capacity(apps.len() * schemes.len());
+    let mut jobs = Vec::with_capacity(apps.len() * variants.len());
     for app in apps {
-        for scheme in schemes {
-            jobs.push(SweepJob {
-                tag: scheme.label(),
-                spec: Arc::new(*app),
-                scale,
-                config: base.clone().with_prefetcher(scheme.clone()),
-            });
-        }
+        let spec: SweepSpec = Arc::new(*app);
+        jobs.extend(variants.iter().map(|(label, config)| SweepJob {
+            tag: label.clone(),
+            spec: Arc::clone(&spec),
+            scale,
+            config: config.clone(),
+        }));
     }
-    let results = sweep(jobs)?;
-    let mut rows = Vec::with_capacity(apps.len());
-    let mut iter = results.into_iter();
-    for app in apps {
-        let mut cells = Vec::with_capacity(schemes.len());
-        for _ in 0..schemes.len() {
-            let r = iter.next().expect("sweep returns one result per job");
-            debug_assert_eq!(r.app, app.name);
-            cells.push(GridCell {
-                label: r.tag,
-                accuracy: r.stats.accuracy(),
-                miss_rate: r.stats.miss_rate(),
-            });
-        }
-        rows.push(GridRow {
+    let mut results = sweep(jobs)?.into_iter();
+    Ok(apps
+        .iter()
+        .map(|app| GridRow {
             app: app.name,
-            cells,
-        });
-    }
-    Ok(rows)
-}
-
-/// Like [`accuracy_grid`], but with **intra-run** parallelism: jobs run
-/// one after another, and each run is itself partitioned across `shards`
-/// worker shards via [`run_app_sharded`] — the mode for grids whose
-/// individual runs are large enough to own the whole machine (e.g. a
-/// figure driver at a high `--scale`).
-///
-/// `shards <= 1` delegates to the job-parallel [`accuracy_grid`]; the
-/// two paths produce identical cells there, since a one-shard run is
-/// bit-identical to a sequential run. With more shards, cell metrics can
-/// differ from the sequential grid by the cold-boundary effects
-/// documented on [`tlbsim_sim::run_app_sharded`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] if any configuration is invalid.
-pub fn accuracy_grid_sharded(
-    apps: &[&'static AppSpec],
-    schemes: &[PrefetcherConfig],
-    scale: Scale,
-    shards: usize,
-) -> Result<Vec<GridRow>, SimError> {
-    if shards <= 1 {
-        return accuracy_grid(apps, schemes, scale);
-    }
-    let base = SimConfig::paper_default();
-    let mut rows = Vec::with_capacity(apps.len());
-    for app in apps {
-        let mut cells = Vec::with_capacity(schemes.len());
-        for scheme in schemes {
-            let config = base.clone().with_prefetcher(scheme.clone());
-            let run = run_app_sharded(app, scale, &config, shards)?;
-            cells.push(GridCell {
-                label: scheme.label(),
-                accuracy: run.merged.accuracy(),
-                miss_rate: run.merged.miss_rate(),
-            });
-        }
-        rows.push(GridRow {
-            app: app.name,
-            cells,
-        });
-    }
-    Ok(rows)
+            cells: results
+                .by_ref()
+                .take(variants.len())
+                .map(|r| GridCell {
+                    label: r.tag,
+                    accuracy: r.stats.accuracy(),
+                    miss_rate: r.stats.miss_rate(),
+                })
+                .collect(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use tlbsim_workloads::find_app;
 
@@ -256,42 +224,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_grid_with_one_shard_matches_the_parallel_grid() {
-        let apps = vec![find_app("gap").unwrap()];
-        let schemes = vec![
-            tlbsim_core::PrefetcherConfig::distance(),
-            tlbsim_core::PrefetcherConfig::recency(),
-        ];
-        let parallel = accuracy_grid(&apps, &schemes, Scale::TINY).unwrap();
-        let sharded = accuracy_grid_sharded(&apps, &schemes, Scale::TINY, 1).unwrap();
-        for (p, s) in parallel.iter().zip(&sharded) {
-            assert_eq!(p.app, s.app);
-            for (pc, sc) in p.cells.iter().zip(&s.cells) {
-                assert_eq!(pc.label, sc.label);
-                assert_eq!(pc.accuracy, sc.accuracy);
-                assert_eq!(pc.miss_rate, sc.miss_rate);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_grid_produces_full_rows() {
-        let apps = vec![find_app("gap").unwrap()];
-        let schemes = vec![tlbsim_core::PrefetcherConfig::distance()];
-        let rows = accuracy_grid_sharded(&apps, &schemes, Scale::TINY, 3).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].cells.len(), 1);
-        assert!(rows[0].best_accuracy() > 0.0);
+    fn each_figure_needs_the_miss_streams_design_md_lists() {
+        // accuracy_grid shares one spec per app, so sweep records one
+        // stream per distinct (TLB, page size) among a figure's variants.
+        let streams = |variants: Vec<(String, SimConfig)>| {
+            let keys: HashSet<_> = variants.iter().map(|(_, c)| (c.tlb, c.page_size)).collect();
+            keys.len()
+        };
+        let flat = |panels: Vec<(&str, Vec<(String, SimConfig)>)>| {
+            panels
+                .into_iter()
+                .flat_map(|(_, variants)| variants)
+                .collect()
+        };
+        assert_eq!(streams(scheme_variants(&paper_scheme_grid())), 1);
+        assert_eq!(streams(scheme_variants(&table2_schemes())), 1);
+        assert_eq!(streams(flat(crate::figure9::panels())), 3);
+        assert_eq!(streams(flat(crate::extras::panels())), 5);
     }
 
     #[test]
     fn accuracy_grid_produces_full_rows() {
         let apps = vec![find_app("gap").unwrap()];
-        let schemes = vec![
-            tlbsim_core::PrefetcherConfig::distance(),
-            tlbsim_core::PrefetcherConfig::recency(),
-        ];
-        let rows = accuracy_grid(&apps, &schemes, Scale::TINY).unwrap();
+        let variants =
+            scheme_variants(&[PrefetcherConfig::distance(), PrefetcherConfig::recency()]);
+        let rows = accuracy_grid(&apps, &variants, Scale::TINY).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cells.len(), 2);
         assert!(rows[0].cell("RP").is_some());

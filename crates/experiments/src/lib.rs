@@ -49,6 +49,6 @@ pub mod table3;
 pub mod tracestat;
 
 pub use grid::{
-    accuracy_grid, accuracy_grid_sharded, paper_scheme_grid, table2_schemes, GridCell, GridRow,
+    accuracy_grid, paper_scheme_grid, scheme_variants, table2_schemes, GridCell, GridRow,
 };
 pub use report::{fmt3, fmt4, TextTable};

@@ -13,17 +13,17 @@
 //! consolidation under each mechanism.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tlbsim_sim::{
-    resolve_shards, run_mix, run_mix_sharded, SimConfig, SimStats, StreamStats, SwitchPolicy,
+    execute, resolve_shards, run_mix, run_mix_sharded, SimStats, StreamStats, SwitchPolicy,
 };
 use tlbsim_trace::DecodePolicy;
 use tlbsim_workloads::{
     find_app, MixError, MultiStreamSpec, Scale, Schedule, StreamSpec, TraceWorkload,
 };
 
-use crate::grid::paper_scheme_grid;
+use crate::grid::{paper_scheme_grid, scheme_variants};
 use crate::replay::ReplayError;
 use crate::report::{fmt3, fmt4, TextTable};
 
@@ -173,61 +173,29 @@ pub fn mix_with_policy(
 ) -> Result<MixReport, ReplayError> {
     let spec = build_mix_with_policy(tokens, quantum, policy)?;
     let shards = resolve_shards(shards, spec.stream_len(scale));
-    let schemes = paper_scheme_grid();
-    let base = SimConfig::paper_default();
-    let configs: Vec<SimConfig> = schemes
-        .iter()
-        .map(|scheme| base.clone().with_prefetcher(scheme.clone()))
-        .collect();
-
+    let variants = scheme_variants(&paper_scheme_grid());
     let runs: Vec<SimStats> = if shards <= 1 {
-        // One sequential run per scheme, schemes spread across cores
-        // (mirrors the sweep executor's queue; run_mix itself attributes
-        // per stream, which the generic sweep cannot).
-        let results: Vec<Mutex<Option<Result<SimStats, tlbsim_sim::SimError>>>> =
-            configs.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(configs.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let spec = &spec;
-                let configs = &configs;
-                let results = &results;
-                let cursor = &cursor;
-                scope.spawn(move || loop {
-                    let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(config) = configs.get(index) else {
-                        break;
-                    };
-                    let outcome = run_mix(spec, scale, config, switch_policy);
-                    *results[index].lock().expect("result lock") = Some(outcome);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker threads joined")
-                    .expect("every scheme ran")
-            })
-            .collect::<Result<Vec<_>, _>>()?
+        // One sequential run per scheme, schemes spread across cores on
+        // the sweep executor (run_mix itself attributes per stream,
+        // which a sweep job cannot).
+        execute(variants.iter().collect(), |_, (_, config)| {
+            run_mix(&spec, scale, config, switch_policy)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?
     } else {
-        let mut runs = Vec::with_capacity(configs.len());
-        for config in &configs {
+        let mut runs = Vec::with_capacity(variants.len());
+        for (_, config) in &variants {
             runs.push(run_mix_sharded(&spec, scale, config, switch_policy, shards)?.merged);
         }
         runs
     };
 
-    let cells = schemes
-        .iter()
+    let cells = variants
+        .into_iter()
         .zip(&runs)
-        .map(|(scheme, stats)| MixCell {
-            label: scheme.label(),
+        .map(|((label, _), stats)| MixCell {
+            label,
             accuracy: stats.accuracy(),
             miss_rate: stats.miss_rate(),
             per_stream: stats.per_stream.streams().to_vec(),
@@ -301,6 +269,7 @@ impl MixReport {
 mod tests {
     use super::*;
     use crate::replay::record;
+    use tlbsim_sim::SimConfig;
 
     fn strings(tokens: &[&str]) -> Vec<String> {
         tokens.iter().map(|t| t.to_string()).collect()

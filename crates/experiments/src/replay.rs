@@ -22,7 +22,7 @@ use tlbsim_sim::{
 use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, V2TraceWriter};
 use tlbsim_workloads::{find_app, AppSpec, Scale, TraceWorkload};
 
-use crate::grid::{paper_scheme_grid, GridCell};
+use crate::grid::{paper_scheme_grid, scheme_variants, GridCell};
 use crate::report::{fmt3, fmt4, TextTable};
 
 /// Errors from the record/replay/mix drivers.
@@ -310,7 +310,7 @@ pub fn replay_with_options(
     policy: DecodePolicy,
     stream_window: Option<u64>,
 ) -> Result<ReplayReport, ReplayError> {
-    let schemes = paper_scheme_grid();
+    let variants = scheme_variants(&paper_scheme_grid());
     let base = SimConfig::paper_default();
     let path = path.as_ref();
     let decode_once = stream_window.is_none() && shards <= 1;
@@ -328,25 +328,18 @@ pub fn replay_with_options(
     };
     let scale = Scale::TINY; // ignored by fixed-length traces
     let shards = resolve_shards(shards, trace.stream_len());
-    let mut cells = Vec::with_capacity(schemes.len());
+    let mut cells = Vec::with_capacity(variants.len());
     if shards <= 1 {
         let results = if decode_once {
-            let jobs = schemes
-                .iter()
-                .map(|scheme| {
-                    let config = base.clone().with_prefetcher(scheme.clone());
-                    (scheme.label(), config)
-                })
-                .collect();
-            sweep_misses(trace.name(), &misses, jobs)?
+            sweep_misses(trace.name(), &misses, variants)?
         } else {
-            let jobs: Vec<SweepJob> = schemes
-                .iter()
-                .map(|scheme| SweepJob {
-                    tag: scheme.label(),
+            let jobs: Vec<SweepJob> = variants
+                .into_iter()
+                .map(|(tag, config)| SweepJob {
+                    tag,
                     spec: Arc::new(trace.clone()),
                     scale,
-                    config: base.clone().with_prefetcher(scheme.clone()),
+                    config,
                 })
                 .collect();
             sweep(jobs)?
@@ -357,11 +350,10 @@ pub fn replay_with_options(
             miss_rate: result.stats.miss_rate(),
         }));
     } else {
-        for scheme in &schemes {
-            let config = base.clone().with_prefetcher(scheme.clone());
+        for (label, config) in variants {
             let run = run_app_sharded(&trace, scale, &config, shards)?;
             cells.push(GridCell {
-                label: scheme.label(),
+                label,
                 accuracy: run.merged.accuracy(),
                 miss_rate: run.merged.miss_rate(),
             });

@@ -4,7 +4,7 @@
 use tlbsim_sim::SimError;
 use tlbsim_workloads::{all_apps, Scale};
 
-use crate::grid::{accuracy_grid_sharded, table2_schemes};
+use crate::grid::{accuracy_grid, scheme_variants, table2_schemes};
 use crate::report::{fmt3, TextTable};
 
 /// One scheme's Table 2 row.
@@ -42,20 +42,9 @@ pub fn paper_reference() -> [(&'static str, f64, f64); 4] {
 ///
 /// Returns [`SimError`] if a configuration is invalid.
 pub fn run(scale: Scale) -> Result<Table2, SimError> {
-    run_sharded(scale, 1)
-}
-
-/// Like [`run`], but each application run is partitioned across `shards`
-/// worker shards (`xp table2 --shards N`); `shards = 1` is the
-/// job-parallel sequential grid. See [`accuracy_grid_sharded`].
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a configuration is invalid.
-pub fn run_sharded(scale: Scale, shards: usize) -> Result<Table2, SimError> {
     let apps = all_apps();
     let schemes = table2_schemes();
-    let grid = accuracy_grid_sharded(&apps, &schemes, scale, shards)?;
+    let grid = accuracy_grid(&apps, &scheme_variants(&schemes), scale)?;
 
     let n = apps.len() as f64;
     let mut rows = Vec::with_capacity(schemes.len());

@@ -20,7 +20,7 @@ use crate::cache::AssocCache;
 /// let cfg = TlbConfig::paper_default();
 /// assert_eq!(cfg.entries, 128);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TlbConfig {
     /// Total translation entries.
     pub entries: usize,

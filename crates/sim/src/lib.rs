@@ -121,8 +121,8 @@ pub use hierarchy_engine::{HierarchyEngine, HierarchyStats};
 pub use miss_stream::MissStream;
 pub use multiprog::{run_mix, run_mix_sharded, SwitchPolicy, TablePolicy};
 pub use runner::{
-    compare_schemes, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_misses, SweepJob,
-    SweepResult, SweepSpec,
+    compare_schemes, execute, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_misses,
+    SweepJob, SweepResult, SweepSpec, WorkerScratch,
 };
 pub use shard::{
     auto_shard_count, panic_message, resolve_shards, run_app_sharded, RunHealth, ShardOutcome,

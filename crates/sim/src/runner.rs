@@ -6,17 +6,21 @@
 //! recycles it from job to job (see [`Engine::try_recycle`]), so a
 //! figure-scale grid of hundreds of jobs performs a handful of large
 //! allocations per worker rather than a handful per job. The same
-//! executor serves [`sweep`], where each job streams its own input,
-//! and [`sweep_misses`], where every job replays only the miss path
-//! over one shared [`MissStream`].
+//! executor serves [`sweep`], which records one [`MissStream`] per
+//! group of jobs that read the same input under the same TLB and
+//! replays every job of the group over it, [`sweep_misses`], where
+//! every job replays one stream the caller recorded, and the
+//! multiprogrammed sweep of `xp mix`.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use tlbsim_core::PrefetcherConfig;
+use tlbsim_core::{PageRun, PageSize, PrefetcherConfig};
 use tlbsim_mem::TimingParams;
+use tlbsim_mmu::TlbConfig;
 use tlbsim_workloads::{Scale, StreamSpec};
 
+use crate::batch::ACCESS_BATCH;
 use crate::config::{SimConfig, SimError};
 use crate::engine::Engine;
 use crate::miss_stream::MissStream;
@@ -211,14 +215,20 @@ pub struct SweepResult {
 }
 
 /// Per-worker reusable simulation state: one engine (which owns its
-/// run buffer) recycled across every job the worker executes.
-struct WorkerScratch {
+/// run buffer) recycled across every job the worker executes, and the
+/// run buffer of the miss streams the worker records. Only this crate's
+/// sweeps use it; other [`execute`] callers ignore it.
+pub struct WorkerScratch {
     engine: Option<Engine>,
+    runs: Vec<PageRun>,
 }
 
 impl WorkerScratch {
     fn new() -> Self {
-        WorkerScratch { engine: None }
+        WorkerScratch {
+            engine: None,
+            runs: Vec::new(),
+        }
     }
 
     /// An engine for `config`: the previous job's, recycled, when its
@@ -245,37 +255,58 @@ impl WorkerScratch {
             .run_workload(&mut job.spec.workload(job.scale))
             .clone())
     }
+
+    /// Records the TLB misses of `job`'s whole stream under its TLB
+    /// geometry and page size.
+    fn record(&mut self, job: &SweepJob) -> Result<MissStream, SimError> {
+        let page_size = job.config.page_size;
+        let mut misses = MissStream::new(job.config.tlb, page_size)?;
+        let mut workload = job.spec.workload(job.scale);
+        self.runs.resize(ACCESS_BATCH, PageRun::default());
+        loop {
+            let (filled, accesses) = workload.fill_runs(page_size, &mut self.runs, u64::MAX);
+            if accesses == 0 {
+                return Ok(misses);
+            }
+            misses.push_runs(&self.runs[..filled]);
+        }
+    }
 }
 
-/// The job executor behind [`sweep`] and [`sweep_misses`]: runs `run` on
-/// every job across all available cores, each worker with its own
-/// [`WorkerScratch`], and returns the results in submission order.
-///
-/// Returns the first error in submission order; remaining jobs still
-/// run.
-fn execute<J, F>(jobs: Vec<J>, run: F) -> Result<Vec<SweepResult>, SimError>
-where
-    J: Send,
-    F: Fn(&mut WorkerScratch, J) -> Result<SweepResult, SimError> + Sync,
-{
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = std::thread::available_parallelism()
+/// Worker threads per executor call (fewer when there are fewer jobs).
+fn parallelism() -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(jobs.len());
+}
 
+/// The job executor behind [`sweep`], [`sweep_misses`] and the
+/// multiprogrammed sweep of `xp mix`: runs `run` on every job across
+/// all available cores, each worker with its own [`WorkerScratch`], and
+/// returns the outputs in submission order.
+///
+/// # Examples
+///
+/// ```
+/// let squares = tlbsim_sim::execute((1..=4u64).collect(), |_, n| n * n);
+/// assert_eq!(squares, [1, 4, 9, 16]);
+/// ```
+pub fn execute<J, T, F>(jobs: Vec<J>, run: F) -> Vec<T>
+where
+    J: Send,
+    T: Send,
+    F: Fn(&mut WorkerScratch, J) -> T + Sync,
+{
     let total = jobs.len();
     let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
-    let slots: Mutex<Vec<Option<Result<SweepResult, SimError>>>> = {
+    let slots: Mutex<Vec<Option<T>>> = {
         let mut v = Vec::new();
         v.resize_with(total, || None);
         Mutex::new(v)
     };
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..parallelism().min(total) {
             let queue = &queue;
             let slots = &slots;
             let run = &run;
@@ -292,27 +323,61 @@ where
         }
     });
 
-    let collected = slots.into_inner().expect("worker threads joined");
-    let mut results = Vec::with_capacity(collected.len());
-    for slot in collected {
-        results.push(slot.expect("every job ran")?);
+    slots
+        .into_inner()
+        .expect("worker threads joined")
+        .into_iter()
+        .map(|slot| slot.expect("every job ran"))
+        .collect()
+}
+
+/// What makes two jobs' TLB misses the same: one input (the same spec
+/// `Arc`) at one scale, under one TLB geometry and page size.
+type StreamKey = (*const (), Scale, TlbConfig, PageSize);
+
+/// The indices of `jobs` grouped by [`StreamKey`], groups in the order
+/// of their first job.
+fn stream_groups(jobs: &[SweepJob]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<StreamKey, usize> = HashMap::new();
+    for (index, job) in jobs.iter().enumerate() {
+        let key = (
+            Arc::as_ptr(&job.spec).cast::<()>(),
+            job.scale,
+            job.config.tlb,
+            job.config.page_size,
+        );
+        let group = *by_key.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(index);
     }
-    Ok(results)
+    groups
 }
 
 /// Executes jobs across all available cores and returns results in the
 /// submission order.
 ///
+/// Jobs that share a spec `Arc`, a scale, a TLB geometry and a page
+/// size see the same TLB misses, since prefetches go to the prefetch
+/// buffer and never to the TLB. Each such group records its input's
+/// [`MissStream`] once, as one executor task, and then replays every
+/// job of the group over it ([`Engine::replay_misses`]) on a recycled
+/// engine. A job alone in its group streams its own input instead, so
+/// a sweep that gives every job its own spec holds no stream. Groups
+/// run in batches of at most one per worker, so no more streams than
+/// workers are alive at once (16 bytes per miss). Each result equals
+/// [`run_app`] for its job.
+///
 /// This is *job-level* parallelism — the right tool when a figure-scale
 /// grid has more jobs than cores. To spread one large run across the
 /// machine instead, see [`run_app_sharded`](crate::run_app_sharded).
-/// When every job reads the same input under the same TLB,
-/// [`sweep_misses`] simulates the input and the TLB once instead of
-/// once per job.
 ///
 /// # Errors
 ///
-/// Returns the first [`SimError`] encountered; remaining jobs still run.
+/// Returns the first [`SimError`] in submission order; remaining jobs
+/// still run.
 ///
 /// # Examples
 ///
@@ -337,14 +402,41 @@ where
 /// # Ok::<(), tlbsim_sim::SimError>(())
 /// ```
 pub fn sweep(jobs: Vec<SweepJob>) -> Result<Vec<SweepResult>, SimError> {
-    execute(jobs, |scratch, job| {
-        let stats = scratch.run(&job)?;
-        Ok(SweepResult {
-            app: job.spec.name().to_owned(),
-            tag: job.tag,
-            stats,
+    let (shared, alone): (Vec<_>, Vec<_>) = stream_groups(&jobs)
+        .into_iter()
+        .partition(|group| group.len() > 1);
+    let mut outcomes = execute(alone.concat(), |scratch, index| {
+        (index, scratch.run(&jobs[index]))
+    });
+    for batch in shared.chunks(parallelism()) {
+        let firsts = batch.iter().map(|group| group[0]).collect();
+        let streams = execute(firsts, |scratch, first| scratch.record(&jobs[first]));
+        let replays: Vec<(usize, &Result<MissStream, SimError>)> = batch
+            .iter()
+            .zip(&streams)
+            .flat_map(|(group, stream)| group.iter().map(move |&index| (index, stream)))
+            .collect();
+        outcomes.extend(execute(replays, |scratch, (index, stream)| {
+            let replayed = stream.as_ref().map_err(Clone::clone).and_then(|stream| {
+                Ok(scratch
+                    .engine(&jobs[index].config)?
+                    .replay_misses(stream)?
+                    .clone())
+            });
+            (index, replayed)
+        }));
+    }
+    outcomes.sort_unstable_by_key(|&(index, _)| index);
+    jobs.into_iter()
+        .zip(outcomes)
+        .map(|(job, (_, stats))| {
+            Ok(SweepResult {
+                stats: stats?,
+                app: job.spec.name().to_owned(),
+                tag: job.tag,
+            })
         })
-    })
+        .collect()
 }
 
 /// Runs every configuration of `jobs` over one shared [`MissStream`] on
@@ -403,6 +495,8 @@ pub fn sweep_misses(
             stats,
         })
     })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -481,6 +575,34 @@ mod tests {
             let reused = scratch.run(&job).unwrap();
             let fresh = run_app(find_app("gap").unwrap(), job.scale, config).unwrap();
             assert_eq!(reused, fresh, "job {i} diverged under engine reuse");
+        }
+    }
+
+    #[test]
+    fn grouped_sweep_returns_the_first_error_in_submission_order() {
+        // A group whose TLB geometry is invalid fails to record its
+        // stream; a valid group can still hold an invalid buffer.
+        let spec: SweepSpec = Arc::new(find_app("gap").unwrap());
+        let job = |config: &SimConfig| SweepJob {
+            tag: String::new(),
+            spec: Arc::clone(&spec),
+            scale: Scale::TINY,
+            config: config.clone(),
+        };
+        let valid = SimConfig::paper_default();
+        let no_buffer = valid.clone().with_prefetch_buffer(0);
+        let bad_tlb = valid.clone().with_tlb(TlbConfig {
+            entries: 100,
+            assoc: tlbsim_core::Associativity::ways_of(8),
+        });
+        for order in [
+            [&valid, &no_buffer, &bad_tlb, &bad_tlb],
+            [&bad_tlb, &valid, &bad_tlb, &no_buffer],
+        ] {
+            let first_bad = order.iter().find(|c| ***c != valid).unwrap();
+            let expected = run_app(find_app("gap").unwrap(), Scale::TINY, first_bad).unwrap_err();
+            let jobs = order.iter().map(|config| job(config)).collect();
+            assert_eq!(sweep(jobs).unwrap_err(), expected);
         }
     }
 

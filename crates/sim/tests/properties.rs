@@ -1,6 +1,7 @@
 //! Property tests for the simulation engines over arbitrary reference
 //! streams.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -11,7 +12,8 @@ use tlbsim_experiments::paper_scheme_grid;
 use tlbsim_mem::TimingParams;
 use tlbsim_mmu::TlbConfig;
 use tlbsim_sim::{
-    sweep, sweep_misses, Engine, MissStream, SimConfig, SimError, SweepJob, SweepSpec, TimingEngine,
+    run_app, sweep, sweep_misses, Engine, MissStream, SimConfig, SimError, SweepJob, SweepSpec,
+    TimingEngine,
 };
 use tlbsim_workloads::{AccessSource, Scale, StreamSpec, Workload};
 
@@ -448,6 +450,122 @@ proptest! {
                 prop_assert_eq!(&swept.stats, expected);
                 prop_assert_eq!(replayed.stats.misses, misses.misses());
             }
+        }
+    }
+}
+
+/// A [`Recorded`] stream that counts the workloads made from it: one
+/// per stream a sweep records or streams.
+struct Counted {
+    name: &'static str,
+    records: Recorded,
+    workloads: AtomicUsize,
+}
+
+impl Counted {
+    fn new(name: &'static str, records: Vec<MemoryAccess>) -> Arc<Self> {
+        Arc::new(Counted {
+            name,
+            records: Recorded(Arc::new(records)),
+            workloads: AtomicUsize::new(0),
+        })
+    }
+}
+
+impl StreamSpec for Counted {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn workload(&self, scale: Scale) -> Workload {
+        self.workloads.fetch_add(1, Ordering::Relaxed);
+        self.records.workload(scale)
+    }
+
+    fn stream_len(&self, scale: Scale) -> u64 {
+        self.records.stream_len(scale)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `sweep` groups its jobs by spec, scale, TLB geometry and page
+    /// size, records one miss stream per group and replays the group's
+    /// jobs over it. One call whose jobs interleave two specs, three
+    /// TLB geometries, two page sizes and random grid schemes, plus a
+    /// job alone in its group, must return, in submission order, for
+    /// every job exactly what `run_app` gives it on every `SimStats`
+    /// field, and make exactly one workload per group.
+    #[test]
+    fn grouped_sweep_matches_run_app_per_job(
+        first in arb_page_runs(),
+        second in arb_page_runs(),
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut coin = Coin(seed);
+        let grid = paper_scheme_grid();
+        let schemes: Vec<PrefetcherConfig> = (0..4)
+            .map(|_| grid[(0..grid.len()).find(|_| coin.flip(8)).unwrap_or(0)].clone())
+            .collect();
+        let page_sizes = [PageSize::DEFAULT, PageSize::new(8192).unwrap()];
+        let alone = Counted::new("alone", first.clone());
+        let specs = [Counted::new("first", first), Counted::new("second", second)];
+
+        let mut jobs = Vec::new();
+        for spec in &specs {
+            for tlb in oracle_tlbs() {
+                for page_size in page_sizes {
+                    for scheme in &schemes {
+                        let mut config = SimConfig::paper_default()
+                            .with_tlb(tlb)
+                            .with_prefetcher(scheme.clone())
+                            .with_prefetch_filtering(!coin.flip(3));
+                        config.page_size = page_size;
+                        let spec: SweepSpec = Arc::clone(spec) as SweepSpec;
+                        jobs.push((spec, config));
+                    }
+                }
+            }
+        }
+        jobs.push((Arc::clone(&alone) as SweepSpec, SimConfig::paper_default()));
+        // Fisher-Yates with the coin, so groups interleave.
+        for i in (1..jobs.len()).rev() {
+            let j = (0..i).find(|_| coin.flip(4)).unwrap_or(i);
+            jobs.swap(i, j);
+        }
+
+        let swept = sweep(
+            jobs.iter()
+                .enumerate()
+                .map(|(i, (spec, config))| SweepJob {
+                    tag: format!("job{i}"),
+                    spec: Arc::clone(spec),
+                    scale: Scale::TINY,
+                    config: config.clone(),
+                })
+                .collect(),
+        )
+        .unwrap();
+        let groups = oracle_tlbs().len() * page_sizes.len();
+        for spec in &specs {
+            prop_assert_eq!(spec.workloads.load(Ordering::Relaxed), groups, "{}", spec.name);
+        }
+        prop_assert_eq!(alone.workloads.load(Ordering::Relaxed), 1);
+
+        prop_assert_eq!(swept.len(), jobs.len());
+        for (i, (result, (spec, config))) in swept.iter().zip(&jobs).enumerate() {
+            prop_assert_eq!(&result.tag, &format!("job{i}"));
+            prop_assert_eq!(result.app.as_str(), spec.name());
+            let expected = run_app(spec.as_ref(), Scale::TINY, config).unwrap();
+            prop_assert_eq!(
+                &result.stats,
+                &expected,
+                "{} on {:?} at {}: grouped sweep diverged",
+                config.prefetcher.label(),
+                config.tlb,
+                config.page_size
+            );
         }
     }
 }

@@ -28,9 +28,7 @@
 //! * [`TextTraceWriter`] / [`TextTraceReader`] — a `pc R|W vaddr`
 //!   line format with comments for hand-written regression inputs;
 //! * [`TraceStreamExt`] — the skip/take window discipline the paper uses
-//!   (fast-forward 2 B instructions, simulate 1 B) and sampling;
-//! * [`TraceStats`] — footprint / stride-histogram / reuse statistics
-//!   used to validate the synthetic application models.
+//!   (fast-forward 2 B instructions, simulate 1 B) and sampling.
 //!
 //! ## Quick start
 //!
@@ -64,7 +62,6 @@ mod error;
 mod fault;
 mod mmap;
 mod policy;
-mod stats;
 mod stream;
 mod text;
 mod v2;
@@ -79,7 +76,6 @@ pub use error::TraceError;
 pub use fault::{wild_vaddr, FaultKind, FaultPlan, FaultyRead, PlannedFault};
 pub use mmap::{MmapTrace, MmapTraceCursor};
 pub use policy::{DecodePolicy, TraceHealth};
-pub use stats::TraceStats;
 pub use stream::{Sampled, TraceStreamExt, TraceWindow};
 pub use text::{TextTraceReader, TextTraceWriter};
 pub use v2::{V2Trace, V2TraceCursor, V2TraceWriter};

@@ -1,14 +1,15 @@
 //! The external-trace pipeline: generate a workload, persist it in the
-//! binary trace format, analyse the file, and simulate from the trace —
-//! exactly how a trace captured by an external tool (Pin, DynamoRIO,
-//! QEMU) would be consumed.
+//! binary trace format, summarize the file as `xp tracestat` does, and
+//! simulate from the trace — exactly how a trace captured by an
+//! external tool (Pin, DynamoRIO, QEMU) would be consumed.
 //!
 //! ```text
 //! cargo run --release --example trace_pipeline [app-name]
 //! ```
 
+use tlb_distance::experiments::tracestat;
 use tlb_distance::prelude::*;
-use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter, TraceStats, TraceStreamExt};
+use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamExt};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "swim".to_owned());
@@ -29,22 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         path.display()
     );
 
-    // 2. Analyse the trace: footprint, stride mix, reuse.
-    let reader = BinaryTraceReader::open(std::fs::File::open(&path)?)?;
-    let stats =
-        TraceStats::from_stream(reader.map(|r| r.expect("valid record")), PageSize::DEFAULT);
-    println!("\ntrace statistics:");
-    println!("  accesses            : {}", stats.accesses);
-    println!("  footprint           : {} pages", stats.footprint_pages);
-    println!("  distinct PCs        : {}", stats.distinct_pcs);
-    println!("  write fraction      : {:.2}", stats.write_fraction);
-    println!("  distinct distances  : {}", stats.distinct_distances());
-    if let Some(d) = stats.dominant_distance() {
-        println!(
-            "  dominant distance   : {d} ({:.1}% of transitions)",
-            100.0 * stats.distance_share(d)
-        );
-    }
+    // 2. Analyse the trace: kind mix, page footprint, bytes per record.
+    let stat = tracestat::stat(&path, DecodePolicy::Strict)?;
+    println!("\n{}", stat.render());
 
     // 3. Simulate straight from the file, skipping a warm-up window.
     let reader = BinaryTraceReader::open(std::fs::File::open(&path)?)?;

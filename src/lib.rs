@@ -14,7 +14,7 @@
 //! | [`core`] | `tlbsim-core` | the prefetching mechanisms (DP + SP/ASP/MP/RP) and prediction tables |
 //! | [`mmu`] | `tlbsim-mmu` | TLB, prefetch buffer, page table |
 //! | [`mem`] | `tlbsim-mem` | prefetch-traffic channel and timing parameters |
-//! | [`trace`] | `tlbsim-trace` | binary/text trace formats and statistics |
+//! | [`trace`] | `tlbsim-trace` | binary/text trace formats, decode policies and fault injection |
 //! | [`workloads`] | `tlbsim-workloads` | the 56-application synthetic suite |
 //! | [`sim`] | `tlbsim-sim` | functional and timing simulation engines |
 //! | [`service`] | `tlbsim-service` | simulation daemon, wire protocol and client |
@@ -51,8 +51,11 @@
 //! footprint union plus a prefetch-buffer boundary-reconciliation
 //! counter. One shard is bit-identical to the sequential path; the
 //! `sharded_run` bench group gates ≥ 2× throughput at 4 shards on
-//! multi-core hosts, and `xp --shards N` drives the figure-scale
-//! accuracy grids through the sharded path.
+//! multi-core hosts, and `xp replay|mix|submit --shards N` drives a
+//! trace, a mix or a served job through the sharded path. The figure
+//! grids stay job-parallel: [`sim::sweep`] records one TLB miss stream
+//! per application, TLB geometry and page size and replays every
+//! scheme's miss path over it.
 //!
 //! ## Trace-driven execution
 //!
