@@ -127,12 +127,22 @@ fn collapse_with_cuts(
 struct Coin(u64);
 
 impl Coin {
-    /// True with probability `1 / one_in`.
-    fn flip(&mut self, one_in: u64) -> bool {
+    /// The next value of the xorshift sequence.
+    fn next(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
         self.0 ^= self.0 >> 7;
         self.0 ^= self.0 << 17;
-        self.0.is_multiple_of(one_in)
+        self.0
+    }
+
+    /// True with probability `1 / one_in`.
+    fn flip(&mut self, one_in: u64) -> bool {
+        self.next().is_multiple_of(one_in)
+    }
+
+    /// A roughly uniform index below `n`.
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
     }
 }
 
@@ -505,9 +515,8 @@ proptest! {
     ) {
         let mut coin = Coin(seed);
         let grid = paper_scheme_grid();
-        let schemes: Vec<PrefetcherConfig> = (0..4)
-            .map(|_| grid[(0..grid.len()).find(|_| coin.flip(8)).unwrap_or(0)].clone())
-            .collect();
+        let schemes: Vec<PrefetcherConfig> =
+            (0..4).map(|_| grid[coin.below(grid.len())].clone()).collect();
         let page_sizes = [PageSize::DEFAULT, PageSize::new(8192).unwrap()];
         let alone = Counted::new("alone", first.clone());
         let specs = [Counted::new("first", first), Counted::new("second", second)];
@@ -531,8 +540,7 @@ proptest! {
         jobs.push((Arc::clone(&alone) as SweepSpec, SimConfig::paper_default()));
         // Fisher-Yates with the coin, so groups interleave.
         for i in (1..jobs.len()).rev() {
-            let j = (0..i).find(|_| coin.flip(4)).unwrap_or(i);
-            jobs.swap(i, j);
+            jobs.swap(i, coin.below(i + 1));
         }
 
         let swept = sweep(
