@@ -4,10 +4,13 @@
 //! Run `xp` without arguments for the synopsis of every subcommand and
 //! flag; `usage()` below is its only copy.
 //!
+//! Each subcommand takes only the flags its line of the synopsis
+//! lists; any other flag exits 1 with the flag's name and the usage
+//! string.
+//!
 //! The tables and figures run job-parallel: `tlbsim_sim::sweep` spreads
 //! each grid's cells over the cores and replays one TLB miss stream per
-//! application, TLB and page size. They take no `--shards`; passing it
-//! to them exits 1 with the usage string.
+//! application, TLB and page size, so they take no `--shards`.
 //!
 //! `--shards <n|auto>` switches `replay`, `mix` and `submit` from
 //! job-level parallelism to intra-run sharding: each run is partitioned
@@ -135,7 +138,7 @@ fn usage() -> &'static str {
      xp replay --trace <path> [--shards <n|auto>] [--quarantine <n|unlimited>] \
      [--stream-window <blocks>] [--csv <dir>]\n       \
      xp mix --streams <a,b,...> [--quantum <n>] [--switch-policy none|flush|asid] \
-     [--asid-contexts <n>] [--table-policy shared|partitioned] \
+     [--flush-on-switch] [--asid-contexts <n>] [--table-policy shared|partitioned] \
      [--scale <s>] [--shards <n|auto>] [--quarantine <n|unlimited>] [--csv <dir>]\n       \
      xp check --trace <path> [--quarantine <n|unlimited>]\n       \
      xp chaos --trace <path> --out <path> [--seed <n>] [--corrupt <k>] \
@@ -154,7 +157,27 @@ fn default_socket() -> PathBuf {
     std::env::temp_dir().join("tlbsim.sock")
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The flags `experiment`'s line of [`usage`] lists, or `None` for an
+/// unknown experiment (which `run_one` rejects by name).
+fn accepted_flags(experiment: &str) -> Option<Vec<&'static str>> {
+    let line = usage().lines().find(|line| {
+        let mut words = line.split_whitespace().skip_while(|word| *word != "xp");
+        words.nth(1).is_some_and(|commands| {
+            commands
+                .trim_matches(|c| c == '<' || c == '>')
+                .split('|')
+                .any(|command| command == experiment)
+        })
+    })?;
+    Some(
+        line.split(|c: char| c.is_whitespace() || "[]()".contains(c))
+            .filter(|word| word.starts_with("--"))
+            .collect(),
+    )
+}
+
+/// Parses the arguments after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut experiment = None;
     let mut scale = Scale::STANDARD;
     let mut shards = None;
@@ -183,8 +206,12 @@ fn parse_args() -> Result<Args, String> {
     let mut block_len = None;
     let mut stream_window = None;
     let mut paths = Vec::new();
-    let mut argv = std::env::args().skip(1);
+    let mut flags = Vec::new();
+    let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
+        if arg.starts_with("--") {
+            flags.push(arg.clone());
+        }
         match arg.as_str() {
             "--app" => {
                 app = Some(argv.next().ok_or("--app needs an application name")?);
@@ -394,8 +421,14 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unexpected argument {other:?}\n{}", usage())),
         }
     }
+    let experiment = experiment.unwrap_or_else(|| "all".to_owned());
+    if let Some(accepted) = accepted_flags(&experiment) {
+        if let Some(flag) = flags.iter().find(|flag| !accepted.contains(&flag.as_str())) {
+            return Err(format!("{experiment} does not take {flag}\n{}", usage()));
+        }
+    }
     Ok(Args {
-        experiment: experiment.unwrap_or_else(|| "all".to_owned()),
+        experiment,
         scale,
         shards,
         csv_dir,
@@ -684,15 +717,9 @@ fn run_shutdown(args: &Args) -> Result<(), String> {
 }
 
 fn run_convert(args: &Args) -> Result<(), String> {
-    use std::io::{BufWriter, Read as _};
+    use std::io::Read as _;
     use tlbsim_core::MemoryAccess;
-    use tlbsim_trace::TraceError;
-
-    enum Sink {
-        Text(TextTraceWriter<BufWriter<std::fs::File>>),
-        V1(BinaryTraceWriter<BufWriter<std::fs::File>>),
-        V2(V2TraceWriter<std::fs::File>),
-    }
+    use tlbsim_trace::{TraceError, TraceWriter};
 
     let input = args
         .trace
@@ -751,18 +778,16 @@ fn run_convert(args: &Args) -> Result<(), String> {
         _ => Box::new(BinaryTraceReader::open(open(input)?).map_err(read_fail)?),
     };
 
-    let mut sink = match target {
+    let mut writer = match target {
         "text" => {
-            let mut writer = TextTraceWriter::create(BufWriter::new(create(out)?));
+            let mut writer = TextTraceWriter::create(create(out)?);
             writer
                 .comment(&format!("converted from {}", input.display()))
                 .map_err(write_fail)?;
-            Sink::Text(writer)
+            TraceWriter::Text(writer)
         }
-        "v1" => {
-            Sink::V1(BinaryTraceWriter::create(BufWriter::new(create(out)?)).map_err(write_fail)?)
-        }
-        "v2" => Sink::V2(
+        "v1" => TraceWriter::V1(BinaryTraceWriter::create(create(out)?).map_err(write_fail)?),
+        "v2" => TraceWriter::V2(
             V2TraceWriter::create_with_block_len(
                 create(out)?,
                 args.block_len.unwrap_or(DEFAULT_BLOCK_LEN),
@@ -773,30 +798,12 @@ fn run_convert(args: &Args) -> Result<(), String> {
     };
 
     for record in source {
-        let record = record.map_err(read_fail)?;
-        match &mut sink {
-            Sink::Text(w) => w.write(&record).map_err(write_fail)?,
-            Sink::V1(w) => w.write(&record).map_err(write_fail)?,
-            Sink::V2(w) => w.write(&record).map_err(write_fail)?,
-        }
+        writer
+            .write(&record.map_err(read_fail)?)
+            .map_err(write_fail)?;
     }
-    let records = match sink {
-        Sink::Text(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-        Sink::V1(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-        Sink::V2(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-    };
+    let records = writer.records_written();
+    writer.finish().map_err(write_fail)?;
     println!(
         "converted {} -> {} ({src_label} -> {target}, {records} records)",
         input.display(),
@@ -857,7 +864,7 @@ fn run_one(name: &str, scale: Scale, csv_dir: &Option<PathBuf>) -> Result<(), St
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("{message}");
@@ -892,14 +899,6 @@ fn main() -> ExitCode {
     } else {
         vec![args.experiment.as_str()]
     };
-    if args.shards.is_some() {
-        eprintln!(
-            "--shards applies to replay, mix and submit, not to {}\n{}",
-            args.experiment,
-            usage()
-        );
-        return ExitCode::FAILURE;
-    }
     eprintln!(
         "running {} at scale {} …",
         experiments.join(", "),
@@ -914,4 +913,47 @@ fn main() -> ExitCode {
         eprintln!("{name} done in {:.1?}", started.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_rejected_by_name() {
+        for (line, flag) in [
+            (
+                "check --trace tests/data/gap-tiny-2k.tlbt --shards 2",
+                "--shards",
+            ),
+            (
+                "tracestat tests/data/gap-tiny-2k.tlbt --shards 2",
+                "--shards",
+            ),
+            ("figure9 --scale tiny --stream-window 4", "--stream-window"),
+        ] {
+            let message = parse(line).err().expect(line);
+            assert!(message.contains(flag), "{line}: {message}");
+            assert!(message.contains(usage()), "{line}: {message}");
+        }
+    }
+
+    #[test]
+    fn flags_a_subcommand_reads_are_accepted() {
+        for line in [
+            "all --scale tiny --csv out",
+            "--scale tiny figure9",
+            "replay --trace t.tlbt --shards 2 --quarantine 10 --stream-window 4",
+            "mix --streams gap,mcf --scale tiny --quantum 500 --flush-on-switch --shards 2",
+            "submit --socket s --app gap --scale tiny --shards auto --scheme c+dp",
+            "tracestat a.tlbt b.tlbt --quarantine unlimited",
+            "unknown --shards 2",
+        ] {
+            assert!(parse(line).is_ok(), "{line}");
+        }
+    }
 }

@@ -19,7 +19,9 @@ use tlbsim_core::MemoryAccess;
 use tlbsim_sim::{
     resolve_shards, run_app_sharded, sweep, sweep_misses, MissStream, SimConfig, SimError, SweepJob,
 };
-use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, V2TraceWriter};
+use tlbsim_trace::{
+    BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, TraceWriter, V2TraceWriter,
+};
 use tlbsim_workloads::{find_app, AppSpec, Scale, TraceWorkload};
 
 use crate::grid::{paper_scheme_grid, scheme_variants, GridCell};
@@ -183,15 +185,11 @@ pub fn record_spec_with_format(
     path: &Path,
     format: RecordFormat,
 ) -> Result<RecordSummary, ReplayError> {
-    enum Sink {
-        V1(BinaryTraceWriter<std::fs::File>),
-        V2(V2TraceWriter<std::fs::File>),
-    }
     let file = std::fs::File::create(path)?;
-    let mut sink = match format {
-        RecordFormat::V1 => Sink::V1(BinaryTraceWriter::create(file)?),
+    let mut writer = match format {
+        RecordFormat::V1 => TraceWriter::V1(BinaryTraceWriter::create(file)?),
         RecordFormat::V2 { block_len } => {
-            Sink::V2(V2TraceWriter::create_with_block_len(file, block_len)?)
+            TraceWriter::V2(V2TraceWriter::create_with_block_len(file, block_len)?)
         }
     };
     let mut workload = spec.workload(scale);
@@ -204,25 +202,12 @@ pub fn record_spec_with_format(
             break;
         }
         for access in &buf[..filled] {
-            match &mut sink {
-                Sink::V1(w) => w.write(access)?,
-                Sink::V2(w) => w.write(access)?,
-            }
+            writer.write(access)?;
         }
         remaining -= filled as u64;
     }
-    let records = match sink {
-        Sink::V1(w) => {
-            let records = w.records_written();
-            w.finish()?;
-            records
-        }
-        Sink::V2(w) => {
-            let records = w.records_written();
-            w.finish()?;
-            records
-        }
-    };
+    let records = writer.records_written();
+    writer.finish()?;
     Ok(RecordSummary {
         app: spec.name,
         scale,

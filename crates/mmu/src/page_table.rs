@@ -2,7 +2,7 @@
 //!
 //! The simulator never sees real physical memory, so the page table
 //! simply hands out physical frames on first touch and remembers the
-//! mapping, while counting the walks that a miss handler would perform.
+//! mapping; the engines count the walks a miss handler would perform.
 //! Recency prefetching conceptually stores its LRU-stack pointers in
 //! these entries (the paper's Figure 5); the pointer state itself lives
 //! inside `tlbsim_core::RecencyPrefetcher`, and this table accounts for
@@ -31,7 +31,6 @@ use tlbsim_core::{BuildPageHasher, PhysPage, VirtPage};
 pub struct PageTable {
     map: HashMap<VirtPage, PhysPage, BuildPageHasher>,
     next_frame: u64,
-    walks: u64,
 }
 
 impl PageTable {
@@ -40,10 +39,8 @@ impl PageTable {
         PageTable::default()
     }
 
-    /// Translates `page`, allocating a fresh frame on first touch, and
-    /// counts one page walk.
+    /// Translates `page`, allocating a fresh frame on first touch.
     pub fn translate(&mut self, page: VirtPage) -> PhysPage {
-        self.walks += 1;
         if let Some(frame) = self.map.get(&page) {
             return *frame;
         }
@@ -53,8 +50,7 @@ impl PageTable {
         frame
     }
 
-    /// Looks up an existing mapping without counting a walk or
-    /// allocating.
+    /// Looks up an existing mapping without allocating.
     pub fn peek(&self, page: VirtPage) -> Option<PhysPage> {
         self.map.get(&page).copied()
     }
@@ -67,11 +63,6 @@ impl PageTable {
     /// Returns `true` if no page has been touched yet.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Page walks performed (TLB miss handler invocations).
-    pub fn walks(&self) -> u64 {
-        self.walks
     }
 
     /// Extra page-table bytes recency prefetching would add: two
@@ -113,7 +104,6 @@ mod tests {
             assert_eq!(pt.translate(VirtPage::new(7)), first);
         }
         assert_eq!(pt.len(), 1);
-        assert_eq!(pt.walks(), 6);
     }
 
     #[test]
@@ -123,7 +113,6 @@ mod tests {
         assert!(pt.is_empty());
         pt.translate(VirtPage::new(3));
         assert!(pt.peek(VirtPage::new(3)).is_some());
-        assert_eq!(pt.walks(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use tlbsim_core::PrefetcherConfig;
 use tlbsim_sim::{
-    panic_message, resolve_shards, run_app_checkpointed, run_app_sharded, run_mix_sharded, Engine,
+    resolve_shards, run_app_checkpointed, run_app_sharded, run_attempts, run_mix_sharded, Engine,
     RunHealth, SimConfig, SimError, SimStats, SwitchPolicy, SHARD_ATTEMPTS,
 };
 use tlbsim_trace::{DecodePolicy, FaultKind, FaultPlan};
@@ -346,10 +346,12 @@ fn map_sim_error(err: SimError) -> JobFailure {
 /// * `shards == 1` — the sequential engine runs checkpointed: every
 ///   `snapshot_every` accesses `emit(seq, accesses_done, stats)` is
 ///   called with cumulative statistics, and `cancel` is polled at the
-///   same boundaries. A panicking attempt (chaos, poisoned input) is
-///   retried up to [`SHARD_ATTEMPTS`] times — snapshot sequence
-///   numbers restart from 1 so the client sees a coherent restarted
-///   stream — before surfacing as [`ErrorCode::Panicked`].
+///   same boundaries. The run gets [`SHARD_ATTEMPTS`] attempts through
+///   the sharded executor's attempt loop ([`run_attempts`]): a
+///   panicking attempt (chaos, poisoned input) is retried — snapshot
+///   sequence numbers restart from 1 so the client sees a coherent
+///   restarted stream — and the last panic surfaces as
+///   [`ErrorCode::Panicked`].
 ///
 /// The returned statistics are bit-identical to the equivalent batch
 /// `run_app` / `run_app_sharded` call — the service differential tests
@@ -384,56 +386,44 @@ pub fn execute(
         return Ok((run.merged, run.health));
     }
 
-    let mut retries = 0u64;
-    loop {
-        let mut seq = 0u64;
-        let mut cancelled = false;
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_app_checkpointed(
-                job.spec.as_ref(),
-                job.scale,
-                &job.config,
-                job.snapshot_every,
-                |accesses_done, stats| {
-                    if cancel.load(Ordering::SeqCst) {
-                        cancelled = true;
-                        return std::ops::ControlFlow::Break(());
-                    }
-                    seq += 1;
-                    emit(seq, accesses_done, stats);
-                    std::ops::ControlFlow::Continue(())
-                },
-            )
-        }));
-        match attempt {
-            Ok(Ok(stats)) => {
-                if cancelled {
-                    return Err((
-                        ErrorCode::Cancelled,
-                        format!("cancelled after snapshot {seq}"),
-                    ));
+    let mut seq = 0u64;
+    let mut cancelled = false;
+    let (attempt, panics) = run_attempts(SHARD_ATTEMPTS, || {
+        seq = 0;
+        run_app_checkpointed(
+            job.spec.as_ref(),
+            job.scale,
+            &job.config,
+            job.snapshot_every,
+            |accesses_done, stats| {
+                if cancel.load(Ordering::SeqCst) {
+                    cancelled = true;
+                    return std::ops::ControlFlow::Break(());
                 }
-                let health = RunHealth {
-                    retries,
-                    degraded_shards: 0,
-                    quarantined_records: job.quarantined_records,
-                };
-                return Ok((stats, health));
-            }
-            Ok(Err(err)) => return Err(map_sim_error(err)),
-            Err(payload) => {
-                retries += 1;
-                if retries >= SHARD_ATTEMPTS as u64 {
-                    return Err((
-                        ErrorCode::Panicked,
-                        format!(
-                            "run panicked {retries} times; giving up: {}",
-                            panic_message(payload)
-                        ),
-                    ));
-                }
-            }
-        }
+                seq += 1;
+                emit(seq, accesses_done, stats);
+                std::ops::ControlFlow::Continue(())
+            },
+        )
+    });
+    match attempt {
+        Ok(Ok(_)) if cancelled => Err((
+            ErrorCode::Cancelled,
+            format!("cancelled after snapshot {seq}"),
+        )),
+        Ok(Ok(stats)) => Ok((
+            stats,
+            RunHealth {
+                retries: panics,
+                degraded_shards: 0,
+                quarantined_records: job.quarantined_records,
+            },
+        )),
+        Ok(Err(err)) => Err(map_sim_error(err)),
+        Err(message) => Err((
+            ErrorCode::Panicked,
+            format!("run panicked {panics} times; giving up: {message}"),
+        )),
     }
 }
 

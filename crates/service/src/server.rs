@@ -216,9 +216,7 @@ impl Server {
             queue_depth: self.config.queue_depth,
         };
         let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            tlbsim_sim::parallelism()
         } else {
             self.config.workers
         };

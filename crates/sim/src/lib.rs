@@ -28,7 +28,7 @@
 //! run the synthetic applications of `tlbsim-workloads` through the
 //! first two.
 //!
-//! ## Two axes of parallelism
+//! ## Two axes of parallelism, one pool
 //!
 //! * **Across jobs** — [`sweep`] distributes a grid of independent jobs
 //!   over the machine, one recycled engine per worker; this is how the
@@ -42,6 +42,12 @@
 //!   workers are *self-healing*: a panicking shard is retried up to
 //!   [`SHARD_ATTEMPTS`] times, then degraded to an in-line sequential
 //!   run; [`RunHealth`] on the result reports what recovery happened.
+//!
+//! Both axes run on one worker pool, [`execute`], sized by
+//! [`parallelism`]: a sweep submits its jobs, a sharded run one index
+//! task per shard. Each shard task, the in-line degrade and the serving
+//! daemon's sequential jobs retry through one attempt loop,
+//! [`run_attempts`].
 //!
 //! ## Multiprogrammed execution
 //!
@@ -121,11 +127,11 @@ pub use hierarchy_engine::{HierarchyEngine, HierarchyStats};
 pub use miss_stream::MissStream;
 pub use multiprog::{run_mix, run_mix_sharded, SwitchPolicy, TablePolicy};
 pub use runner::{
-    compare_schemes, execute, run_app, run_app_checkpointed, run_app_timed, sweep, sweep_misses,
-    SweepJob, SweepResult, SweepSpec, WorkerScratch,
+    compare_schemes, execute, parallelism, run_app, run_app_checkpointed, run_app_timed, sweep,
+    sweep_misses, SweepJob, SweepResult, SweepSpec, WorkerScratch,
 };
 pub use shard::{
-    auto_shard_count, panic_message, resolve_shards, run_app_sharded, RunHealth, ShardOutcome,
+    auto_shard_count, resolve_shards, run_app_sharded, run_attempts, RunHealth, ShardOutcome,
     ShardPlan, ShardRange, ShardedRun, AUTO_SHARD_MIN_SLICE, SHARD_ATTEMPTS,
 };
 pub use stats::{PerStreamStats, SimStats, StreamStats, TimingStats, MAX_STREAMS};

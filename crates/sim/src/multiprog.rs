@@ -18,10 +18,17 @@
 //!   [`SimStats::per_stream`];
 //! * [`run_mix_sharded`] partitions the interleave across worker threads
 //!   and folds per-shard statistics through the exact machinery of
-//!   [`run_app_sharded`](crate::run_app_sharded) ([`SimStats::merge`]
-//!   carries the per-stream breakdown, aggregate and per-stream
-//!   footprints are recomputed as unions, boundary prefetch-buffer
-//!   residency is surfaced).
+//!   [`run_app_sharded`](crate::run_app_sharded) — the same
+//!   [`execute`](crate::execute) pool and attempt loop, and the same
+//!   fold ([`SimStats::merge`] carries the per-stream breakdown,
+//!   aggregate and per-stream footprints are recomputed as unions,
+//!   boundary prefetch-buffer residency is surfaced).
+//!
+//! Both run one slice loop over a list of machines: one machine for
+//! `None`, `FlushOnSwitch` and shared-table ASID switching, one per
+//! stream for partitioned tables. Only the switch action depends on the
+//! policy, and every policy attributes a slice by the counter delta it
+//! left on its machine.
 //!
 //! ## The ASID model
 //!
@@ -62,7 +69,7 @@
 //! [`ShardedRun::boundary_resident_prefetches`].
 
 use serde::{Deserialize, Serialize};
-use tlbsim_core::{Asid, VirtPage};
+use tlbsim_core::Asid;
 use tlbsim_workloads::{MultiStreamSpec, Scale, StreamSpec, Workload};
 
 use crate::config::{SimConfig, SimError};
@@ -282,26 +289,6 @@ fn plan_slice_groups(
     (groups, ranges)
 }
 
-/// Executes a group of slices under `policy` on fresh machine state and
-/// harvests statistics, page sets and buffer residency — the shared
-/// kernel of [`run_mix`] (all slices, one group) and the sharded
-/// executors (one group per worker).
-fn run_slices(
-    mix: &MultiStreamSpec,
-    scale: Scale,
-    config: &SimConfig,
-    policy: SwitchPolicy,
-    slices: &[MixSlice],
-) -> ShardHarvest {
-    match policy {
-        SwitchPolicy::Asid {
-            contexts,
-            tables: TablePolicy::Partitioned,
-        } => run_slices_partitioned(mix, scale, config, contexts, slices),
-        _ => run_slices_one_machine(mix, scale, config, policy, slices),
-    }
-}
-
 /// Positions (lazily creating) the cached workload for `slice`.
 ///
 /// Within a slice group each stream's slices are consecutive chunks of
@@ -326,9 +313,22 @@ fn positioned_workload<'w>(
     }
 }
 
-/// The single-machine executor: [`SwitchPolicy::None`],
-/// [`SwitchPolicy::FlushOnSwitch`], and shared-table ASID switching.
-fn run_slices_one_machine(
+/// Executes a group of slices under `policy` on fresh machine state and
+/// harvests statistics, page sets and buffer residency — the kernel of
+/// [`run_mix`] (all slices, one group) and the sharded executors (one
+/// group per worker).
+///
+/// [`TablePolicy::Partitioned`] gives every stream a private machine;
+/// every other policy runs all streams on one. Machines are built on a
+/// stream's first slice. Only the switch action depends on the policy:
+/// a flush when the running stream changes (`FlushOnSwitch`), a retag
+/// of the shared machine that evicts a recycled context first (shared
+/// ASID), or a flush of a recycled victim's private machine
+/// (partitioned ASID — a private machine carries no foreign state).
+/// Each slice's counter deltas are attributed to its stream, and the
+/// harvest merges the machines in index order, with the footprint and
+/// the per-stream footprints recomputed as unions of their page sets.
+fn run_slices(
     mix: &MultiStreamSpec,
     scale: Scale,
     config: &SimConfig,
@@ -336,25 +336,47 @@ fn run_slices_one_machine(
     slices: &[MixSlice],
 ) -> ShardHarvest {
     let n = mix.streams().len();
-    let mut engine = Engine::new(config).expect("configuration validated by the caller");
+    let partitioned = matches!(
+        policy,
+        SwitchPolicy::Asid {
+            tables: TablePolicy::Partitioned,
+            ..
+        }
+    );
+    let mut machines: Vec<Option<Engine>> =
+        (0..if partitioned { n } else { 1 }).map(|_| None).collect();
     let mut per = PerStreamStats::with_streams(n);
     let mut workloads: Vec<Option<Workload>> = (0..n).map(|_| None).collect();
     let mut live: Vec<usize> = Vec::new();
     let mut running: Option<usize> = None;
     for slice in slices {
-        match policy {
-            SwitchPolicy::None => {}
-            SwitchPolicy::FlushOnSwitch => {
-                if running.is_some_and(|r| r != slice.stream) {
-                    engine.context_switch();
-                }
+        let victim = match policy {
+            SwitchPolicy::Asid { contexts, .. } => activate_asid(&mut live, slice.stream, contexts),
+            _ => None,
+        };
+        if partitioned {
+            if let Some(machine) = victim.and_then(|victim| machines[victim].as_mut()) {
+                machine.context_switch();
             }
-            SwitchPolicy::Asid { contexts, .. } => {
-                if let Some(victim) = activate_asid(&mut live, slice.stream, contexts) {
+        }
+        let engine =
+            machines[if partitioned { slice.stream } else { 0 }].get_or_insert_with(|| {
+                Engine::new(config).expect("configuration validated by the caller")
+            });
+        match policy {
+            SwitchPolicy::FlushOnSwitch if running.is_some_and(|r| r != slice.stream) => {
+                engine.context_switch();
+            }
+            SwitchPolicy::Asid {
+                tables: TablePolicy::Shared,
+                ..
+            } => {
+                if let Some(victim) = victim {
                     engine.evict_asid(Asid::new(victim as u16));
                 }
                 engine.set_asid(Asid::new(slice.stream as u16));
             }
+            _ => {}
         }
         running = Some(slice.stream);
         engine.attribute_to(slice.stream);
@@ -369,95 +391,24 @@ fn run_slices_one_machine(
         );
         per.record(slice.stream, &share);
     }
-    let mut stats = engine.finish().clone();
-    for stream in 0..n {
-        per.set_footprint(stream, engine.stream_footprint(stream));
-    }
-    stats.per_stream = per;
-    ShardHarvest {
-        pages: engine.touched_pages_snapshot(),
-        resident: engine.resident_prefetches(),
-        stream_pages: (0..n).map(|s| engine.stream_pages_snapshot(s)).collect(),
-        stats,
-    }
-}
 
-/// The partitioned-table executor: each stream owns a private engine
-/// (TLB + buffer + table + page table); recycling a live slot flushes
-/// the victim's machine ([`Engine::context_switch`] on it). Aggregates
-/// are folded in stream-index order, with the footprint recomputed as
-/// the union of the private page sets — equal to the shared page table
-/// a single-machine run would have kept.
-fn run_slices_partitioned(
-    mix: &MultiStreamSpec,
-    scale: Scale,
-    config: &SimConfig,
-    contexts: usize,
-    slices: &[MixSlice],
-) -> ShardHarvest {
-    let n = mix.streams().len();
-    let mut engines: Vec<Option<Engine>> = (0..n).map(|_| None).collect();
-    let mut workloads: Vec<Option<Workload>> = (0..n).map(|_| None).collect();
-    let mut live: Vec<usize> = Vec::new();
-    for slice in slices {
-        if let Some(victim) = activate_asid(&mut live, slice.stream, contexts) {
-            if let Some(engine) = engines[victim].as_mut() {
-                // Private machines carry no foreign state, so recycling
-                // the slot is a plain flush of the victim's machine.
-                engine.context_switch();
-            }
-        }
-        let engine = match &mut engines[slice.stream] {
-            Some(e) => e,
-            none => {
-                let mut fresh = Engine::new(config).expect("configuration validated by the caller");
-                // Private engines attribute under a single local index.
-                fresh.attribute_to(0);
-                none.insert(fresh)
-            }
-        };
-        let workload = positioned_workload(mix, scale, &mut workloads, slice);
-        engine.run_workload_limit(workload, slice.len);
+    let mut harvest = ShardHarvest::merge(
+        machines
+            .iter_mut()
+            .flatten()
+            .map(|engine| ShardHarvest {
+                stats: engine.finish().clone(),
+                pages: engine.touched_pages_snapshot(),
+                resident: engine.resident_prefetches(),
+                stream_pages: (0..n).map(|s| engine.stream_pages_snapshot(s)).collect(),
+            })
+            .collect(),
+    );
+    for (stream, pages) in harvest.stream_pages.iter().enumerate() {
+        per.set_footprint(stream, pages.len() as u64);
     }
-
-    let mut stats = SimStats::default();
-    let mut per = PerStreamStats::with_streams(n);
-    let mut pages: Vec<VirtPage> = Vec::new();
-    let mut stream_pages: Vec<Vec<VirtPage>> = Vec::with_capacity(n);
-    let mut resident = 0;
-    for (stream, engine) in engines.iter_mut().enumerate() {
-        let Some(engine) = engine else {
-            stream_pages.push(Vec::new());
-            continue;
-        };
-        let own = engine.finish().clone();
-        per.record(
-            stream,
-            &StreamStats {
-                accesses: own.accesses,
-                misses: own.misses,
-                prefetch_buffer_hits: own.prefetch_buffer_hits,
-                demand_walks: own.demand_walks,
-                prefetches_issued: own.prefetches_issued,
-                footprint_pages: 0,
-            },
-        );
-        per.set_footprint(stream, engine.stream_footprint(0));
-        stats.merge(&own);
-        pages.extend(engine.touched_pages_snapshot());
-        resident += engine.resident_prefetches();
-        stream_pages.push(engine.stream_pages_snapshot(0));
-    }
-    pages.sort_unstable();
-    pages.dedup();
-    stats.footprint_pages = pages.len() as u64;
-    stats.per_stream = per;
-    ShardHarvest {
-        stats,
-        pages,
-        resident,
-        stream_pages,
-    }
+    harvest.stats.per_stream = per;
+    harvest
 }
 
 /// Partitions a multiprogrammed interleave across `shards` worker
@@ -509,39 +460,36 @@ pub fn run_mix_sharded(
     // Validate once, up front, so workers can assume constructibility.
     drop(Engine::new(config)?);
 
-    if let SwitchPolicy::Asid {
-        contexts,
-        tables: TablePolicy::Partitioned,
-    } = policy
-    {
-        if contexts >= mix.streams().len() {
-            return run_mix_sharded_by_stream(mix, scale, config, policy, shards);
+    let (groups, ranges) = match policy {
+        SwitchPolicy::Asid {
+            contexts,
+            tables: TablePolicy::Partitioned,
+        } if contexts >= mix.streams().len() => plan_stream_groups(mix, scale, shards),
+        _ => {
+            let slices = switch_slices(mix, scale);
+            let (groups, ranges) = plan_slice_groups(&slices, shards);
+            let groups = groups.into_iter().map(|g| slices[g].to_vec()).collect();
+            (groups, ranges)
         }
-    }
-
-    let slices = switch_slices(mix, scale);
-    let (groups, ranges) = plan_slice_groups(&slices, shards);
-
+    };
     let (harvests, mut health) = run_shards_recovering(shards, |index| {
-        run_slices(mix, scale, config, policy, &slices[groups[index].clone()])
+        run_slices(mix, scale, config, policy, &groups[index])
     })?;
     health.quarantined_records = mix.quarantined_records();
     Ok(fold_shards(harvests, &ranges, health))
 }
 
-/// Stream-granular sharding for eviction-free partitioned ASID runs:
-/// whole streams are assigned to shards (greedy longest-processing-time
+/// Stream-granular plan for eviction-free partitioned ASID runs: whole
+/// streams are assigned to shards (greedy longest-processing-time
 /// balance on stream length, deterministic tie-breaks), and each shard
 /// runs its streams full-length on private engines. Because no slot is
 /// ever recycled and machines are private, the interleave order is
 /// irrelevant and the fold is bit-identical to the sequential run.
-fn run_mix_sharded_by_stream(
+fn plan_stream_groups(
     mix: &MultiStreamSpec,
     scale: Scale,
-    config: &SimConfig,
-    policy: SwitchPolicy,
     shards: usize,
-) -> Result<ShardedRun, SimError> {
+) -> (Vec<Vec<MixSlice>>, Vec<ShardRange>) {
     let n = mix.streams().len();
     let lens: Vec<u64> = mix.streams().iter().map(|s| s.stream_len(scale)).collect();
     let mut order: Vec<usize> = (0..n).collect();
@@ -581,12 +529,7 @@ fn run_mix_sharded_by_stream(
         });
         position += load;
     }
-
-    let (harvests, mut health) = run_shards_recovering(shards, |index| {
-        run_slices(mix, scale, config, policy, &group_slices[index])
-    })?;
-    health.quarantined_records = mix.quarantined_records();
-    Ok(fold_shards(harvests, &ranges, health))
+    (group_slices, ranges)
 }
 
 #[cfg(test)]

@@ -273,17 +273,21 @@ impl WorkerScratch {
     }
 }
 
-/// Worker threads per executor call (fewer when there are fewer jobs).
-fn parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+/// The machine's available parallelism, or 1 when it cannot be read:
+/// the worker count of [`execute`], the ceiling of
+/// [`auto_shard_count`](crate::auto_shard_count) and the serving
+/// daemon's default worker count.
+pub fn parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The job executor behind [`sweep`], [`sweep_misses`] and the
-/// multiprogrammed sweep of `xp mix`: runs `run` on every job across
-/// all available cores, each worker with its own [`WorkerScratch`], and
-/// returns the outputs in submission order.
+/// The crate's one worker pool, behind [`sweep`], [`sweep_misses`], the
+/// multiprogrammed sweep of `xp mix` and the sharded runners (one index
+/// task per shard): runs `run` on every job across at most
+/// [`parallelism`] threads, each worker with its own [`WorkerScratch`],
+/// and returns the outputs in submission order. A panicking job takes
+/// the call down; the sharded runners catch theirs in each task
+/// ([`run_attempts`](crate::run_attempts)).
 ///
 /// # Examples
 ///

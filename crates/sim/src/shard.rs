@@ -21,9 +21,12 @@
 //!   surfaced as [`ShardedRun::boundary_resident_prefetches`] so the
 //!   sharding approximation is quantified, not silent.
 //!
-//! Because the plan is static and the fold order is the shard order, the
-//! merged result depends only on `(app, scale, config, shards)` — never
-//! on which worker finished first. With `shards = 1` the executor
+//! Shards run as index tasks on the crate's one worker pool
+//! ([`execute`]); each task retries a panicking slice through
+//! [`run_attempts`], and a slice whose attempts all panic is run once
+//! more in-line. Because the plan is static and the fold order is the
+//! shard order, the merged result depends only on `(app, scale, config,
+//! shards)` — never on which worker finished first. With `shards = 1` the executor
 //! degenerates to a plain sequential run and the merged statistics are
 //! bit-identical to [`run_app`](crate::run_app) (both properties are
 //! pinned by tests).
@@ -45,6 +48,7 @@ use tlbsim_workloads::{Scale, StreamSpec};
 
 use crate::config::{SimConfig, SimError};
 use crate::engine::Engine;
+use crate::runner::{execute, parallelism};
 use crate::stats::SimStats;
 
 /// Worker attempts each shard gets on the pool before its slice is
@@ -61,16 +65,14 @@ pub const SHARD_ATTEMPTS: usize = 2;
 pub const AUTO_SHARD_MIN_SLICE: u64 = 8192;
 
 /// Picks a shard count for a stream of `stream_len` accesses: the
-/// machine's available parallelism, clamped so no shard's slice falls
-/// below [`AUTO_SHARD_MIN_SLICE`], and always at least 1.
+/// machine's [`parallelism`], clamped so no shard's slice falls below
+/// [`AUTO_SHARD_MIN_SLICE`], and always at least 1.
 ///
 /// This is what `--shards auto` and the serving layer's default resolve
 /// to — a hardcoded shard count models one machine, while the fleet
 /// this daemon runs on varies from laptops to many-core servers.
 pub fn auto_shard_count(stream_len: u64) -> usize {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cpus = parallelism();
     let by_length = usize::try_from((stream_len / AUTO_SHARD_MIN_SLICE).max(1)).unwrap_or(cpus);
     cpus.min(by_length).max(1)
 }
@@ -130,9 +132,8 @@ impl std::fmt::Display for RunHealth {
     }
 }
 
-/// Extracts a human-readable message from a panic payload, so every
-/// run path (sharded executor, served jobs) reports panics alike.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a human-readable message from a panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -142,78 +143,49 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `count` index-addressed tasks on a scoped worker pool bounded
-/// by the machine's available parallelism, retrying each panicking task
-/// up to [`SHARD_ATTEMPTS`] times, and returns `(slots, retries)` in
-/// index order — `None` in a slot means every worker attempt panicked
-/// and the caller should degrade that index to in-line execution.
+/// Runs `task` until an attempt returns without panicking, at most
+/// `attempts` times: the first clean result, or the last panic's
+/// message, with the number of attempts that panicked.
 ///
-/// This is the execution scaffold shared by the sharded runners
-/// ([`run_app_sharded`], [`run_mix_sharded`](crate::run_mix_sharded)):
-/// workers pull indices from a shared cursor (so absurd task counts
-/// cannot exhaust OS threads), every task's slot is fixed by its index,
-/// and the returned order is the index order — scheduling can never
-/// affect the result. A panic is contained to the attempt that raised
-/// it (`catch_unwind`): the worker thread survives to run other
-/// indices, and determinism is unaffected because a retried task
-/// re-runs the identical slice.
-pub(crate) fn parallel_indexed_recovering<T, F>(count: usize, task: F) -> (Vec<Option<T>>, u64)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(count);
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..count).map(|_| std::sync::Mutex::new(None)).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let retries = std::sync::atomic::AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let slots = &slots;
-            let cursor = &cursor;
-            let retries = &retries;
-            let task = &task;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                for attempt in 1..=SHARD_ATTEMPTS {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| task(index))) {
-                        Ok(result) => {
-                            *slots[index].lock().expect("slot lock") = Some(result);
-                            break;
-                        }
-                        Err(_) if attempt < SHARD_ATTEMPTS => {
-                            retries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Err(_) => {} // attempts exhausted: slot stays None
-                    }
-                }
-            });
+/// A panic is contained to its attempt (`catch_unwind`), and a retried
+/// task re-runs from the top, so a task that rebuilds its state per
+/// attempt gives the result of an undisturbed run. Pooled shard tasks
+/// and the daemon's sequential jobs run it with [`SHARD_ATTEMPTS`], the
+/// in-line degrade tier with one attempt.
+///
+/// ```
+/// let mut calls = 0;
+/// let (outcome, panics) = tlbsim_sim::run_attempts(3, || {
+///     calls += 1;
+///     assert!(calls > 1, "first attempt fails");
+///     calls
+/// });
+/// assert_eq!((outcome, panics), (Ok(2), 1));
+/// ```
+pub fn run_attempts<T>(attempts: usize, mut task: impl FnMut() -> T) -> (Result<T, String>, u64) {
+    let mut panics = 0;
+    let mut message = String::new();
+    for _ in 0..attempts {
+        match std::panic::catch_unwind(AssertUnwindSafe(&mut task)) {
+            Ok(result) => return (Ok(result), panics),
+            Err(payload) => {
+                panics += 1;
+                message = panic_message(payload);
+            }
         }
-    });
-
-    (
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("worker threads joined"))
-            .collect(),
-        retries.into_inner(),
-    )
+    }
+    (Err(message), panics)
 }
 
 /// Drives the self-healing execution protocol for one family of shard
-/// tasks: pool with bounded retries first, then in-line degrade on this
-/// thread for any shard whose workers kept panicking, then a typed
-/// [`SimError::ShardPanicked`] if even the in-line run panics.
+/// tasks: each index is one [`execute`] task that runs [`run_attempts`]
+/// with [`SHARD_ATTEMPTS`]; an index whose attempts all panicked is
+/// degraded to one more attempt in-line on this thread, and a panic
+/// there is a typed [`SimError::ShardPanicked`].
 ///
-/// Returns the per-index results plus the [`RunHealth`] recovery
-/// counters (`quarantined_records` is left 0 for the caller to fill).
+/// Returns the per-index results in index order — scheduling never
+/// affects them — plus the [`RunHealth`] recovery counters
+/// (`quarantined_records` is left 0 for the caller to fill).
 pub(crate) fn run_shards_recovering<T, F>(
     count: usize,
     task: F,
@@ -222,28 +194,31 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let (slots, retries) = parallel_indexed_recovering(count, &task);
-    let mut health = RunHealth {
-        retries,
-        ..RunHealth::default()
-    };
+    let pooled = execute((0..count).collect(), |_, index| {
+        run_attempts(SHARD_ATTEMPTS, || task(index))
+    });
+    let mut health = RunHealth::default();
     let mut results = Vec::with_capacity(count);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(result) => results.push(result),
-            None => {
-                // Every pooled attempt panicked: degrade this slice to
-                // in-line execution rather than poisoning the run.
-                health.degraded_shards += 1;
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(index))).map_err(
-                    |payload| SimError::ShardPanicked {
-                        shard: index,
-                        message: panic_message(payload),
-                    },
-                )?;
-                results.push(result);
+    for (index, (outcome, panics)) in pooled.into_iter().enumerate() {
+        let result = match outcome {
+            Ok(result) => {
+                health.retries += panics;
+                result
             }
-        }
+            Err(_) => {
+                // Every pooled attempt panicked; the last one was not
+                // retried on the pool but degraded to in-line execution.
+                health.retries += panics - 1;
+                health.degraded_shards += 1;
+                run_attempts(1, || task(index))
+                    .0
+                    .map_err(|message| SimError::ShardPanicked {
+                        shard: index,
+                        message,
+                    })?
+            }
+        };
+        results.push(result);
     }
     Ok((results, health))
 }
@@ -396,12 +371,11 @@ pub struct ShardedRun {
 /// visit arithmetic, while a trace shard's cursor positions itself with
 /// one O(1) offset computation into the shared mapping.
 ///
-/// Shards run on a scoped worker pool bounded by the machine's
-/// available parallelism (extra shards queue on a shared cursor), and
-/// results are folded in shard order, so the output is independent of
-/// worker scheduling and arbitrary shard counts cannot exhaust OS
-/// threads. With `shards = 1` the result is bit-identical to
-/// [`run_app`].
+/// Shards run as index tasks on the [`execute`] pool, which holds at
+/// most [`parallelism`] threads (extra shards queue), and results are
+/// folded in shard order, so the output is independent of worker
+/// scheduling and arbitrary shard counts cannot exhaust OS threads.
+/// With `shards = 1` the result is bit-identical to [`run_app`].
 ///
 /// The executor is self-healing: a worker attempt that panics
 /// mid-slice (a poisoned allocator, a chaos-injected fault) is retried
@@ -485,13 +459,56 @@ pub(crate) struct ShardHarvest {
     pub stream_pages: Vec<Vec<VirtPage>>,
 }
 
+impl ShardHarvest {
+    /// Merges harvests in order: counters sum via [`SimStats::merge`],
+    /// residency sums, and the page sets and per-stream page sets union,
+    /// with the aggregate footprint and any per-stream footprints
+    /// recomputed from the unions (a page two harvests both touch counts
+    /// once, so their sum would overcount).
+    ///
+    /// This merges the shards of a sharded run ([`fold_shards`]) and the
+    /// machines of one slice group (`run_slices` in `multiprog.rs`).
+    pub(crate) fn merge(harvests: Vec<ShardHarvest>) -> ShardHarvest {
+        let mut merged = ShardHarvest {
+            stats: SimStats::default(),
+            pages: Vec::new(),
+            resident: 0,
+            stream_pages: Vec::new(),
+        };
+        for harvest in harvests {
+            merged.stats.merge(&harvest.stats);
+            merged.pages.extend(harvest.pages);
+            merged.resident += harvest.resident;
+            if merged.stream_pages.len() < harvest.stream_pages.len() {
+                merged
+                    .stream_pages
+                    .resize(harvest.stream_pages.len(), Vec::new());
+            }
+            for (union, pages) in merged.stream_pages.iter_mut().zip(harvest.stream_pages) {
+                union.extend(pages);
+            }
+        }
+        merged.pages.sort_unstable();
+        merged.pages.dedup();
+        merged.stats.footprint_pages = merged.pages.len() as u64;
+        for (stream, pages) in merged.stream_pages.iter_mut().enumerate() {
+            pages.sort_unstable();
+            pages.dedup();
+            if stream < merged.stats.per_stream.len() {
+                merged
+                    .stats
+                    .per_stream
+                    .set_footprint(stream, pages.len() as u64);
+            }
+        }
+        merged
+    }
+}
+
 /// Folds per-shard harvests — in shard order — into a [`ShardedRun`]:
-/// counters merge via [`SimStats::merge`], the footprint is recomputed
-/// as the exact union of the shard page sets, non-final residency sums
-/// into the boundary-reconciliation counter, and any per-stream page
-/// sets union positionally into the merged per-stream footprints
-/// (overwriting the summed attributions, for the same count-once reason
-/// as the aggregate).
+/// the merged statistics of [`ShardHarvest::merge`], each shard's own
+/// outcome, and the residency of the non-final shards as the
+/// boundary-reconciliation counter.
 ///
 /// Shared by [`run_app_sharded`] and the multiprogrammed
 /// [`run_mix_sharded`](crate::run_mix_sharded), whose shard boundaries
@@ -502,47 +519,21 @@ pub(crate) fn fold_shards(
     ranges: &[ShardRange],
     health: RunHealth,
 ) -> ShardedRun {
-    let mut merged = SimStats::default();
-    let mut union: Vec<VirtPage> = Vec::new();
-    let streams = harvests
+    let shards: Vec<ShardOutcome> = harvests
         .iter()
-        .map(|h| h.stream_pages.len())
-        .max()
-        .unwrap_or(0);
-    let mut stream_unions: Vec<Vec<VirtPage>> = vec![Vec::new(); streams];
-    let mut outcomes = Vec::with_capacity(harvests.len());
-    let mut boundary_resident = 0;
-    let last = harvests.len().saturating_sub(1);
-    for (index, (harvest, range)) in harvests.into_iter().zip(ranges).enumerate() {
-        merged.merge(&harvest.stats);
-        union.extend(harvest.pages);
-        for (stream, pages) in harvest.stream_pages.into_iter().enumerate() {
-            stream_unions[stream].extend(pages);
-        }
-        if index != last {
-            boundary_resident += harvest.resident;
-        }
-        outcomes.push(ShardOutcome {
+        .zip(ranges)
+        .map(|(harvest, range)| ShardOutcome {
             range: *range,
-            stats: harvest.stats,
+            stats: harvest.stats.clone(),
             resident_prefetches: harvest.resident,
-        });
-    }
-    union.sort_unstable();
-    union.dedup();
-    merged.footprint_pages = union.len() as u64;
-    for (stream, mut pages) in stream_unions.into_iter().enumerate() {
-        pages.sort_unstable();
-        pages.dedup();
-        if stream < merged.per_stream.len() {
-            merged.per_stream.set_footprint(stream, pages.len() as u64);
-        }
-    }
-
+        })
+        .collect();
+    let last = shards.last().map_or(0, |shard| shard.resident_prefetches);
+    let merged = ShardHarvest::merge(harvests);
     ShardedRun {
-        merged,
-        shards: outcomes,
-        boundary_resident_prefetches: boundary_resident,
+        merged: merged.stats,
+        shards,
+        boundary_resident_prefetches: merged.resident - last,
         health,
     }
 }

@@ -27,6 +27,8 @@
 //!   errors, worker panics) for chaos testing the whole stack;
 //! * [`TextTraceWriter`] / [`TextTraceReader`] — a `pc R|W vaddr`
 //!   line format with comments for hand-written regression inputs;
+//! * [`TraceWriter`] — one writer over the three formats, picked at run
+//!   time;
 //! * [`TraceStreamExt`] — the skip/take window discipline the paper uses
 //!   (fast-forward 2 B instructions, simulate 1 B) and sampling.
 //!
@@ -65,6 +67,7 @@ mod policy;
 mod stream;
 mod text;
 mod v2;
+mod writer;
 
 pub use binary::{
     BinaryTraceReader, BinaryTraceWriter, HEADER_BYTES, MAGIC, RECORD_BYTES, VERSION,
@@ -79,3 +82,4 @@ pub use policy::{DecodePolicy, TraceHealth};
 pub use stream::{Sampled, TraceStreamExt, TraceWindow};
 pub use text::{TextTraceReader, TextTraceWriter};
 pub use v2::{V2Trace, V2TraceCursor, V2TraceWriter};
+pub use writer::TraceWriter;
