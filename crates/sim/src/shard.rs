@@ -451,7 +451,7 @@ pub fn run_app_sharded<S: StreamSpec + ?Sized>(
 /// pages it touched, its end-of-slice prefetch-buffer residency, and —
 /// for multiprogrammed runs — the per-stream demand page sets backing
 /// footprint attribution (empty for single-stream runs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ShardHarvest {
     pub stats: SimStats,
     pub pages: Vec<VirtPage>,
@@ -469,12 +469,8 @@ impl ShardHarvest {
     /// This merges the shards of a sharded run ([`fold_shards`]) and the
     /// machines of one slice group (`run_slices` in `multiprog.rs`).
     pub(crate) fn merge(harvests: Vec<ShardHarvest>) -> ShardHarvest {
-        let mut merged = ShardHarvest {
-            stats: SimStats::default(),
-            pages: Vec::new(),
-            resident: 0,
-            stream_pages: Vec::new(),
-        };
+        let mut harvests = harvests.into_iter();
+        let mut merged = harvests.next().unwrap_or_default();
         for harvest in harvests {
             merged.stats.merge(&harvest.stats);
             merged.pages.extend(harvest.pages);
