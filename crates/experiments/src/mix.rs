@@ -205,7 +205,7 @@ pub fn mix_with_policy(
     Ok(MixReport {
         name: StreamSpec::name(&spec).to_owned(),
         streams: spec.stream_names().iter().map(|s| s.to_string()).collect(),
-        stream_lens: spec.streams().iter().map(|s| s.stream_len(scale)).collect(),
+        stream_lens: spec.stream_lens(scale),
         quantum,
         switch_policy,
         shards: shards.max(1),

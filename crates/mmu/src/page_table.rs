@@ -72,15 +72,17 @@ impl PageTable {
         self.map.len() as u64 * 16
     }
 
-    /// Allocating snapshot of every mapped page, sorted by page number.
-    ///
-    /// Off the hot path: the sharded runner calls this once per shard at
-    /// the end of a run to compute the exact footprint union across
-    /// shards (pages touched by several shards must count once).
-    pub fn pages_snapshot(&self) -> Vec<VirtPage> {
-        let mut pages: Vec<VirtPage> = self.map.keys().copied().collect();
-        pages.sort_unstable();
-        pages
+    /// Maps every page `other` maps, so [`len`](PageTable::len) becomes
+    /// the size of the union: the sharded runner's footprint across
+    /// shards (pages touched by several shards count once). The larger
+    /// table absorbs the smaller; frame numbers are not preserved.
+    pub fn absorb(&mut self, mut other: PageTable) {
+        if other.len() > self.len() {
+            std::mem::swap(self, &mut other);
+        }
+        for page in other.map.into_keys() {
+            self.translate(page);
+        }
     }
 }
 
@@ -122,5 +124,25 @@ mod tests {
             pt.translate(VirtPage::new(p));
         }
         assert_eq!(pt.rp_overhead_bytes(), 1600);
+    }
+
+    #[test]
+    fn absorb_maps_the_union_whichever_side_is_larger() {
+        let table = |pages: std::ops::Range<u64>| {
+            let mut pt = PageTable::new();
+            for p in pages {
+                pt.translate(VirtPage::new(p));
+            }
+            pt
+        };
+        for (a, b) in [(0..10, 5..40), (5..40, 0..10), (0..3, 10..13), (0..0, 0..4)] {
+            let mut union = table(a.clone());
+            union.absorb(table(b.clone()));
+            let expected = a.chain(b).collect::<std::collections::BTreeSet<_>>();
+            assert_eq!(union.len(), expected.len());
+            for p in expected {
+                assert!(union.peek(VirtPage::new(p)).is_some(), "page {p} lost");
+            }
+        }
     }
 }

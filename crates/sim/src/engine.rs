@@ -30,13 +30,16 @@
 use std::collections::HashSet;
 
 use tlbsim_core::{Asid, BuildPageHasher, MemoryAccess, PageRun, Pc, VirtPage};
-use tlbsim_mmu::Tlb;
+use tlbsim_mmu::{PageTable, Tlb};
 use tlbsim_workloads::Workload;
 
 use crate::batch::{drive_stream, PrefetchCore, ACCESS_BATCH};
 use crate::config::{SimConfig, SimError};
 use crate::miss_stream::MissStream;
 use crate::stats::SimStats;
+
+/// A set of distinct pages (one stream's attributed demand footprint).
+pub(crate) type PageSet = HashSet<VirtPage, BuildPageHasher>;
 
 /// A functional TLB-prefetching simulator.
 ///
@@ -68,7 +71,7 @@ pub struct Engine {
     /// only by [`attribute_to`](Engine::attribute_to), never on the
     /// miss path; re-inserting an already-recorded page (the steady
     /// state) does not allocate.
-    stream_pages: Vec<HashSet<VirtPage, BuildPageHasher>>,
+    stream_pages: Vec<PageSet>,
     /// The recorded TLB's resident page ids during
     /// [`replay_misses`](Engine::replay_misses), one bit each; sized on
     /// first use.
@@ -358,19 +361,6 @@ impl Engine {
         self.stream_pages.get(stream).map_or(0, |s| s.len() as u64)
     }
 
-    /// Allocating snapshot of the pages attributed to `stream`, sorted —
-    /// the sharded mix runner unions these across shards for exact
-    /// per-stream footprints. Off the hot path.
-    pub fn stream_pages_snapshot(&self, stream: usize) -> Vec<VirtPage> {
-        let mut pages: Vec<VirtPage> = self
-            .stream_pages
-            .get(stream)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        pages.sort_unstable();
-        pages
-    }
-
     /// Refreshes derived counters and returns the statistics — called by
     /// the `run*` entry points and by external batch drivers (the sweep
     /// runner) once a stream is exhausted.
@@ -396,13 +386,14 @@ impl Engine {
         self.core.buffer.len() as u64
     }
 
-    /// Allocating snapshot of every page the run touched (demand or
-    /// prefetch), sorted by page number — the set whose size
-    /// [`SimStats::footprint_pages`] reports. Off the hot path; the
-    /// sharded runner unions these across shards for the exact merged
-    /// footprint.
-    pub fn touched_pages_snapshot(&self) -> Vec<tlbsim_core::VirtPage> {
-        self.core.page_table.pages_snapshot()
+    /// Consumes the engine into its finished statistics and its page
+    /// sets, moved rather than copied: the page table (every page the
+    /// run touched, demand or prefetch — the set whose size
+    /// [`SimStats::footprint_pages`] reports) and the per-stream
+    /// attribution sets. The sharded runners union these across shards.
+    pub(crate) fn into_page_sets(mut self) -> (SimStats, PageTable, Vec<PageSet>) {
+        self.finish();
+        (self.stats, self.core.page_table, self.stream_pages)
     }
 
     /// The configuration this engine was built from.
@@ -612,12 +603,20 @@ mod tests {
     }
 
     #[test]
-    fn touched_pages_snapshot_is_sorted_and_sized_like_the_footprint() {
+    fn footprint_counts_each_touched_page_once() {
+        // Demand only: a revisited page is one footprint page.
+        let mut e = Engine::new(&SimConfig::baseline()).unwrap();
+        e.run(seq_stream(500, 2).chain(seq_stream(200, 3)));
+        assert_eq!(e.stats().footprint_pages, 500);
+        // Prefetched pages join the footprint, once each.
         let mut e = Engine::new(&SimConfig::paper_default()).unwrap();
+        e.run(seq_stream(500, 2).chain(seq_stream(500, 2)));
+        let once = e.stats().footprint_pages;
+        assert!(once >= 500, "{once}");
         e.run(seq_stream(500, 2));
-        let pages = e.touched_pages_snapshot();
-        assert_eq!(pages.len() as u64, e.stats().footprint_pages);
-        assert!(pages.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(e.stats().footprint_pages, once);
+        let (stats, pages, _) = e.into_page_sets();
+        assert_eq!(pages.len() as u64, stats.footprint_pages);
     }
 
     #[test]
@@ -716,9 +715,14 @@ mod tests {
         assert_eq!(e.stream_footprint(0), 50);
         assert_eq!(e.stream_footprint(1), 30);
         assert_eq!(e.stream_footprint(7), 0, "unknown streams report zero");
-        let pages = e.stream_pages_snapshot(1);
-        assert_eq!(pages.len(), 30);
-        assert!(pages.windows(2).all(|w| w[0] < w[1]));
+        // A stream's demand misses on pages it already recorded (after a
+        // flush) do not grow its footprint.
+        e.context_switch();
+        for page in 510..540u64 {
+            e.access(&MemoryAccess::read(0, page * 4096));
+        }
+        assert_eq!(e.stream_footprint(1), 40);
+        assert_eq!(e.stream_footprint(0), 50);
     }
 
     #[test]

@@ -394,14 +394,9 @@ fn run_slices(
 
     let mut harvest = ShardHarvest::merge(
         machines
-            .iter_mut()
+            .into_iter()
             .flatten()
-            .map(|engine| ShardHarvest {
-                stats: engine.finish().clone(),
-                pages: engine.touched_pages_snapshot(),
-                resident: engine.resident_prefetches(),
-                stream_pages: (0..n).map(|s| engine.stream_pages_snapshot(s)).collect(),
-            })
+            .map(ShardHarvest::of)
             .collect(),
     );
     for (stream, pages) in harvest.stream_pages.iter().enumerate() {
@@ -491,7 +486,7 @@ fn plan_stream_groups(
     shards: usize,
 ) -> (Vec<Vec<MixSlice>>, Vec<ShardRange>) {
     let n = mix.streams().len();
-    let lens: Vec<u64> = mix.streams().iter().map(|s| s.stream_len(scale)).collect();
+    let lens = mix.stream_lens(scale);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(lens[i]), i));
     let mut owned: Vec<Vec<usize>> = vec![Vec::new(); shards];

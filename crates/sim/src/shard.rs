@@ -43,11 +43,11 @@
 
 use std::panic::AssertUnwindSafe;
 
-use tlbsim_core::VirtPage;
+use tlbsim_mmu::PageTable;
 use tlbsim_workloads::{Scale, StreamSpec};
 
 use crate::config::{SimConfig, SimError};
-use crate::engine::Engine;
+use crate::engine::{Engine, PageSet};
 use crate::runner::{execute, parallelism};
 use crate::stats::SimStats;
 
@@ -435,12 +435,7 @@ pub fn run_app_sharded<S: StreamSpec + ?Sized>(
         let skipped = workload.skip_accesses(range.start);
         debug_assert_eq!(skipped, range.start, "stream shorter than planned");
         engine.run_workload_limit(&mut workload, range.len);
-        ShardHarvest {
-            stats: engine.stats().clone(),
-            pages: engine.touched_pages_snapshot(),
-            resident: engine.resident_prefetches(),
-            stream_pages: Vec::new(),
-        }
+        ShardHarvest::of(engine)
     };
     let (harvests, mut health) = run_shards_recovering(shards, shard_task)?;
     health.quarantined_records = app.quarantined_records();
@@ -450,21 +445,36 @@ pub fn run_app_sharded<S: StreamSpec + ?Sized>(
 /// What one shard worker hands back for merging: its counters, the
 /// pages it touched, its end-of-slice prefetch-buffer residency, and —
 /// for multiprogrammed runs — the per-stream demand page sets backing
-/// footprint attribution (empty for single-stream runs).
-#[derive(Debug, Clone, Default)]
+/// footprint attribution (empty for single-stream runs). The page sets
+/// are moved out of the engine, never copied or sorted.
+#[derive(Debug, Default)]
 pub(crate) struct ShardHarvest {
     pub stats: SimStats,
-    pub pages: Vec<VirtPage>,
+    pub pages: PageTable,
     pub resident: u64,
-    pub stream_pages: Vec<Vec<VirtPage>>,
+    pub stream_pages: Vec<PageSet>,
 }
 
 impl ShardHarvest {
+    /// Harvests a finished engine: its statistics and page sets move
+    /// out, and its prefetch-buffer residency is read.
+    pub(crate) fn of(engine: Engine) -> ShardHarvest {
+        let resident = engine.resident_prefetches();
+        let (stats, pages, stream_pages) = engine.into_page_sets();
+        ShardHarvest {
+            stats,
+            pages,
+            resident,
+            stream_pages,
+        }
+    }
+
     /// Merges harvests in order: counters sum via [`SimStats::merge`],
     /// residency sums, and the page sets and per-stream page sets union,
-    /// with the aggregate footprint and any per-stream footprints
-    /// recomputed from the unions (a page two harvests both touch counts
-    /// once, so their sum would overcount).
+    /// each smaller set inserted into the larger. The aggregate footprint
+    /// and any per-stream footprints are the union sizes (a page two
+    /// harvests both touch counts once, so their sum would overcount); a
+    /// stream no harvest attributed a page to has footprint 0.
     ///
     /// This merges the shards of a sharded run ([`fold_shards`]) and the
     /// machines of one slice group (`run_slices` in `multiprog.rs`).
@@ -473,29 +483,23 @@ impl ShardHarvest {
         let mut merged = harvests.next().unwrap_or_default();
         for harvest in harvests {
             merged.stats.merge(&harvest.stats);
-            merged.pages.extend(harvest.pages);
+            merged.pages.absorb(harvest.pages);
             merged.resident += harvest.resident;
-            if merged.stream_pages.len() < harvest.stream_pages.len() {
-                merged
-                    .stream_pages
-                    .resize(harvest.stream_pages.len(), Vec::new());
-            }
-            for (union, pages) in merged.stream_pages.iter_mut().zip(harvest.stream_pages) {
+            for (stream, mut pages) in harvest.stream_pages.into_iter().enumerate() {
+                let Some(union) = merged.stream_pages.get_mut(stream) else {
+                    merged.stream_pages.push(pages);
+                    continue;
+                };
+                if pages.len() > union.len() {
+                    std::mem::swap(union, &mut pages);
+                }
                 union.extend(pages);
             }
         }
-        merged.pages.sort_unstable();
-        merged.pages.dedup();
         merged.stats.footprint_pages = merged.pages.len() as u64;
-        for (stream, pages) in merged.stream_pages.iter_mut().enumerate() {
-            pages.sort_unstable();
-            pages.dedup();
-            if stream < merged.stats.per_stream.len() {
-                merged
-                    .stats
-                    .per_stream
-                    .set_footprint(stream, pages.len() as u64);
-            }
+        for stream in 0..merged.stats.per_stream.len() {
+            let pages = merged.stream_pages.get(stream).map_or(0, PageSet::len);
+            merged.stats.per_stream.set_footprint(stream, pages as u64);
         }
         merged
     }
@@ -538,8 +542,100 @@ pub(crate) fn fold_shards(
 mod tests {
     use super::*;
     use crate::runner::run_app;
-    use tlbsim_core::PrefetcherConfig;
+    use crate::stats::PerStreamStats;
+    use tlbsim_core::{PrefetcherConfig, VirtPage};
     use tlbsim_workloads::find_app;
+
+    /// The fold the set union replaced: copy every page set into a
+    /// vector, concatenate, sort and dedup.
+    fn sorted_union_len<'a>(sets: impl Iterator<Item = &'a Vec<VirtPage>>) -> u64 {
+        let mut all: Vec<VirtPage> = sets.flatten().copied().collect();
+        all.sort_unstable();
+        all.dedup();
+        all.len() as u64
+    }
+
+    #[test]
+    fn merged_footprints_equal_the_sorted_concatenation() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const STREAMS: usize = 5;
+        let mut rng = SmallRng::seed_from_u64(26);
+        let pages_of = |rng: &mut SmallRng, most: u64, range: u64| -> Vec<VirtPage> {
+            let len = if rng.gen_range(0..4) == 0 {
+                0
+            } else {
+                rng.gen_range(1..most)
+            };
+            (0..len)
+                .map(|_| VirtPage::new(rng.gen_range(0..range)))
+                .collect()
+        };
+        for _ in 0..200 {
+            let count = rng.gen_range(1..5) as usize;
+            // Per harvest: its touched pages, and page lists for a prefix
+            // of the mix's streams (an engine's sets stop at the highest
+            // stream it ran), so some streams are missing from some
+            // harvests.
+            let lists: Vec<(Vec<VirtPage>, Vec<Vec<VirtPage>>)> = (0..count)
+                .map(|_| {
+                    let attributed = rng.gen_range(0..STREAMS as u64 + 1) as usize;
+                    let streams = (0..attributed)
+                        .map(|_| pages_of(&mut rng, 120, 150))
+                        .collect();
+                    (pages_of(&mut rng, 400, 600), streams)
+                })
+                .collect();
+            let harvests = lists
+                .iter()
+                .enumerate()
+                .map(|(index, (pages, streams))| {
+                    let mut table = PageTable::new();
+                    for &page in pages {
+                        table.translate(page);
+                    }
+                    let stream_pages: Vec<PageSet> = streams
+                        .iter()
+                        .map(|s| s.iter().copied().collect())
+                        .collect();
+                    let mut stats = SimStats {
+                        accesses: 1000 + index as u64,
+                        footprint_pages: table.len() as u64,
+                        per_stream: PerStreamStats::with_streams(STREAMS),
+                        ..SimStats::default()
+                    };
+                    for (stream, set) in stream_pages.iter().enumerate() {
+                        stats.per_stream.set_footprint(stream, set.len() as u64);
+                    }
+                    ShardHarvest {
+                        stats,
+                        pages: table,
+                        resident: index as u64 + 1,
+                        stream_pages,
+                    }
+                })
+                .collect();
+            let merged = ShardHarvest::merge(harvests);
+
+            let n = count as u64;
+            assert_eq!(merged.stats.accesses, 1000 * n + n * (n - 1) / 2);
+            assert_eq!(merged.resident, n * (n + 1) / 2);
+            assert_eq!(
+                merged.stats.footprint_pages,
+                sorted_union_len(lists.iter().map(|(pages, _)| pages))
+            );
+            assert_eq!(merged.pages.len() as u64, merged.stats.footprint_pages);
+            assert_eq!(merged.stats.per_stream.len(), STREAMS);
+            for stream in 0..STREAMS {
+                let expected = sorted_union_len(lists.iter().filter_map(|(_, s)| s.get(stream)));
+                assert_eq!(
+                    merged.stats.per_stream.streams()[stream].footprint_pages,
+                    expected,
+                    "stream {stream} of {count} harvests"
+                );
+            }
+        }
+    }
 
     #[test]
     fn plan_covers_the_stream_exactly_and_contiguously() {

@@ -25,7 +25,7 @@
 //! middle of one) costs time proportional to the number of *segments*,
 //! not accesses.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::gen::{AccessSource, Workload};
 use crate::scale::Scale;
@@ -179,6 +179,9 @@ pub struct MultiStreamSpec {
     name: String,
     streams: Vec<Arc<dyn StreamSpec>>,
     schedule: Schedule,
+    /// The component stream lengths at each scale asked for so far: a
+    /// pure function of the spec and the scale, computed once each.
+    lens: Mutex<Vec<(Scale, Vec<u64>)>>,
 }
 
 impl MultiStreamSpec {
@@ -245,6 +248,7 @@ impl MultiStreamSpec {
             name,
             streams,
             schedule,
+            lens: Mutex::default(),
         })
     }
 
@@ -266,11 +270,27 @@ impl MultiStreamSpec {
     /// The deterministic segment sequence of the interleave at `scale` —
     /// the schedule's decisions materialised as arithmetic, without
     /// expanding a single access.
+    ///
+    /// The component lengths the plan starts from are computed on the
+    /// first call at a given scale and kept with the spec, so repeated
+    /// runs of one mix (and [`stream_len`](StreamSpec::stream_len)) do
+    /// not walk every model's visit plan again.
     pub fn segments(&self, scale: Scale) -> Segments {
-        Segments::new(
-            self.streams.iter().map(|s| s.stream_len(scale)).collect(),
-            self.schedule.clone(),
-        )
+        Segments::new(self.stream_lens(scale), self.schedule.clone())
+    }
+
+    /// Each component's [`stream_len`](StreamSpec::stream_len) at
+    /// `scale`, in rotation order, computed once per scale.
+    pub fn stream_lens(&self, scale: Scale) -> Vec<u64> {
+        // The memo is only ever pushed whole, so a poisoned lock still
+        // guards consistent entries.
+        let mut memo = self.lens.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, lens)) = memo.iter().find(|(known, _)| *known == scale) {
+            return lens.clone();
+        }
+        let lens: Vec<u64> = self.streams.iter().map(|s| s.stream_len(scale)).collect();
+        memo.push((scale, lens.clone()));
+        lens
     }
 }
 
@@ -300,7 +320,7 @@ impl StreamSpec for MultiStreamSpec {
     }
 
     fn stream_len(&self, scale: Scale) -> u64 {
-        self.streams.iter().map(|s| s.stream_len(scale)).sum()
+        self.stream_lens(scale).iter().sum()
     }
 
     fn quarantined_records(&self) -> u64 {
@@ -686,6 +706,35 @@ mod tests {
             }
             assert_eq!(streamed, full, "batch {batch}");
         }
+    }
+
+    #[test]
+    fn remembered_lengths_never_cross_scales() {
+        let names = ["gap", "mcf", "eon"];
+        let schedule = Schedule::Random {
+            seed: 9,
+            min_quantum: 100,
+            max_quantum: 900,
+        };
+        let reused = mix_of(&names, schedule.clone());
+        for scale in [Scale::TINY, Scale::SMALL, Scale::TINY] {
+            let fresh = mix_of(&names, schedule.clone());
+            let lens: Vec<u64> = fresh
+                .streams()
+                .iter()
+                .map(|s| s.stream_len(scale))
+                .collect();
+            assert_eq!(reused.stream_lens(scale), lens);
+            let segments: Vec<Segment> = reused.segments(scale).collect();
+            assert_eq!(segments, fresh.segments(scale).collect::<Vec<_>>());
+            assert_eq!(reused.stream_len(scale), fresh.stream_len(scale));
+            let covered: u64 = segments.iter().map(|s| s.len).sum();
+            assert_eq!(covered, reused.stream_len(scale), "{scale:?}");
+        }
+        assert_ne!(
+            reused.stream_len(Scale::TINY),
+            reused.stream_len(Scale::SMALL)
+        );
     }
 
     #[test]
