@@ -942,6 +942,107 @@ mod tests {
         }
     }
 
+    /// `xp convert`'s row of the trace error matrix (the library entry
+    /// points are in `tests/trace_errors.rs`): the exact error line, or
+    /// the size of what a successful conversion to text wrote.
+    #[test]
+    fn convert_reports_the_pinned_error_for_every_bad_input() {
+        use tlbsim_core::MemoryAccess;
+        use tlbsim_trace::{FOOTER_BYTES, HEADER_BYTES, INDEX_ENTRY_BYTES, RESTART_BYTES};
+
+        let records: Vec<MemoryAccess> = (0..40u64)
+            .map(|i| MemoryAccess::read(0x400 + i, i * 4096))
+            .collect();
+        let mut v1 = BinaryTraceWriter::create(Vec::new()).expect("header");
+        let mut v2 = V2TraceWriter::create_with_block_len(Vec::new(), 8).expect("header");
+        for r in &records {
+            v1.write(r).expect("in-memory write");
+            v2.write(r).expect("in-memory write");
+        }
+        let (v1, v2) = (v1.finish().expect("finish"), v2.finish().expect("finish"));
+        let index = v2.len() - FOOTER_BYTES - 5 * INDEX_ENTRY_BYTES;
+        let header = |version: u16| [b"TLBT".as_slice(), &version.to_le_bytes(), &[0, 0]].concat();
+        let mut bad_magic = v1.clone();
+        bad_magic[0] = b'X';
+        let torn_tail = v1[..v1.len() - 5].to_vec();
+        let mut bad_kind = v1.clone();
+        for record in [3, 20] {
+            bad_kind[HEADER_BYTES + record * 17 + 16] = 0xEE;
+        }
+        let no_footer = v2[..v2.len() - FOOTER_BYTES].to_vec();
+        let mut torn_index = v2.clone();
+        torn_index[index + INDEX_ENTRY_BYTES + 8] = 9;
+        let mut corrupt_block = v2.clone();
+        let entry = |i: usize| {
+            let at = index + i * INDEX_ENTRY_BYTES;
+            u64::from_le_bytes(v2[at..at + 8].try_into().expect("8 bytes")) as usize
+        };
+        corrupt_block[entry(1) + RESTART_BYTES + 1..entry(2)].fill(0x80);
+        let inputs: [(&str, Vec<u8>); 13] = [
+            ("empty", Vec::new()),
+            ("three bytes", b"TLB".to_vec()),
+            ("bad magic", bad_magic),
+            ("version 0", header(0)),
+            ("version 3", header(3)),
+            ("version 0xFFFF", header(0xFFFF)),
+            ("v1 torn tail", torn_tail),
+            ("v1 bad kind", bad_kind),
+            ("v2 no footer", no_footer),
+            ("v2 torn index", torn_index),
+            ("v2 corrupt block", corrupt_block),
+            ("clean v1", v1),
+            ("clean v2", v2),
+        ];
+
+        let dir = std::env::temp_dir();
+        let (input, out) = (
+            dir.join(format!("xp-convert-{}.tlbt", std::process::id())),
+            dir.join(format!("xp-convert-{}.txt", std::process::id())),
+        );
+        let mut actual = String::new();
+        for (label, bytes) in inputs {
+            std::fs::write(&input, bytes).expect("temp file");
+            std::fs::remove_file(&out).ok();
+            let line = format!(
+                "convert --trace {} --out {}",
+                input.display(),
+                out.display()
+            );
+            let outcome = match run_convert(&parse(&line).expect("parses")) {
+                // The text output names its input; count that as `<in>`.
+                Ok(()) => format!(
+                    "ok, {} bytes written",
+                    String::from_utf8_lossy(&std::fs::read(&out).expect("output"))
+                        .replace(&input.display().to_string(), "<in>")
+                        .len()
+                ),
+                Err(e) => format!(
+                    "exit 1: {}",
+                    e.replace(&input.display().to_string(), "<in>")
+                ),
+            };
+            actual.push_str(&format!("{label}: {outcome}\n"));
+        }
+        std::fs::remove_file(&input).ok();
+        std::fs::remove_file(&out).ok();
+        let expected = concat!(
+            "empty: ok, 8 bytes written\n",
+            "three bytes: exit 1: convert: reading <in>: trace parse error at line 1: expected `pc R|W vaddr`, got \"TLB\"\n",
+            "bad magic: exit 1: convert: reading <in>: trace i/o error: stream did not contain valid UTF-8\n",
+            "version 0: exit 1: convert: reading <in>: trace parse error at line 1: expected `pc R|W vaddr`, got \"TLBT\\0\\0\\0\\0\"\n",
+            "version 3: exit 1: convert: reading <in>: unsupported trace version 3\n",
+            "version 0xFFFF: exit 1: convert: reading <in>: unsupported trace version 65535\n",
+            "v1 torn tail: exit 1: convert: reading <in>: trace ends mid-record\n",
+            "v1 bad kind: exit 1: convert: reading <in>: invalid access kind byte 0xee\n",
+            "v2 no footer: exit 1: convert: reading <in>: v2 trace index is damaged: footer magic missing\n",
+            "v2 torn index: exit 1: convert: reading <in>: v2 trace index is damaged: index record numbering is inconsistent\n",
+            "v2 corrupt block: exit 1: convert: reading <in>: v2 trace block 1 has a damaged delta payload\n",
+            "clean v1: ok, 643 bytes written\n",
+            "clean v2: ok, 643 bytes written\n",
+        );
+        assert_eq!(actual, expected);
+    }
+
     #[test]
     fn flags_a_subcommand_reads_are_accepted() {
         for line in [
