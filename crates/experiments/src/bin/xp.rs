@@ -32,17 +32,18 @@
 //! `DP,512,4`, `asp`, `tp,8`, `ep:dp+asp+mp`, `c+dp`, `MP,256,F;slots=4`.
 //!
 //! `convert` translates traces between the three on-disk formats (flat
-//! v1 binary, block-compressed v2 binary, line-oriented text). The
-//! *input* format is sniffed from the file's magic bytes and version;
-//! the *output* format is `--format v1|v2|text`, defaulting to the old
-//! sniffed behaviour (any binary becomes text, text becomes v1) so the
-//! bare command stays its own inverse.
+//! v1 binary, block-compressed v2 binary, line-oriented text). A file
+//! that starts with the `TLBT` magic is read as a binary trace of the
+//! version its header names (`tlbsim_trace::TraceReader`), anything
+//! else as text; the *output* format is `--format v1|v2|text`,
+//! defaulting to the other side (any binary becomes text, text becomes
+//! v1) so the bare command stays its own inverse.
 //!
 //! `record` dumps a registered application model's reference stream to
 //! the binary `TLBT` trace format — flat v1 by default, or delta-block
 //! v2 with `--format v2 [--block-len <records>]`; `replay` runs the
 //! figure grids' 30-scheme sweep over any such trace, mmap-replayed
-//! zero-copy (v1) or block-decoded (v2, sniffed). `--stream-window
+//! zero-copy (v1) or block-decoded (v2, read from the header). `--stream-window
 //! <blocks>` replays a v2 trace through a sliding window of mapped
 //! blocks instead of one whole-file mapping, so traces larger than RAM
 //! replay in bounded memory.
@@ -87,8 +88,8 @@ use tlbsim_experiments::{
 use tlbsim_service::{Client, JobSpec, Server, ServerConfig};
 use tlbsim_sim::{SwitchPolicy, TablePolicy};
 use tlbsim_trace::{
-    BinaryTraceReader, BinaryTraceWriter, DecodePolicy, TextTraceReader, TextTraceWriter, V2Trace,
-    V2TraceWriter, DEFAULT_BLOCK_LEN, MAGIC, V2_VERSION,
+    BinaryTraceWriter, DecodePolicy, TextTraceReader, TextTraceWriter, TraceReader, V2TraceWriter,
+    DEFAULT_BLOCK_LEN,
 };
 use tlbsim_workloads::Scale;
 
@@ -717,7 +718,6 @@ fn run_shutdown(args: &Args) -> Result<(), String> {
 }
 
 fn run_convert(args: &Args) -> Result<(), String> {
-    use std::io::Read as _;
     use tlbsim_core::MemoryAccess;
     use tlbsim_trace::{TraceError, TraceWriter};
 
@@ -729,9 +729,7 @@ fn run_convert(args: &Args) -> Result<(), String> {
         .out
         .as_deref()
         .ok_or_else(|| format!("convert needs --out <path>\n{}", usage()))?;
-    let open = |path: &std::path::Path| {
-        std::fs::File::open(path).map_err(|e| format!("convert: opening {}: {e}", path.display()))
-    };
+    let opening = |e: std::io::Error| format!("convert: opening {}: {e}", input.display());
     let create = |path: &std::path::Path| {
         std::fs::File::create(path)
             .map_err(|e| format!("convert: creating {}: {e}", path.display()))
@@ -739,43 +737,31 @@ fn run_convert(args: &Args) -> Result<(), String> {
     let read_fail = |e: TraceError| format!("convert: reading {}: {e}", input.display());
     let write_fail = |e: TraceError| format!("convert: writing {}: {e}", out.display());
 
-    // Sniff the input: the TLBT magic plus its version word, anything
-    // else is text (version 0 stands for "text" below — no binary
-    // format ever used it).
-    let mut head = [0u8; 6];
-    let sniffed: u16 = {
-        let mut file = open(input)?;
-        if file.read_exact(&mut head).is_ok() && head[0..4] == MAGIC {
-            u16::from_le_bytes([head[4], head[5]])
-        } else {
-            0
-        }
-    };
-    let src_label = match sniffed {
-        0 => "text",
-        1 => "TLBT v1",
-        V2_VERSION => "TLBT v2",
-        _ => "TLBT",
+    // A binary trace opens through the reader, which rejects versions
+    // it does not know; anything without the TLBT magic is text.
+    let binary = TraceReader::open_if_binary(input, DecodePolicy::Strict).map_err(|e| match e {
+        TraceError::Io(e) => opening(e),
+        e => read_fail(e),
+    })?;
+    let src_label = match &binary {
+        Some(reader) => format!("TLBT v{}", reader.format_version()),
+        None => "text".to_owned(),
     };
 
-    // Output format: explicit --format, else the legacy sniffed
-    // default (binary -> text, text -> v1) that keeps the bare command
-    // its own inverse.
-    let target = match args.format.as_deref() {
-        Some(f) => f,
-        None if sniffed == 0 => "v1",
-        None => "text",
-    };
+    // Output format: explicit --format, else the legacy default
+    // (binary -> text, text -> v1) that keeps the bare command its own
+    // inverse.
+    let default = if binary.is_some() { "text" } else { "v1" };
+    let target = args.format.as_deref().unwrap_or(default);
     if target != "v2" && args.block_len.is_some() {
         return Err("--block-len only applies to --format v2".to_owned());
     }
 
-    let source: Box<dyn Iterator<Item = Result<MemoryAccess, TraceError>>> = match sniffed {
-        0 => Box::new(TextTraceReader::open(open(input)?)),
-        V2_VERSION => Box::new(V2Trace::open(input).map_err(read_fail)?.cursor()),
-        // v1 — and any future version, which the reader rejects with a
-        // typed "unsupported trace version" instead of us guessing.
-        _ => Box::new(BinaryTraceReader::open(open(input)?).map_err(read_fail)?),
+    let source: Box<dyn Iterator<Item = Result<MemoryAccess, TraceError>>> = match &binary {
+        Some(reader) => Box::new(reader.cursor()),
+        None => Box::new(TextTraceReader::open(
+            std::fs::File::open(input).map_err(opening)?,
+        )),
     };
 
     let mut writer = match target {

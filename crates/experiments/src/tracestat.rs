@@ -1,6 +1,6 @@
 //! Trace corpus summarizer (`xp tracestat`).
 //!
-//! One decode pass per trace file — v1 or v2, sniffed from the header —
+//! One decode pass per trace file — v1 or v2, read from the header —
 //! producing the numbers an experimenter wants before committing hours
 //! of simulation to a corpus: record count and kind mix, the page-level
 //! footprint (unique 4 KiB pages touched — the quantity a TLB actually
@@ -13,8 +13,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use tlbsim_core::{AccessKind, MemoryAccess, PageSize};
-use tlbsim_trace::{DecodePolicy, TraceHealth};
-use tlbsim_workloads::{StreamSpec, TraceWorkload};
+use tlbsim_trace::{DecodePolicy, TraceHealth, TraceReader};
 
 use crate::replay::ReplayError;
 
@@ -263,16 +262,16 @@ pub fn csv_header() -> &'static str {
 /// quarantine policy to census a damaged file).
 pub fn stat(path: impl AsRef<Path>, policy: DecodePolicy) -> Result<TraceStat, ReplayError> {
     let path = path.as_ref();
-    let trace = TraceWorkload::open_with_policy(path, policy)?;
+    let trace = TraceReader::open(path, policy)?;
     let file_bytes = std::fs::metadata(path)?.len();
 
     let mut reads = 0u64;
     let mut writes = 0u64;
     let mut pages: HashSet<u64> = HashSet::new();
-    let mut workload = trace.workload();
+    let mut cursor = trace.cursor();
     let mut buf = vec![MemoryAccess::read(0, 0); 4096];
     loop {
-        let filled = workload.fill_batch(&mut buf);
+        let filled = cursor.decode_batch(&mut buf)?;
         if filled == 0 {
             break;
         }
@@ -290,12 +289,12 @@ pub fn stat(path: impl AsRef<Path>, policy: DecodePolicy) -> Result<TraceStat, R
         format_version: trace.format_version(),
         backend: trace.backend(),
         file_bytes,
-        records: trace.stream_len(),
+        records: cursor.health().records_ok,
         reads,
         writes,
         unique_pages: pages.len() as u64,
         block_len: trace.seek_alignment(),
-        health: trace.health(),
+        health: cursor.health(),
         policy,
     })
 }

@@ -189,13 +189,20 @@ impl Mmap {
         }
     }
 
-    /// The positioned-read fallback behind [`Mmap::map_file_range`].
+    /// The positioned-read fallback behind [`Mmap::map_file_range`]. On
+    /// Unix it leaves the file's cursor alone, so threads that share one
+    /// `File` can each read their own windows.
     fn read_range_buffered(file: &File, offset: u64, len: usize) -> io::Result<Self> {
-        use io::{Read as _, Seek as _};
-        let mut reader: &File = file;
-        reader.seek(io::SeekFrom::Start(offset))?;
         let mut bytes = vec![0u8; len];
-        reader.read_exact(&mut bytes)?;
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(file, &mut bytes, offset)?;
+        #[cfg(not(unix))]
+        {
+            use io::{Read as _, Seek as _};
+            let mut reader: &File = file;
+            reader.seek(io::SeekFrom::Start(offset))?;
+            reader.read_exact(&mut bytes)?;
+        }
         Ok(Mmap {
             storage: Storage::Buffered(bytes),
             backend: Backend::Buffered,

@@ -38,6 +38,22 @@ pub const RECORD_BYTES: usize = 17;
 /// Size of the magic + version + reserved header.
 pub const HEADER_BYTES: usize = 8;
 
+/// The version word of a `TLBT` header, once its length and magic check
+/// out — the part of the header every format shares.
+pub(crate) fn header_version(bytes: &[u8]) -> Result<u16, TraceError> {
+    if bytes.len() < HEADER_BYTES {
+        return Err(TraceError::TruncatedHeader {
+            len: bytes.len() as u64,
+        });
+    }
+    if bytes[0..4] != MAGIC {
+        return Err(TraceError::BadMagic {
+            found: [bytes[0], bytes[1], bytes[2], bytes[3]],
+        });
+    }
+    Ok(u16::from_le_bytes([bytes[4], bytes[5]]))
+}
+
 /// Streaming writer for the binary trace format.
 ///
 /// Generic writers are taken by value; pass `&mut writer` to retain
@@ -172,22 +188,11 @@ impl<R: Read> BinaryTraceReader<R> {
     /// As for [`BinaryTraceReader::open`].
     pub fn open_with_policy(input: R, policy: DecodePolicy) -> Result<Self, TraceError> {
         let mut input = BufReader::new(input);
-        let mut header = [0u8; HEADER_BYTES];
-        let mut filled = 0;
-        while filled < HEADER_BYTES {
-            match input.read(&mut header[filled..]) {
-                Ok(0) => return Err(TraceError::TruncatedHeader { len: filled as u64 }),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TraceError::Io(e)),
-            }
-        }
-        if header[0..4] != MAGIC {
-            return Err(TraceError::BadMagic {
-                found: header[0..4].try_into().expect("4-byte slice"),
-            });
-        }
-        let version = u16::from_le_bytes(header[4..6].try_into().expect("2-byte slice"));
+        let mut header = Vec::with_capacity(HEADER_BYTES);
+        (&mut input)
+            .take(HEADER_BYTES as u64)
+            .read_to_end(&mut header)?;
+        let version = header_version(&header)?;
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion { found: version });
         }

@@ -16,7 +16,7 @@
 //!   block-compressed variant of the same format: records are packed
 //!   into delta-compressed blocks behind a trailing block index, cutting
 //!   corpora to a few bytes per record while keeping O(1) seeks on block
-//!   boundaries, and [`V2TraceCursor::open_streaming`] replays files
+//!   boundaries, and [`TraceReader::open_streaming`] replays files
 //!   larger than RAM through a sliding mapped window;
 //! * [`DecodePolicy`] / [`TraceHealth`] — strict (abort on first fault)
 //!   vs quarantine (skip, count, bound) decode, with a health report of
@@ -28,7 +28,8 @@
 //! * [`TextTraceWriter`] / [`TextTraceReader`] — a `pc R|W vaddr`
 //!   line format with comments for hand-written regression inputs;
 //! * [`TraceWriter`] — one writer over the three formats, picked at run
-//!   time;
+//!   time, and [`TraceReader`] / [`AnyCursor`] — one reader over the two
+//!   binary formats, picked by the header's version word;
 //! * [`TraceStreamExt`] — the skip/take window discipline the paper uses
 //!   (fast-forward 2 B instructions, simulate 1 B) and sampling.
 //!
@@ -64,6 +65,7 @@ mod error;
 mod fault;
 mod mmap;
 mod policy;
+mod reader;
 mod stream;
 mod text;
 mod v2;
@@ -79,6 +81,7 @@ pub use error::TraceError;
 pub use fault::{wild_vaddr, FaultKind, FaultPlan, FaultyRead, PlannedFault};
 pub use mmap::{MmapTrace, MmapTraceCursor};
 pub use policy::{DecodePolicy, TraceHealth};
+pub use reader::{AnyCursor, TraceReader};
 pub use stream::{Sampled, TraceStreamExt, TraceWindow};
 pub use text::{TextTraceReader, TextTraceWriter};
 pub use v2::{V2Trace, V2TraceCursor, V2TraceWriter};

@@ -25,9 +25,10 @@ use std::sync::Arc;
 use ::mmap::Mmap;
 use tlbsim_core::{AccessKind, MemoryAccess};
 
-use crate::binary::{HEADER_BYTES, MAGIC, RECORD_BYTES, VERSION};
+use crate::binary::{header_version, HEADER_BYTES, RECORD_BYTES, VERSION};
 use crate::error::TraceError;
 use crate::policy::{DecodePolicy, TraceHealth};
+use crate::reader::AnyCursor;
 
 /// A validated, memory-mapped binary trace (`TLBT` format).
 ///
@@ -124,17 +125,7 @@ impl MmapTrace {
     /// As for [`MmapTrace::open_with_policy`].
     pub fn from_map_with_policy(map: Mmap, policy: DecodePolicy) -> Result<Self, TraceError> {
         let bytes = map.as_bytes();
-        if bytes.len() < HEADER_BYTES {
-            return Err(TraceError::TruncatedHeader {
-                len: bytes.len() as u64,
-            });
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(TraceError::BadMagic {
-                found: bytes[0..4].try_into().expect("4-byte slice"),
-            });
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
+        let version = header_version(bytes)?;
         if version != VERSION {
             return Err(TraceError::UnsupportedVersion { found: version });
         }
@@ -215,10 +206,9 @@ impl MmapTrace {
     ///
     /// [`TraceError::InvalidKind`] on the first bad record.
     pub fn validate_records(&self) -> Result<(), TraceError> {
-        let mut cursor = self.cursor_with_policy(DecodePolicy::Strict);
-        let mut buf = [MemoryAccess::read(0, 0); 512];
-        while cursor.decode_batch(&mut buf)? != 0 {}
-        Ok(())
+        AnyCursor::V1(self.cursor_with_policy(DecodePolicy::Strict))
+            .drain()
+            .map(drop)
     }
 
     /// Decodes every record once under the trace's policy, returning
@@ -233,10 +223,7 @@ impl MmapTrace {
     /// Quarantine: [`TraceError::QuarantineExceeded`] once the skip
     /// count passes the policy's `max_bad`.
     pub fn scan_health(&self) -> Result<TraceHealth, TraceError> {
-        let mut cursor = self.cursor();
-        let mut buf = [MemoryAccess::read(0, 0); 512];
-        while cursor.decode_batch(&mut buf)? != 0 {}
-        Ok(cursor.health())
+        AnyCursor::V1(self.cursor()).drain()
     }
 }
 
@@ -477,7 +464,7 @@ impl Iterator for MmapTraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{BinaryTraceReader, BinaryTraceWriter};
+    use crate::binary::{BinaryTraceReader, BinaryTraceWriter, MAGIC};
 
     fn sample(n: u64) -> Vec<MemoryAccess> {
         (0..n)

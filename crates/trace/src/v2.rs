@@ -12,7 +12,8 @@
 //!   delta decoding to reach — so the sharded executor still cuts a
 //!   trace into worker slices without scanning, provided cuts land on
 //!   block boundaries (`ShardPlan::split_aligned` in `tlbsim-sim`).
-//! * **Larger-than-RAM replay**: [`V2TraceCursor::open_streaming`]
+//! * **Larger-than-RAM replay**: a streaming cursor
+//!   ([`TraceReader::open_streaming`](crate::TraceReader::open_streaming))
 //!   keeps one `File` open and maps a sliding window of N blocks
 //!   through `Mmap::map_file_range`, advising the kernel of sequential
 //!   readahead — the only allocations on the replay path are the
@@ -27,6 +28,7 @@
 //!   truncated at the tail therefore loses its footer and is rejected
 //!   outright — the salvageable torn tail is a v1-only notion.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -35,7 +37,7 @@ use std::sync::Arc;
 use ::mmap::{Advice, Mmap};
 use tlbsim_core::MemoryAccess;
 
-use crate::binary::{HEADER_BYTES, MAGIC};
+use crate::binary::{header_version, HEADER_BYTES, MAGIC};
 use crate::block::{
     self, BlockFault, DecodeState, Footer, DEFAULT_BLOCK_LEN, FOOTER_BYTES, INDEX_ENTRY_BYTES,
     RESTART_BYTES, V2_VERSION,
@@ -43,6 +45,7 @@ use crate::block::{
 use crate::error::TraceError;
 use crate::fault::{wild_vaddr, FaultKind, PlannedFault};
 use crate::policy::{DecodePolicy, TraceHealth};
+use crate::reader::AnyCursor;
 
 /// Streaming writer for the v2 block-compressed format.
 ///
@@ -213,35 +216,33 @@ struct Meta {
     index_offset: u64,
 }
 
-/// Checks the header bytes of a v2 file (magic + version).
-fn check_header(bytes: &[u8]) -> Result<(), TraceError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(TraceError::TruncatedHeader {
-            len: bytes.len() as u64,
-        });
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(TraceError::BadMagic {
-            found: [bytes[0], bytes[1], bytes[2], bytes[3]],
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != V2_VERSION {
-        return Err(TraceError::UnsupportedVersion { found: version });
-    }
-    Ok(())
-}
-
-/// Validates footer arithmetic and the block index against the file
-/// size. Any inconsistency is [`TraceError::TornIndex`] — fatal under
-/// every policy, because without a trustworthy index there is no block
-/// grid to quarantine on.
-fn validate_layout(
+/// Reads the footer and block index of a `file_len`-byte v2 file
+/// through `read(offset, len)` and validates them against the file
+/// size, returning the layout and the index bytes. Any inconsistency is
+/// [`TraceError::TornIndex`] — fatal under every policy, because without
+/// a trustworthy index there is no block grid to quarantine on.
+fn read_layout<'a>(
     file_len: u64,
-    footer: &Footer,
-    entry: impl Fn(u64) -> (u64, u64),
-) -> Result<Meta, TraceError> {
+    mut read: impl FnMut(u64, usize) -> Result<Cow<'a, [u8]>, TraceError>,
+) -> Result<(Meta, Cow<'a, [u8]>), TraceError> {
     let torn = |detail: &'static str| TraceError::TornIndex { detail };
+    if file_len < (HEADER_BYTES + FOOTER_BYTES) as u64 {
+        return Err(torn("file too short for a footer"));
+    }
+    let footer = read(file_len - FOOTER_BYTES as u64, FOOTER_BYTES)?;
+    let footer = Footer::parse(&footer).ok_or(torn("footer magic missing"))?;
+    // The index extent is validated before the index is read, so the
+    // entries below never slice out of bounds.
+    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
+    if footer
+        .index_offset
+        .checked_add(index_bytes)
+        .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
+        != Some(file_len)
+    {
+        return Err(torn("index extent disagrees with file size"));
+    }
+    let index = read(footer.index_offset, index_bytes as usize)?;
     if footer.block_len == 0 && footer.total_records != 0 {
         return Err(torn("zero block length with nonzero record count"));
     }
@@ -256,18 +257,9 @@ fn validate_layout(
     if footer.index_offset < HEADER_BYTES as u64 {
         return Err(torn("index offset inside the header"));
     }
-    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-    if footer
-        .index_offset
-        .checked_add(index_bytes)
-        .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-        != Some(file_len)
-    {
-        return Err(torn("index extent disagrees with file size"));
-    }
     let mut prev_offset = HEADER_BYTES as u64;
     for i in 0..u64::from(footer.block_count) {
-        let (offset, first) = entry(i);
+        let (offset, first) = block::index_entry(&index, i);
         if i == 0 && offset != HEADER_BYTES as u64 {
             return Err(torn("first block does not start after the header"));
         }
@@ -282,12 +274,13 @@ fn validate_layout(
         }
         prev_offset = offset;
     }
-    Ok(Meta {
+    let meta = Meta {
         block_len: u64::from(footer.block_len),
         total: footer.total_records,
         block_count: u64::from(footer.block_count),
         index_offset: footer.index_offset,
-    })
+    };
+    Ok((meta, index))
 }
 
 /// A validated, memory-mapped v2 (block-compressed) trace.
@@ -333,8 +326,9 @@ impl V2Trace {
     /// [`TraceError::Io`] if the file cannot be opened;
     /// [`TraceError::TruncatedHeader`] / [`TraceError::BadMagic`] /
     /// [`TraceError::UnsupportedVersion`] for a malformed header (a v1
-    /// file reports `UnsupportedVersion { found: 1 }` here — use the
-    /// version sniffing in `tlbsim-workloads` to dispatch);
+    /// file reports `UnsupportedVersion { found: 1 }` here; open
+    /// through [`TraceReader`](crate::TraceReader) to take either
+    /// version);
     /// [`TraceError::TornIndex`] if the footer or block index is
     /// missing or inconsistent (truncation at the tail lands here).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
@@ -374,33 +368,13 @@ impl V2Trace {
     /// As for [`V2Trace::open`].
     pub fn from_map_with_policy(map: Mmap, policy: DecodePolicy) -> Result<Self, TraceError> {
         let bytes = map.as_bytes();
-        check_header(bytes)?;
-        if bytes.len() < HEADER_BYTES + FOOTER_BYTES {
-            return Err(TraceError::TornIndex {
-                detail: "file too short for a footer",
-            });
+        let version = header_version(bytes)?;
+        if version != V2_VERSION {
+            return Err(TraceError::UnsupportedVersion { found: version });
         }
-        let footer =
-            Footer::parse(&bytes[bytes.len() - FOOTER_BYTES..]).ok_or(TraceError::TornIndex {
-                detail: "footer magic missing",
-            })?;
-        // The index extent is validated before any entry is read, so
-        // the entry accessor below never slices out of bounds.
-        let file_len = bytes.len() as u64;
-        let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-        if footer
-            .index_offset
-            .checked_add(index_bytes)
-            .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-            != Some(file_len)
-        {
-            return Err(TraceError::TornIndex {
-                detail: "index extent disagrees with file size",
-            });
-        }
-        let index =
-            &bytes[footer.index_offset as usize..(footer.index_offset + index_bytes) as usize];
-        let meta = validate_layout(file_len, &footer, |i| block::index_entry(index, i))?;
+        let (meta, _) = read_layout(bytes.len() as u64, |at, len| {
+            Ok(Cow::Borrowed(&bytes[at as usize..at as usize + len]))
+        })?;
         Ok(V2Trace {
             map: Arc::new(map),
             meta,
@@ -455,22 +429,12 @@ impl V2Trace {
 
     /// A fresh cursor decoding under an explicit policy.
     pub fn cursor_with_policy(&self, policy: DecodePolicy) -> V2TraceCursor {
-        V2TraceCursor {
-            blocks: BlockSource::Whole {
-                map: Arc::clone(&self.map),
-                index_offset: self.meta.index_offset,
-                block_count: self.meta.block_count,
-            },
-            block_len: self.meta.block_len.max(1),
-            total: self.meta.total,
-            policy,
-            next: 0,
-            ok_seen: 0,
-            bad_seen: 0,
-            blocks_bad: 0,
-            first_bad: None,
-            state: DecodeState::none(),
-        }
+        let blocks = BlockSource::Whole {
+            map: Arc::clone(&self.map),
+            index_offset: self.meta.index_offset,
+            block_count: self.meta.block_count,
+        };
+        V2TraceCursor::at_start(blocks, self.meta.block_len, self.meta.total, policy)
     }
 
     /// Decodes every block once, strictly, so a subsequent strict
@@ -482,10 +446,9 @@ impl V2Trace {
     /// ([`TraceError::TornRestart`], [`TraceError::TornBlock`] or
     /// [`TraceError::InvalidKind`]).
     pub fn validate_records(&self) -> Result<(), TraceError> {
-        let mut cursor = self.cursor_with_policy(DecodePolicy::Strict);
-        let mut buf = [MemoryAccess::read(0, 0); 512];
-        while cursor.decode_batch(&mut buf)? != 0 {}
-        Ok(())
+        AnyCursor::V2(self.cursor_with_policy(DecodePolicy::Strict))
+            .drain()
+            .map(drop)
     }
 
     /// Decodes every block once under the trace's policy, returning the
@@ -497,15 +460,16 @@ impl V2Trace {
     /// [`TraceError::QuarantineExceeded`] once the per-record tally of
     /// quarantined blocks passes the policy's `max_bad`.
     pub fn scan_health(&self) -> Result<TraceHealth, TraceError> {
-        let mut cursor = self.cursor();
-        let mut buf = [MemoryAccess::read(0, 0); 512];
-        while cursor.decode_batch(&mut buf)? != 0 {}
-        Ok(cursor.health())
+        AnyCursor::V2(self.cursor()).drain()
     }
 }
 
 /// Where a cursor gets block bytes from: the whole mapped file, or a
 /// sliding window remapped over an open file.
+///
+/// A clone shares the mapping, or the open file, its index and the
+/// current window; each clone remaps its own windows as it advances.
+#[derive(Clone)]
 enum BlockSource {
     /// The whole file is mapped; block extents come from the in-file
     /// index.
@@ -519,9 +483,9 @@ enum BlockSource {
     /// final sentinel at the index offset, so `offsets[i + 1]` always
     /// ends block `i`).
     Windowed {
-        file: File,
-        offsets: Vec<u64>,
-        window: Mmap,
+        file: Arc<File>,
+        offsets: Arc<[u64]>,
+        window: Arc<Mmap>,
         window_first: u64,
         window_count: u64,
         window_blocks: u64,
@@ -590,7 +554,7 @@ impl BlockSource {
                     // drops pages behind it.
                     map.advise(Advice::Sequential);
                     map.advise(Advice::WillNeed);
-                    *window = map;
+                    *window = Arc::new(map);
                     *window_first = block;
                     *window_count = count;
                 }
@@ -599,14 +563,6 @@ impl BlockSource {
                 let end = (offsets[block as usize + 1] - base) as usize;
                 Ok(&window.as_bytes()[start..end])
             }
-        }
-    }
-
-    /// Which backend serves the bytes right now.
-    fn backend(&self) -> &'static str {
-        match self {
-            BlockSource::Whole { map, .. } => map.backend().label(),
-            BlockSource::Windowed { window, .. } => window.backend().label(),
         }
     }
 }
@@ -625,12 +581,13 @@ fn fault_error(fault: BlockFault, block: u64) -> TraceError {
 /// `decode_batch` / `skip_records` / `seek` contract the simulator's
 /// replay seam consumes.
 ///
-/// Obtained from [`V2Trace::cursor`] (whole-file mapping) or
-/// [`V2TraceCursor::open_streaming`] (sliding mapped window over an
-/// open file, for corpora larger than RAM). Steady-state decode into a
+/// Obtained from [`V2Trace::cursor`] (whole-file mapping) or through
+/// [`TraceReader::open_streaming`](crate::TraceReader::open_streaming)
+/// (sliding mapped window over an open file, for corpora larger than
+/// RAM). Steady-state decode into a
 /// caller-owned batch buffer performs **zero heap allocations**; in
 /// streaming mode the window remaps are the only allocation site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct V2TraceCursor {
     blocks: BlockSource,
     block_len: u64,
@@ -656,63 +613,47 @@ impl V2TraceCursor {
     /// replay in bounded memory.
     ///
     /// `window_blocks` is clamped to at least 1. Each remap advises the
-    /// kernel of sequential readahead.
+    /// kernel of sequential readahead. The caller has checked the
+    /// header ([`TraceReader::open_streaming`](crate::TraceReader::open_streaming)).
     ///
     /// # Errors
     ///
-    /// As for [`V2Trace::open`]; additionally [`TraceError::Io`] for
-    /// read failures while loading the footer and index.
-    pub fn open_streaming(
-        path: impl AsRef<Path>,
+    /// [`TraceError::TornIndex`] as for [`V2Trace::open`], and
+    /// [`TraceError::Io`] for read failures while loading the footer and
+    /// index.
+    pub(crate) fn open_streaming(
+        mut file: File,
         policy: DecodePolicy,
         window_blocks: u64,
     ) -> Result<Self, TraceError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata().map_err(TraceError::Io)?.len();
-        let mut header = [0u8; HEADER_BYTES];
-        let took = file.read(&mut header)?;
-        check_header(&header[..took])?;
-        if file_len < (HEADER_BYTES + FOOTER_BYTES) as u64 {
-            return Err(TraceError::TornIndex {
-                detail: "file too short for a footer",
-            });
-        }
-        file.seek(SeekFrom::End(-(FOOTER_BYTES as i64)))?;
-        let mut tail = [0u8; FOOTER_BYTES];
-        file.read_exact(&mut tail)?;
-        let footer = Footer::parse(&tail).ok_or(TraceError::TornIndex {
-            detail: "footer magic missing",
+        let file_len = file.metadata()?.len();
+        let (meta, index) = read_layout(file_len, |at, len| {
+            let mut bytes = vec![0u8; len];
+            file.seek(SeekFrom::Start(at))?;
+            file.read_exact(&mut bytes)?;
+            Ok(Cow::Owned(bytes))
         })?;
-        let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-        if footer
-            .index_offset
-            .checked_add(index_bytes)
-            .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-            != Some(file_len)
-        {
-            return Err(TraceError::TornIndex {
-                detail: "index extent disagrees with file size",
-            });
-        }
-        file.seek(SeekFrom::Start(footer.index_offset))?;
-        let mut index = vec![0u8; index_bytes as usize];
-        file.read_exact(&mut index)?;
-        let meta = validate_layout(file_len, &footer, |i| block::index_entry(&index, i))?;
-        let mut offsets: Vec<u64> = (0..meta.block_count)
+        let offsets: Arc<[u64]> = (0..meta.block_count)
             .map(|i| block::index_entry(&index, i).0)
+            .chain([meta.index_offset])
             .collect();
-        offsets.push(meta.index_offset);
-        Ok(V2TraceCursor {
-            blocks: BlockSource::Windowed {
-                file,
-                offsets,
-                window: Mmap::from_vec(Vec::new()),
-                window_first: 0,
-                window_count: 0,
-                window_blocks: window_blocks.max(1),
-            },
-            block_len: meta.block_len.max(1),
-            total: meta.total,
+        let blocks = BlockSource::Windowed {
+            file: Arc::new(file),
+            offsets,
+            window: Arc::new(Mmap::from_vec(Vec::new())),
+            window_first: 0,
+            window_count: 0,
+            window_blocks: window_blocks.max(1),
+        };
+        Ok(Self::at_start(blocks, meta.block_len, meta.total, policy))
+    }
+
+    /// A cursor at record 0 of the trace `blocks` serves.
+    fn at_start(blocks: BlockSource, block_len: u64, total: u64, policy: DecodePolicy) -> Self {
+        V2TraceCursor {
+            blocks,
+            block_len: block_len.max(1),
+            total,
             policy,
             next: 0,
             ok_seen: 0,
@@ -720,7 +661,13 @@ impl V2TraceCursor {
             blocks_bad: 0,
             first_bad: None,
             state: DecodeState::none(),
-        })
+        }
+    }
+
+    /// A fresh cursor at record 0 over the same bytes and policy; for a
+    /// streaming cursor, the same open file.
+    pub(crate) fn restarted(&self) -> Self {
+        Self::at_start(self.blocks.clone(), self.block_len, self.total, self.policy)
     }
 
     /// Number of records in the trace this cursor walks.
@@ -731,12 +678,6 @@ impl V2TraceCursor {
     /// Records per block of the underlying trace.
     pub fn block_len(&self) -> u64 {
         self.block_len
-    }
-
-    /// Which backend currently serves the bytes (for a streaming
-    /// cursor, the current window's).
-    pub fn backend(&self) -> &'static str {
-        self.blocks.backend()
     }
 
     /// Fills `buf` with the next records, returning how many were
@@ -1278,8 +1219,12 @@ mod tests {
         let path = std::env::temp_dir().join(format!("tlbt-v2-stream-{}", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         for window_blocks in [1u64, 2, 7, 1000] {
-            let mut cursor =
-                V2TraceCursor::open_streaming(&path, DecodePolicy::Strict, window_blocks).unwrap();
+            let mut cursor = V2TraceCursor::open_streaming(
+                File::open(&path).unwrap(),
+                DecodePolicy::Strict,
+                window_blocks,
+            )
+            .unwrap();
             assert_eq!(cursor.record_count(), 1111);
             assert_eq!(cursor.block_len(), 32);
             assert_eq!(drain(&mut cursor), records, "window {window_blocks}");
@@ -1305,7 +1250,9 @@ mod tests {
         );
         let path = std::env::temp_dir().join(format!("tlbt-v2-streamq-{}", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let mut cursor = V2TraceCursor::open_streaming(&path, DecodePolicy::lenient(), 2).unwrap();
+        let mut cursor =
+            V2TraceCursor::open_streaming(File::open(&path).unwrap(), DecodePolicy::lenient(), 2)
+                .unwrap();
         let got = drain(&mut cursor);
         // Record 100 is in block 6 (records 96..112).
         let want: Vec<MemoryAccess> = records[..96]

@@ -1,25 +1,23 @@
 //! Recorded traces as first-class workloads.
 //!
 //! [`TraceWorkload`] adapts a recorded trace — v1 flat grid or v2
-//! block-compressed, sniffed from the header — to the [`StreamSpec`] /
-//! [`Workload`] surface, so a trace recorded from a real machine (or
-//! dumped from a synthetic model with `xp record`) drives `run_app`,
-//! `sweep` and `run_app_sharded` exactly like a registered application:
-//! replay decodes record batches zero-copy out of the mapped file (and
-//! collapses them into page runs for the functional engine), and
-//! sharded replay seeks each worker's cursor in O(1) — on the fixed
-//! 17-byte cells of v1, or on the block
-//! index of v2 (whose [`StreamSpec::seek_alignment`] steers shard cuts
-//! onto block boundaries). [`TraceWorkload::open_streaming`] replays v2
-//! corpora larger than RAM through a sliding mapped window.
+//! block-compressed, opened through [`TraceReader`] — to the
+//! [`StreamSpec`] / [`Workload`] surface, so a trace recorded from a
+//! real machine (or dumped from a synthetic model with `xp record`)
+//! drives `run_app`, `sweep` and `run_app_sharded` exactly like a
+//! registered application: replay decodes record batches zero-copy out
+//! of the mapped file (and collapses them into page runs for the
+//! functional engine), and sharded replay seeks each worker's cursor in
+//! O(1) — on the fixed 17-byte cells of v1, or on the block index of v2
+//! (whose [`StreamSpec::seek_alignment`] steers shard cuts onto block
+//! boundaries). [`TraceWorkload::open_streaming`] replays v2 corpora
+//! larger than RAM through a sliding mapped window.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use tlbsim_core::{MemoryAccess, PageRun, PageSize};
-use tlbsim_trace::{
-    DecodePolicy, MmapTrace, MmapTraceCursor, TraceError, TraceHealth, V2Trace, V2TraceCursor,
-};
+use tlbsim_trace::{AnyCursor, DecodePolicy, TraceError, TraceHealth, TraceReader};
 
 use crate::gen::{fill_runs_from_records, AccessSource, Workload};
 use crate::scale::Scale;
@@ -74,32 +72,14 @@ use crate::spec::StreamSpec;
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     name: Arc<str>,
-    trace: AnyTrace,
+    reader: TraceReader,
     health: TraceHealth,
-}
-
-/// The format-dispatched handle behind a [`TraceWorkload`]: v1 flat
-/// grid, v2 whole-file mapping, or v2 streamed through a window.
-#[derive(Debug, Clone)]
-enum AnyTrace {
-    V1(MmapTrace),
-    V2(V2Trace),
-    /// Each replay re-opens its own streaming cursor over the file; the
-    /// layout facts were validated (and the body fully scanned) at
-    /// workload-open time.
-    V2Streaming {
-        path: PathBuf,
-        policy: DecodePolicy,
-        window_blocks: u64,
-        block_len: u64,
-    },
 }
 
 impl TraceWorkload {
     /// Opens and fully validates a trace file under the default strict
     /// policy; the workload's name is the file stem. The format version
-    /// (v1 flat grid or v2 block-compressed) is sniffed from the
-    /// header.
+    /// (v1 flat grid or v2 block-compressed) is read from the header.
     ///
     /// # Errors
     ///
@@ -129,18 +109,19 @@ impl TraceWorkload {
         policy: DecodePolicy,
         window_blocks: u64,
     ) -> Result<Self, TraceError> {
-        Self::open_streaming_with(path.as_ref(), policy, window_blocks, scan_streaming)
+        let path = path.as_ref();
+        let reader = TraceReader::open_streaming(path, policy, window_blocks)?;
+        let health = reader.scan_health()?;
+        Ok(Self::named(path, reader, health))
     }
 
     /// Opens a trace like [`TraceWorkload::open_streaming`] and hands
     /// its page runs at `page_size` to `each`, in stream order and in
     /// batches: the runs a replay's [`Workload::fill_runs`] gives.
     ///
-    /// For a v2 file the runs come out of the open-time scan itself, so
-    /// a caller that needs the whole run stream (the decode-once grid
-    /// replay) decodes the file once, through the window, instead of
-    /// scanning it and then replaying it. A v1 file is scanned by its
-    /// own pass and then replayed once for its runs.
+    /// The runs come out of the open-time scan itself, so a caller that
+    /// needs the whole run stream (the decode-once grid replay) decodes
+    /// the file once instead of scanning it and then replaying it.
     ///
     /// # Errors
     ///
@@ -153,52 +134,10 @@ impl TraceWorkload {
         page_size: PageSize,
         mut each: impl FnMut(&[PageRun]),
     ) -> Result<Self, TraceError> {
-        let trace = Self::open_streaming_with(path.as_ref(), policy, window_blocks, |cursor| {
-            scan_streaming_runs(cursor, page_size, &mut each)
-        })?;
-        if matches!(trace.trace, AnyTrace::V1(_)) {
-            let mut workload = trace.workload();
-            let mut runs = [PageRun::default(); SCAN_RUNS];
-            loop {
-                let (filled, _) = workload.fill_runs(page_size, &mut runs, u64::MAX);
-                if filled == 0 {
-                    break;
-                }
-                each(&runs[..filled]);
-            }
-        }
-        Ok(trace)
-    }
-
-    /// The streaming open behind [`TraceWorkload::open_streaming`] and
-    /// [`TraceWorkload::open_streaming_runs`], with the open-time scan
-    /// of a v2 cursor supplied by the caller.
-    fn open_streaming_with(
-        path: &Path,
-        policy: DecodePolicy,
-        window_blocks: u64,
-        scan: impl FnOnce(&mut V2TraceCursor) -> Result<TraceHealth, TraceError>,
-    ) -> Result<Self, TraceError> {
-        match V2TraceCursor::open_streaming(path, policy, window_blocks) {
-            Ok(mut cursor) => {
-                let block_len = cursor.block_len();
-                let health = scan(&mut cursor)?;
-                Ok(TraceWorkload {
-                    name: stem_name(path),
-                    trace: AnyTrace::V2Streaming {
-                        path: path.to_path_buf(),
-                        policy,
-                        window_blocks,
-                        block_len,
-                    },
-                    health,
-                })
-            }
-            Err(TraceError::UnsupportedVersion { found: 1 }) => {
-                Self::open_with_policy(path, policy)
-            }
-            Err(e) => Err(e),
-        }
+        let path = path.as_ref();
+        let reader = TraceReader::open_streaming(path, policy, window_blocks)?;
+        let health = scan_runs(reader.cursor(), page_size, &mut each)?;
+        Ok(Self::named(path, reader, health))
     }
 
     /// Opens a trace file under an explicit [`DecodePolicy`].
@@ -221,63 +160,22 @@ impl TraceWorkload {
         policy: DecodePolicy,
     ) -> Result<Self, TraceError> {
         let path = path.as_ref();
-        let name = stem_name(path);
-        match MmapTrace::open_with_policy(path, policy) {
-            Ok(trace) => {
-                let health = trace.scan_health()?;
-                Ok(TraceWorkload {
-                    name,
-                    trace: AnyTrace::V1(trace),
-                    health,
-                })
-            }
-            Err(TraceError::UnsupportedVersion { found: 2 }) => {
-                let trace = V2Trace::open_with_policy(path, policy)?;
-                let health = trace.scan_health()?;
-                Ok(TraceWorkload {
-                    name,
-                    trace: AnyTrace::V2(trace),
-                    health,
-                })
-            }
-            Err(e) => Err(e),
+        let reader = TraceReader::open(path, policy)?;
+        let health = reader.scan_health()?;
+        Ok(Self::named(path, reader, health))
+    }
+
+    /// A scanned trace, named after its file stem.
+    fn named(path: &Path, reader: TraceReader, health: TraceHealth) -> Self {
+        let name = path
+            .file_stem()
+            .map(|stem| stem.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "trace".to_owned());
+        TraceWorkload {
+            name: Arc::from(name),
+            reader,
+            health,
         }
-    }
-
-    /// Wraps an already-mapped trace under an explicit name, running
-    /// the same full-body scan as [`TraceWorkload::open`] under the
-    /// trace's own decode policy.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidKind`] on the first corrupt record (strict
-    /// traces) or [`TraceError::QuarantineExceeded`] past the budget
-    /// (quarantine traces).
-    pub fn from_trace(name: impl Into<String>, trace: MmapTrace) -> Result<Self, TraceError> {
-        let health = trace.scan_health()?;
-        Ok(TraceWorkload {
-            name: Arc::from(name.into()),
-            trace: AnyTrace::V1(trace),
-            health,
-        })
-    }
-
-    /// Wraps an already-validated v2 trace under an explicit name,
-    /// running the same full-body scan under the trace's own decode
-    /// policy.
-    ///
-    /// # Errors
-    ///
-    /// The first block's typed damage error (strict traces) or
-    /// [`TraceError::QuarantineExceeded`] past the budget (quarantine
-    /// traces).
-    pub fn from_v2_trace(name: impl Into<String>, trace: V2Trace) -> Result<Self, TraceError> {
-        let health = trace.scan_health()?;
-        Ok(TraceWorkload {
-            name: Arc::from(name.into()),
-            trace: AnyTrace::V2(trace),
-            health,
-        })
     }
 
     /// The trace's name.
@@ -303,65 +201,32 @@ impl TraceWorkload {
     /// Which backend serves the bytes (`"mmap"` or the `"read"`
     /// fallback). A streaming workload reports `"mmap-window"`.
     pub fn backend(&self) -> &'static str {
-        match &self.trace {
-            AnyTrace::V1(t) => t.backend(),
-            AnyTrace::V2(t) => t.backend(),
-            AnyTrace::V2Streaming { .. } => "mmap-window",
-        }
+        self.reader.backend()
     }
 
     /// The trace's format version (1 = flat grid, 2 = block-compressed).
     pub fn format_version(&self) -> u16 {
-        match &self.trace {
-            AnyTrace::V1(_) => 1,
-            AnyTrace::V2(_) | AnyTrace::V2Streaming { .. } => 2,
-        }
+        self.reader.format_version()
     }
 
     /// A fresh replay of the whole trace.
     pub fn workload(&self) -> Workload {
-        let cursor = match &self.trace {
-            AnyTrace::V1(t) => AnyCursor::V1(t.cursor()),
-            AnyTrace::V2(t) => AnyCursor::V2(t.cursor()),
-            AnyTrace::V2Streaming {
-                path,
-                policy,
-                window_blocks,
-                ..
-            } => AnyCursor::V2(
-                V2TraceCursor::open_streaming(path, *policy, *window_blocks)
-                    .expect("streaming trace was validated at open"),
-            ),
+        let source = TraceSource {
+            cursor: self.reader.cursor(),
         };
-        Workload::from_source(self.name.to_string(), Box::new(TraceSource { cursor }))
+        Workload::from_source(self.name.to_string(), Box::new(source))
     }
-}
-
-/// The file stem as a workload name.
-fn stem_name(path: &Path) -> Arc<str> {
-    Arc::from(
-        path.file_stem()
-            .map(|stem| stem.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "trace".to_owned()),
-    )
-}
-
-/// Drains a streaming cursor once for its complete health report —
-/// the open-time scan that lets replay itself never fail.
-fn scan_streaming(cursor: &mut V2TraceCursor) -> Result<TraceHealth, TraceError> {
-    let mut buf = [MemoryAccess::read(0, 0); 512];
-    while cursor.decode_batch(&mut buf)? != 0 {}
-    Ok(cursor.health())
 }
 
 /// Page runs handed on per batch by
 /// [`TraceWorkload::open_streaming_runs`].
 const SCAN_RUNS: usize = 256;
 
-/// [`scan_streaming`] that also collapses the decoded records into page
-/// runs at `page_size` and hands them to `each`.
-fn scan_streaming_runs(
-    cursor: &mut V2TraceCursor,
+/// Drains `cursor` once for its complete health report — the open-time
+/// scan that lets replay itself never fail — collapsing the decoded
+/// records into page runs at `page_size` and handing them to `each`.
+fn scan_runs(
+    mut cursor: AnyCursor,
     page_size: PageSize,
     each: &mut impl FnMut(&[PageRun]),
 ) -> Result<TraceHealth, TraceError> {
@@ -403,24 +268,14 @@ impl StreamSpec for TraceWorkload {
     }
 
     fn seek_alignment(&self) -> u64 {
-        match &self.trace {
-            AnyTrace::V1(_) => 1,
-            AnyTrace::V2(t) => t.block_len().max(1),
-            AnyTrace::V2Streaming { block_len, .. } => (*block_len).max(1),
-        }
+        self.reader.seek_alignment()
     }
 }
 
-/// The [`AccessSource`] driving a trace replay: one format-dispatched
-/// cursor, decoded batch-wise straight out of the mapping (or window).
+/// The [`AccessSource`] driving a trace replay: the reader's cursor,
+/// decoded batch-wise straight out of the mapping (or window).
 struct TraceSource {
     cursor: AnyCursor,
-}
-
-/// A v1 or v2 cursor behind one batch-decode surface.
-enum AnyCursor {
-    V1(MmapTraceCursor),
-    V2(V2TraceCursor),
 }
 
 impl AccessSource for TraceSource {
@@ -431,21 +286,13 @@ impl AccessSource for TraceSource {
         // it) — so a decode error here means the bytes changed under
         // the mapping (the file was modified concurrently), not a state
         // this process can recover from mid-simulation.
-        match &mut self.cursor {
-            AnyCursor::V1(c) => c
-                .decode_batch(buf)
-                .expect("trace records were scanned at open"),
-            AnyCursor::V2(c) => c
-                .decode_batch(buf)
-                .expect("trace records were scanned at open"),
-        }
+        self.cursor
+            .decode_batch(buf)
+            .expect("trace records were scanned at open")
     }
 
     fn skip(&mut self, n: u64) -> u64 {
-        match &mut self.cursor {
-            AnyCursor::V1(c) => c.skip_records(n),
-            AnyCursor::V2(c) => c.skip_records(n),
-        }
+        self.cursor.skip_records(n)
     }
 }
 

@@ -36,12 +36,20 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     // decoding restart records, the footer and index entries — the
     // same infallible slice-to-array idiom mmap.rs and binary.rs
     // already carry, bounds-checked by the enclosing length guards.
-    ("crates/trace", 18),
+    // trace 18 → 14 (one trace reader): the v1 header checks of
+    // `MmapTrace` and `BinaryTraceReader` each held two `try_into()`
+    // `expect`s on the magic and version slices; all three readers now
+    // share `header_version`, which indexes the bytes directly.
+    ("crates/trace", 14),
     // workloads 14 → 16 (trace-format-v2 PR): two validated-at-open
     // invariants in the v2 arms of TraceWorkload — the streaming
     // cursor and whole-map health were both established by `open`
     // before any replay can reach them.
-    ("crates/workloads", 16),
+    // workloads 16 → 14 (one trace reader): `TraceSource::fill` held
+    // one `expect` per format arm and now holds one for `AnyCursor`;
+    // the streaming replay's re-open `expect` went with the re-open, as
+    // a streamed cursor now restarts over the file opened at open time.
+    ("crates/workloads", 14),
     // sim 9 → 11 (ASID PR): two `Engine::new(config).expect(...)` in the
     // mix executors, where the config was validated before any work
     // began — same invariant as the sharded executor's worker engines.
