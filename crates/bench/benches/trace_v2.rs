@@ -24,10 +24,17 @@ use tlbsim_workloads::TraceWorkload;
 
 /// The throughput gate: compressed replay must be at least this
 /// fraction of raw-mmap replay throughput (1/1.2).
+///
+/// Noise band at the default settings on a shared 2-CPU x86-64 host:
+/// 0.91-1.03x over 5 runs before `TraceReader` (median 0.97x) and
+/// 0.91-1.13x over 6 runs after it (median 0.96x), none needing the
+/// retry.
 const GATE_MIN_RATIO: f64 = 1.0 / 1.2;
 
 /// The size gate: the v2 encoding of the fixture must average at most
-/// this many bytes per record (flat v1 is 17).
+/// this many bytes per record (flat v1 is 17). The fixture encodes at
+/// 4.01 bytes/record on every run: the encoding is deterministic, so
+/// this gate has no noise band.
 const GATE_MAX_BYTES_PER_RECORD: f64 = 6.0;
 
 fn bench_trace_v2(c: &mut Criterion) {
