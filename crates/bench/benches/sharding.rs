@@ -22,6 +22,10 @@ use tlbsim_workloads::{find_app, AppSpec, Scale};
 
 /// The gate: sharded throughput at [`GATE_SHARDS`] shards must be at
 /// least this multiple of sequential throughput.
+///
+/// It is skipped on hosts with fewer than [`GATE_SHARDS`] CPUs, so a
+/// shared 2-CPU x86-64 host never checks it: there it prints `gate
+/// SKIPPED` after measuring 1.58x, and no noise band is recorded.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
 /// Shard count the gate is evaluated at.
 const GATE_SHARDS: usize = 4;

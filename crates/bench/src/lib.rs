@@ -6,12 +6,11 @@
 //! the kernels that regenerate each figure/table, `prefetchers.rs` and
 //! `substrates.rs` microbenchmark the mechanisms and hardware models, and
 //! `ablations.rs` quantifies the design choices documented in the
-//! repository `README.md`. Six groups assert in-tree gates, each with one
+//! repository `README.md`. Five groups assert in-tree gates, each with one
 //! retry:
 //!
-//! - `throughput.rs`: the zero-allocation miss path (sink ≥ 1.5× the
-//!   legacy `decide()` `Vec` path), and the confidence-wrapped DP
-//!   (C+DP ≥ 0.8× plain DP throughput);
+//! - `throughput.rs`: the confidence-wrapped DP (C+DP ≥ 0.8× plain DP
+//!   throughput);
 //! - `sharding.rs`: the sharded single-run executor (≥ 2× sequential
 //!   throughput at 4 shards, on hosts with ≥ 4 CPUs);
 //! - `trace_replay.rs`: mmap trace replay (≥ 0.8× the generator-driven
@@ -113,7 +112,6 @@ pub fn run_functional(app: &AppSpec, config: &SimConfig) -> SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlbsim_core::{CandidateBuf, PrefetcherConfig, PrefetcherKind};
 
     #[test]
     fn fixtures_are_deterministic() {
@@ -134,29 +132,5 @@ mod tests {
         assert_eq!(*mix.schedule(), Schedule::RoundRobin { quantum: 4096 });
         assert_eq!(scale, Scale::SMALL);
         assert_eq!(config, SimConfig::paper_default());
-    }
-
-    #[test]
-    fn sink_path_matches_vec_path_on_mixed_miss_stream() {
-        // Byte-for-byte equivalence of the reusable-sink hot path and
-        // the owned-decision convenience path on the shared bench
-        // fixture, for every mechanism.
-        let stream = mixed_miss_stream(5_000);
-        for kind in PrefetcherKind::ALL {
-            let mut via_sink = PrefetcherConfig::new(kind).build().unwrap();
-            let mut via_decide = PrefetcherConfig::new(kind).build().unwrap();
-            let mut sink = CandidateBuf::new();
-            for (i, ctx) in stream.iter().enumerate() {
-                sink.clear();
-                via_sink.on_miss(ctx, &mut sink);
-                let decision = via_decide.decide(ctx);
-                assert_eq!(
-                    sink.pages(),
-                    decision.pages.as_slice(),
-                    "{kind:?} diverged at miss {i}"
-                );
-                assert_eq!(sink.maintenance_ops(), decision.maintenance_ops);
-            }
-        }
     }
 }

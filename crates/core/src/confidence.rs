@@ -79,7 +79,7 @@ type PendingRow = Option<VirtPage>;
 /// The passthrough configuration issues exactly what the base would:
 ///
 /// ```
-/// use tlbsim_core::{ConfidenceConfig, MissContext, Pc, PrefetcherConfig, VirtPage};
+/// use tlbsim_core::{CandidateBuf, ConfidenceConfig, MissContext, Pc, PrefetcherConfig, VirtPage};
 ///
 /// let mut cfg = PrefetcherConfig::distance();
 /// cfg.confidence(ConfidenceConfig::passthrough());
@@ -88,7 +88,10 @@ type PendingRow = Option<VirtPage>;
 /// let mut dp = PrefetcherConfig::distance().build()?;
 /// for page in [10u64, 11, 12, 13] {
 ///     let ctx = MissContext::demand(VirtPage::new(page), Pc::new(0));
-///     assert_eq!(cdp.decide(&ctx), dp.decide(&ctx));
+///     let (mut got, mut want) = (CandidateBuf::new(), CandidateBuf::new());
+///     cdp.on_miss(&ctx, &mut got);
+///     dp.on_miss(&ctx, &mut want);
+///     assert_eq!(got, want);
 /// }
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
@@ -252,7 +255,6 @@ impl TlbPrefetcher for ConfidencePrefetcher {
 mod tests {
     use super::*;
     use crate::config::PrefetcherConfig;
-    use crate::prefetcher::PrefetchDecision;
     use crate::types::Pc;
 
     fn wrap(conf: ConfidenceConfig) -> ConfidencePrefetcher {
@@ -265,8 +267,13 @@ mod tests {
         .unwrap()
     }
 
-    fn miss(p: &mut (impl TlbPrefetcher + ?Sized), page: u64) -> PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(0)))
+    fn miss(p: &mut (impl TlbPrefetcher + ?Sized), page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(0)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
@@ -307,11 +314,13 @@ mod tests {
         // nothing is issued even as DP learns the stride and its shadow
         // confirmations saturate the counters of the pages walked.
         for page in 0..20u64 {
-            assert!(miss(&mut p, page).pages.is_empty());
+            assert!(miss(&mut p, page).pages().is_empty());
         }
         // Lap 2: the same trigger pages recur with saturated counters
         // and the throttle reopens.
-        let issued_late: usize = (0..20u64).map(|page| miss(&mut p, page).pages.len()).sum();
+        let issued_late: usize = (0..20u64)
+            .map(|page| miss(&mut p, page).pages().len())
+            .sum();
         assert!(issued_late > 0, "shadow training never reopened");
     }
 
@@ -338,7 +347,7 @@ mod tests {
         miss(&mut p, 20);
         let d = miss(&mut p, 21);
         // Bare DP would emit two candidates here (+3 MRU then +2).
-        assert_eq!(d.pages, vec![VirtPage::new(24)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(24)]);
     }
 
     #[test]
@@ -393,8 +402,11 @@ mod tests {
                 prefetch_buffer_hit: false,
                 evicted_tlb_entry: Some(VirtPage::new(page % 5 + 100)),
             };
-            wrapped_ops += p.decide(&ctx).maintenance_ops;
-            bare_ops += bare.decide(&ctx).maintenance_ops;
+            let (mut wrapped, mut plain) = (CandidateBuf::new(), CandidateBuf::new());
+            p.on_miss(&ctx, &mut wrapped);
+            bare.on_miss(&ctx, &mut plain);
+            wrapped_ops += wrapped.maintenance_ops();
+            bare_ops += plain.maintenance_ops();
         }
         assert_eq!(wrapped_ops, bare_ops);
         assert!(bare_ops > 0);

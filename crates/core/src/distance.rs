@@ -75,15 +75,19 @@ struct DistanceRegs {
 /// Strided behaviour is captured in a single row:
 ///
 /// ```
-/// use tlbsim_core::{DistancePrefetcher, MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{
+///     CandidateBuf, DistancePrefetcher, MissContext, Pc, PrefetcherConfig, TlbPrefetcher,
+///     VirtPage,
+/// };
 ///
 /// let mut dp = DistancePrefetcher::from_config(&PrefetcherConfig::distance())?;
-/// let m = |p: u64| MissContext::demand(VirtPage::new(p), Pc::new(0));
-/// dp.decide(&m(0));
-/// dp.decide(&m(1)); // distance +1 observed
-/// dp.decide(&m(2)); // "+1 follows +1" learned; predicts page 3
-/// let d = dp.decide(&m(3));
-/// assert_eq!(d.pages, vec![VirtPage::new(4)]);
+/// let mut sink = CandidateBuf::new();
+/// // Miss 1 observes distance +1, miss 2 learns "+1 follows +1".
+/// for p in [0u64, 1, 2, 3] {
+///     sink.clear();
+///     dp.on_miss(&MissContext::demand(VirtPage::new(p), Pc::new(0)), &mut sink);
+/// }
+/// assert_eq!(sink.pages(), &[VirtPage::new(4)]);
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -296,8 +300,13 @@ mod tests {
         DistancePrefetcher::new(rows, slots, Associativity::Direct).unwrap()
     }
 
-    fn miss(p: &mut DistancePrefetcher, page: u64) -> crate::PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(0)))
+    fn miss(p: &mut DistancePrefetcher, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(0)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
@@ -337,7 +346,7 @@ mod tests {
         );
         // Continue the pattern: 10 arrives with distance +2, predicting +1.
         let d = miss(&mut p, 10);
-        assert_eq!(d.pages, vec![VirtPage::new(11)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(11)]);
     }
 
     #[test]
@@ -347,7 +356,7 @@ mod tests {
             miss(&mut p, page);
         }
         let d = miss(&mut p, 9);
-        assert_eq!(d.pages, vec![VirtPage::new(12)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(12)]);
     }
 
     #[test]
@@ -357,7 +366,7 @@ mod tests {
             miss(&mut p, page);
         }
         let d = miss(&mut p, 91);
-        assert_eq!(d.pages, vec![VirtPage::new(88)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(88)]);
     }
 
     #[test]
@@ -374,7 +383,7 @@ mod tests {
         // Next +1 distance: both +3 (MRU) and +2 predicted.
         miss(&mut p, 20);
         let d = miss(&mut p, 21);
-        assert_eq!(d.pages, vec![VirtPage::new(24), VirtPage::new(23)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(24), VirtPage::new(23)]);
     }
 
     #[test]
@@ -386,7 +395,7 @@ mod tests {
             miss(&mut p, 5);
         }
         let d = miss(&mut p, 5);
-        assert!(d.pages.is_empty());
+        assert!(d.pages().is_empty());
     }
 
     #[test]
@@ -419,7 +428,7 @@ mod tests {
             miss(&mut p, page);
         }
         let d = miss(&mut p, 14); // distance +1 -> predict +2
-        assert_eq!(d.pages, vec![VirtPage::new(16)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(16)]);
     }
 
     #[test]
@@ -439,16 +448,23 @@ mod tests {
         let mut cfg = PrefetcherConfig::distance();
         cfg.pc_qualified(true);
         let mut p = DistancePrefetcher::from_config(&cfg).unwrap();
-        let m = |pc: u64, page: u64| MissContext::demand(VirtPage::new(page), Pc::new(pc));
+        let m = |p: &mut DistancePrefetcher, pc: u64, page: u64| {
+            let mut sink = CandidateBuf::new();
+            p.on_miss(
+                &MissContext::demand(VirtPage::new(page), Pc::new(pc)),
+                &mut sink,
+            );
+            sink
+        };
         // PC 0x40 walks stride +1; learn and predict under that PC.
-        p.decide(&m(0x40, 0));
-        p.decide(&m(0x40, 1));
-        p.decide(&m(0x40, 2));
-        let d = p.decide(&m(0x40, 3));
-        assert_eq!(d.pages, vec![VirtPage::new(4)]);
+        m(&mut p, 0x40, 0);
+        m(&mut p, 0x40, 1);
+        m(&mut p, 0x40, 2);
+        let d = m(&mut p, 0x40, 3);
+        assert_eq!(d.pages(), vec![VirtPage::new(4)]);
         // The same distance under a different PC has no history.
-        let d = p.decide(&m(0x99, 4));
-        assert!(d.pages.is_empty());
+        let d = m(&mut p, 0x99, 4);
+        assert!(d.pages().is_empty());
     }
 
     #[test]
@@ -463,14 +479,13 @@ mod tests {
             let mut predicted_hits = 0u32;
             let mut chances = 0u32;
             for i in 0..600 {
-                let vp = VirtPage::new(page as u64);
-                let d = p.decide(&MissContext::demand(vp, Pc::new(0)));
+                let d = miss(p, page as u64);
                 let next = page + cycle[i % cycle.len()];
                 // After two warm-up cycles the decision at each miss
                 // should name the next page to miss.
                 if i >= 12 {
                     chances += 1;
-                    if d.pages.contains(&VirtPage::new(next as u64)) {
+                    if d.pages().contains(&VirtPage::new(next as u64)) {
                         predicted_hits += 1;
                     }
                 }
@@ -492,7 +507,7 @@ mod tests {
             miss(&mut p, page);
         }
         let d = miss(&mut p, 50);
-        assert_eq!(d.pages, vec![VirtPage::new(51)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(51)]);
     }
 
     #[test]
@@ -511,11 +526,11 @@ mod tests {
         miss(&mut p, 1006);
         // Context 1 learned +3 -> +3 in its own tagged rows.
         let d = miss(&mut p, 1009);
-        assert_eq!(d.pages, vec![VirtPage::new(1012)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(1012)]);
         // Switching back restores context 0's +1 chain exactly.
         p.set_asid(Asid::DEFAULT);
         let d = miss(&mut p, 3);
-        assert_eq!(d.pages, vec![VirtPage::new(4)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(4)]);
     }
 
     #[test]
@@ -550,7 +565,7 @@ mod tests {
         // with prev_distance +1, the next distance +2 lands on 10 and
         // predicts +1 => 11.
         let d = miss(&mut p, 10);
-        assert_eq!(d.pages, vec![VirtPage::new(11)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(11)]);
     }
 
     #[test]

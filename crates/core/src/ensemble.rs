@@ -248,24 +248,31 @@ impl TlbPrefetcher for EnsemblePrefetcher {
 mod tests {
     use super::*;
     use crate::config::PrefetcherKind;
-    use crate::prefetcher::PrefetchDecision;
     use crate::types::{Pc, VirtPage};
 
     fn ep(kinds: &[PrefetcherKind]) -> EnsemblePrefetcher {
         EnsemblePrefetcher::from_config(&PrefetcherConfig::ensemble_of(kinds)).unwrap()
     }
 
-    fn miss(p: &mut (impl TlbPrefetcher + ?Sized), page: u64) -> PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(0)))
+    fn miss(p: &mut (impl TlbPrefetcher + ?Sized), page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(0)),
+            &mut sink,
+        );
+        sink
     }
 
-    fn covered(p: &mut impl TlbPrefetcher, page: u64) -> PrefetchDecision {
-        p.decide(&MissContext {
+    fn covered(p: &mut impl TlbPrefetcher, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        let ctx = MissContext {
             page: VirtPage::new(page),
             pc: Pc::new(0),
             prefetch_buffer_hit: true,
             evicted_tlb_entry: None,
-        })
+        };
+        p.on_miss(&ctx, &mut sink);
+        sink
     }
 
     #[test]
@@ -319,13 +326,18 @@ mod tests {
         let mut pc = 1000u64;
         let mut walk = |e: &mut EnsemblePrefetcher, page: u64| {
             pc += 4;
-            e.decide(&MissContext::demand(VirtPage::new(page), Pc::new(pc)))
+            let mut sink = CandidateBuf::new();
+            e.on_miss(
+                &MissContext::demand(VirtPage::new(page), Pc::new(pc)),
+                &mut sink,
+            );
+            sink
         };
         for p in 0..6 {
             walk(&mut e, follower_base + p);
         }
         // ASP is winning, and with one-shot PCs it predicts nothing.
-        assert!(walk(&mut e, follower_base + 6).pages.is_empty());
+        assert!(walk(&mut e, follower_base + 6).pages().is_empty());
 
         // Now vote DP up past ASP in DP's leader region (region 0).
         for i in 0..20 {
@@ -337,7 +349,10 @@ mod tests {
         // +1 chain issues DP's prediction of the next page.
         walk(&mut e, follower_base + 7);
         let d = walk(&mut e, follower_base + 8);
-        assert!(d.pages.contains(&VirtPage::new(follower_base + 9)), "{d:?}");
+        assert!(
+            d.pages().contains(&VirtPage::new(follower_base + 9)),
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -45,9 +45,7 @@
 //!   every [`TlbPrefetcher::on_miss`] call;
 //! * mechanisms push candidates in priority order and never allocate on
 //!   the miss path — anything allocating is segregated into explicitly
-//!   named `*_snapshot` debug accessors;
-//! * the owned [`PrefetchDecision`] shape survives as the convenience
-//!   wrapper [`TlbPrefetcher::decide`] for tests and examples.
+//!   named `*_snapshot` debug accessors.
 //!
 //! ## Quick start
 //!
@@ -106,8 +104,8 @@ pub use hash::{BuildPageHasher, PageHasher};
 pub use lru::{Displaced, TaggedLru};
 pub use markov::MarkovPrefetcher;
 pub use prefetcher::{
-    HardwareProfile, IndexSource, MissContext, NullPrefetcher, PrefetchDecision, RowBudget,
-    StateLocation, TlbPrefetcher,
+    HardwareProfile, IndexSource, MissContext, NullPrefetcher, RowBudget, StateLocation,
+    TlbPrefetcher,
 };
 pub use recency::RecencyPrefetcher;
 pub use sequential::SequentialPrefetcher;

@@ -23,15 +23,18 @@ use crate::types::{Asid, VirtPage};
 /// # Examples
 ///
 /// ```
-/// use tlbsim_core::{MarkovPrefetcher, MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{
+///     CandidateBuf, MarkovPrefetcher, MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage,
+/// };
 ///
 /// let mut mp = MarkovPrefetcher::from_config(&PrefetcherConfig::markov())?;
-/// let m = |p: u64| MissContext::demand(VirtPage::new(p), Pc::new(0));
+/// let mut sink = CandidateBuf::new();
 /// // Teach the transition 100 -> 200, then revisit 100.
-/// mp.decide(&m(100));
-/// mp.decide(&m(200));
-/// let d = mp.decide(&m(100));
-/// assert_eq!(d.pages, vec![VirtPage::new(200)]);
+/// for p in [100u64, 200, 100] {
+///     sink.clear();
+///     mp.on_miss(&MissContext::demand(VirtPage::new(p), Pc::new(0)), &mut sink);
+/// }
+/// assert_eq!(sink.pages(), &[VirtPage::new(200)]);
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -179,8 +182,13 @@ mod tests {
         MarkovPrefetcher::new(rows, slots, Associativity::Direct).unwrap()
     }
 
-    fn miss(p: &mut MarkovPrefetcher, page: u64) -> crate::PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(0)))
+    fn miss(p: &mut MarkovPrefetcher, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(0)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
@@ -198,7 +206,7 @@ mod tests {
         miss(&mut p, 30);
         // Revisit 10: it was followed by 20.
         let d = miss(&mut p, 10);
-        assert_eq!(d.pages, vec![VirtPage::new(20)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(20)]);
     }
 
     #[test]
@@ -210,7 +218,7 @@ mod tests {
         miss(&mut p, 1);
         miss(&mut p, 3);
         let d = miss(&mut p, 1);
-        assert_eq!(d.pages, vec![VirtPage::new(3), VirtPage::new(2)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(3), VirtPage::new(2)]);
     }
 
     #[test]
@@ -240,7 +248,7 @@ mod tests {
         assert!(s.contains(&VirtPage::new(2)) && s.contains(&VirtPage::new(5)));
         // On the next visit to 1, both are predicted.
         let d = miss(&mut p, 1);
-        assert_eq!(d.pages.len(), 2);
+        assert_eq!(d.pages().len(), 2);
     }
 
     #[test]
@@ -261,7 +269,7 @@ mod tests {
         for lap in 0..4 {
             for page in 0..128u64 {
                 let d = miss(&mut p, page);
-                if lap > 0 && !d.pages.is_empty() {
+                if lap > 0 && !d.pages().is_empty() {
                     predicted += 1;
                 }
             }
@@ -277,7 +285,7 @@ mod tests {
         for lap in 0..4 {
             for page in 0..128u64 {
                 let d = miss(&mut p, page);
-                if lap > 0 && d.pages.contains(&VirtPage::new((page + 1) % 128)) {
+                if lap > 0 && d.pages().contains(&VirtPage::new((page + 1) % 128)) {
                     hits += 1;
                 }
             }
@@ -309,13 +317,13 @@ mod tests {
         p.set_asid(Asid::DEFAULT);
         // Context 0's graph (1 -> 2) and its register survive intact.
         let d = miss(&mut p, 1);
-        assert_eq!(d.pages, vec![VirtPage::new(2)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(2)]);
         assert!(p
             .successors_snapshot(VirtPage::new(2))
             .contains(&VirtPage::new(1)));
         p.set_asid(Asid::new(1));
         let d = miss(&mut p, 9);
-        assert_eq!(d.pages, vec![VirtPage::new(8)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(8)]);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! it wants brought into the prefetch buffer, plus the number of extra
 //! memory operations spent maintaining prediction state (zero for the
 //! on-chip schemes, up to four pointer updates for recency prefetching).
-//! The sink-based shape keeps the per-miss path free of heap allocation;
-//! the allocating [`TlbPrefetcher::decide`] wrapper exists for tests and
-//! examples that want an owned [`PrefetchDecision`].
+//! The sink-based shape keeps the per-miss path free of heap allocation,
+//! and it is the only shape: tests and examples read the same sink.
 
 use std::fmt;
 
@@ -43,48 +42,6 @@ impl MissContext {
             prefetch_buffer_hit: false,
             evicted_tlb_entry: None,
         }
-    }
-}
-
-/// An owned snapshot of what a mechanism decided to do about one miss.
-///
-/// This is the **convenience** shape, produced by
-/// [`TlbPrefetcher::decide`] or [`CandidateBuf::take_decision`]: it heap
-/// allocates, so tests and examples use it freely but the simulation
-/// engines never touch it — their per-miss loop stays on the
-/// [`CandidateBuf`] sink.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefetchDecision {
-    /// Pages to bring into the prefetch buffer, in priority order.
-    ///
-    /// The engine filters out pages already resident in the TLB or the
-    /// prefetch buffer; mechanisms need not (and the hardware could not
-    /// cheaply) deduplicate against those structures.
-    pub pages: Vec<VirtPage>,
-    /// Memory operations spent maintaining prediction state, *excluding*
-    /// the page-table reads that fetch the prefetched entries themselves.
-    /// Only recency prefetching is non-zero here (its LRU-stack pointers
-    /// live in the page table).
-    pub maintenance_ops: u32,
-}
-
-impl PrefetchDecision {
-    /// A decision that prefetches nothing and touches no memory.
-    pub fn none() -> Self {
-        PrefetchDecision::default()
-    }
-
-    /// A decision prefetching the given pages with no maintenance traffic.
-    pub fn pages(pages: Vec<VirtPage>) -> Self {
-        PrefetchDecision {
-            pages,
-            maintenance_ops: 0,
-        }
-    }
-
-    /// Returns `true` if nothing is prefetched and no memory is touched.
-    pub fn is_none(&self) -> bool {
-        self.pages.is_empty() && self.maintenance_ops == 0
     }
 }
 
@@ -182,13 +139,9 @@ impl fmt::Display for RowBudget {
 ///
 /// The hot entry point is [`on_miss`](Self::on_miss): the caller owns a
 /// reusable [`CandidateBuf`] and the mechanism writes its candidates
-/// straight into it — no allocation, no intermediate collection. The
-/// allocating [`decide`](Self::decide) wrapper trades that for the
-/// ergonomic owned [`PrefetchDecision`] used throughout the unit tests.
+/// straight into it — no allocation, no intermediate collection.
 ///
 /// # Examples
-///
-/// Sink-based (the engine loop's shape):
 ///
 /// ```
 /// use tlbsim_core::{
@@ -208,20 +161,6 @@ impl fmt::Display for RowBudget {
 /// assert!(sink.pages().contains(&VirtPage::new(14)));
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
-///
-/// Owned-decision convenience:
-///
-/// ```
-/// use tlbsim_core::{MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage};
-///
-/// let mut dp = PrefetcherConfig::distance().build()?;
-/// for n in [10u64, 11, 12] {
-///     dp.decide(&MissContext::demand(VirtPage::new(n), Pc::new(0x40)));
-/// }
-/// let decision = dp.decide(&MissContext::demand(VirtPage::new(13), Pc::new(0x40)));
-/// assert!(decision.pages.contains(&VirtPage::new(14)));
-/// # Ok::<(), tlbsim_core::ConfigError>(())
-/// ```
 pub trait TlbPrefetcher {
     /// Reacts to one TLB miss, pushing the pages to prefetch (and any
     /// maintenance traffic) into `sink`.
@@ -229,15 +168,6 @@ pub trait TlbPrefetcher {
     /// The caller provides `sink` already cleared; candidates are pushed
     /// in priority order. This path must not allocate.
     fn on_miss(&mut self, ctx: &MissContext, sink: &mut CandidateBuf);
-
-    /// Allocating convenience wrapper around [`on_miss`](Self::on_miss)
-    /// for tests and examples: runs the mechanism against a fresh sink
-    /// and returns the owned decision.
-    fn decide(&mut self, ctx: &MissContext) -> PrefetchDecision {
-        let mut sink = CandidateBuf::new();
-        self.on_miss(ctx, &mut sink);
-        sink.take_decision()
-    }
 
     /// Drops all learned state (e.g. on a flushing context switch).
     /// Geometry is preserved.
@@ -309,27 +239,14 @@ mod tests {
     #[test]
     fn null_prefetcher_does_nothing() {
         let mut p = NullPrefetcher::new();
-        let d = p.decide(&MissContext::demand(VirtPage::new(1), Pc::new(2)));
-        assert!(d.is_none());
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(1), Pc::new(2)),
+            &mut sink,
+        );
+        assert!(sink.is_none());
         assert_eq!(p.name(), "none");
         p.flush();
-    }
-
-    #[test]
-    fn decide_matches_sink_contents() {
-        let mut p = NullPrefetcher::new();
-        let ctx = MissContext::demand(VirtPage::new(1), Pc::new(2));
-        let mut sink = CandidateBuf::new();
-        p.on_miss(&ctx, &mut sink);
-        assert_eq!(p.decide(&ctx).pages, sink.pages().to_vec());
-    }
-
-    #[test]
-    fn decision_constructors() {
-        assert!(PrefetchDecision::none().is_none());
-        let d = PrefetchDecision::pages(vec![VirtPage::new(9)]);
-        assert!(!d.is_none());
-        assert_eq!(d.maintenance_ops, 0);
     }
 
     #[test]

@@ -43,31 +43,23 @@ struct RecencyBank {
 /// # Examples
 ///
 /// ```
-/// use tlbsim_core::{MissContext, Pc, RecencyPrefetcher, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{CandidateBuf, MissContext, Pc, RecencyPrefetcher, TlbPrefetcher, VirtPage};
 ///
 /// let mut rp = RecencyPrefetcher::new();
-/// // Pages 1 and 2 get evicted from the TLB in that order…
-/// rp.decide(&MissContext {
-///     page: VirtPage::new(50),
-///     pc: Pc::new(0),
-///     prefetch_buffer_hit: false,
-///     evicted_tlb_entry: Some(VirtPage::new(1)),
-/// });
-/// rp.decide(&MissContext {
-///     page: VirtPage::new(51),
-///     pc: Pc::new(0),
-///     prefetch_buffer_hit: false,
-///     evicted_tlb_entry: Some(VirtPage::new(2)),
-/// });
-/// // …so when page 2 misses again, its stack neighbour page 1 is
-/// // prefetched.
-/// let d = rp.decide(&MissContext {
-///     page: VirtPage::new(2),
-///     pc: Pc::new(0),
-///     prefetch_buffer_hit: false,
-///     evicted_tlb_entry: Some(VirtPage::new(3)),
-/// });
-/// assert!(d.pages.contains(&VirtPage::new(1)));
+/// let mut sink = CandidateBuf::new();
+/// // Pages 1 and 2 get evicted from the TLB in that order, so when
+/// // page 2 misses again its stack neighbour page 1 is prefetched.
+/// for (page, evicted) in [(50u64, 1u64), (51, 2), (2, 3)] {
+///     sink.clear();
+///     let ctx = MissContext {
+///         page: VirtPage::new(page),
+///         pc: Pc::new(0),
+///         prefetch_buffer_hit: false,
+///         evicted_tlb_entry: Some(VirtPage::new(evicted)),
+///     };
+///     rp.on_miss(&ctx, &mut sink);
+/// }
+/// assert!(sink.pages().contains(&VirtPage::new(1)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecencyPrefetcher {
@@ -238,21 +230,24 @@ mod tests {
     use super::*;
     use crate::types::Pc;
 
-    fn miss(p: &mut RecencyPrefetcher, page: u64, evicted: Option<u64>) -> crate::PrefetchDecision {
-        p.decide(&MissContext {
+    fn miss(p: &mut RecencyPrefetcher, page: u64, evicted: Option<u64>) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        let ctx = MissContext {
             page: VirtPage::new(page),
             pc: Pc::new(0),
             prefetch_buffer_hit: false,
             evicted_tlb_entry: evicted.map(VirtPage::new),
-        })
+        };
+        p.on_miss(&ctx, &mut sink);
+        sink
     }
 
     #[test]
     fn cold_misses_prefetch_nothing() {
         let mut p = RecencyPrefetcher::new();
         let d = miss(&mut p, 1, None);
-        assert!(d.pages.is_empty());
-        assert_eq!(d.maintenance_ops, 0);
+        assert!(d.pages().is_empty());
+        assert_eq!(d.maintenance_ops(), 0);
     }
 
     #[test]
@@ -276,7 +271,7 @@ mod tests {
         // Stack (top->bottom): 3, 2, 1. Missing page 2 prefetches 3 and
         // 1, the above-neighbour first.
         let d = miss(&mut p, 2, Some(4));
-        assert_eq!(d.pages, vec![VirtPage::new(3), VirtPage::new(1)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(3), VirtPage::new(1)]);
         // Page 2 left the stack; 4 joined on top.
         assert_eq!(
             p.stack_snapshot(),
@@ -291,7 +286,7 @@ mod tests {
         miss(&mut p, 101, Some(2));
         // Stack: 2, 1. Missing page 2 (the top) has only a below-neighbour.
         let d = miss(&mut p, 2, None);
-        assert_eq!(d.pages, vec![VirtPage::new(1)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(1)]);
         assert_eq!(p.stack_snapshot(), vec![VirtPage::new(1)]);
     }
 
@@ -303,7 +298,7 @@ mod tests {
         }
         // Unlink from the middle (2 writes) + push eviction (2 writes).
         let d = miss(&mut p, 3, Some(6));
-        assert_eq!(d.maintenance_ops, 4);
+        assert_eq!(d.maintenance_ops(), 4);
     }
 
     #[test]
@@ -316,8 +311,8 @@ mod tests {
         // Stack: 9000, 7, 50. Page 7's neighbours are 9000 and 50 —
         // nothing to do with addresses 6 or 8.
         let d = miss(&mut p, 7, None);
-        assert!(d.pages.contains(&VirtPage::new(9000)));
-        assert!(d.pages.contains(&VirtPage::new(50)));
+        assert!(d.pages().contains(&VirtPage::new(9000)));
+        assert!(d.pages().contains(&VirtPage::new(50)));
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
         p.set_asid(Asid::DEFAULT);
         assert_eq!(p.stack_snapshot(), vec![VirtPage::new(2), VirtPage::new(1)]);
         let d = miss(&mut p, 2, None);
-        assert_eq!(d.pages, vec![VirtPage::new(1)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(1)]);
     }
 
     #[test]

@@ -23,11 +23,12 @@ use crate::sink::CandidateBuf;
 /// # Examples
 ///
 /// ```
-/// use tlbsim_core::{MissContext, Pc, SequentialPrefetcher, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{CandidateBuf, MissContext, Pc, SequentialPrefetcher, TlbPrefetcher, VirtPage};
 ///
 /// let mut sp = SequentialPrefetcher::new();
-/// let d = sp.decide(&MissContext::demand(VirtPage::new(41), Pc::new(0)));
-/// assert_eq!(d.pages, vec![VirtPage::new(42)]);
+/// let mut sink = CandidateBuf::new();
+/// sp.on_miss(&MissContext::demand(VirtPage::new(41), Pc::new(0)), &mut sink);
+/// assert_eq!(sink.pages(), &[VirtPage::new(42)]);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SequentialPrefetcher {
@@ -72,17 +73,22 @@ mod tests {
     use super::*;
     use crate::types::{Pc, VirtPage};
 
-    fn miss(page: u64) -> MissContext {
-        MissContext::demand(VirtPage::new(page), Pc::new(0x100))
+    fn miss(sp: &mut SequentialPrefetcher, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        sp.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(0x100)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
     fn always_prefetches_next_page() {
         let mut sp = SequentialPrefetcher::new();
         for p in [0u64, 5, 1000] {
-            let d = sp.decide(&miss(p));
-            assert_eq!(d.pages, vec![VirtPage::new(p + 1)]);
-            assert_eq!(d.maintenance_ops, 0);
+            let d = miss(&mut sp, p);
+            assert_eq!(d.pages(), vec![VirtPage::new(p + 1)]);
+            assert_eq!(d.maintenance_ops(), 0);
         }
     }
 
@@ -97,13 +103,15 @@ mod tests {
             prefetch_buffer_hit: true,
             evicted_tlb_entry: None,
         };
-        assert_eq!(sp.decide(&ctx).pages, vec![VirtPage::new(8)]);
+        let mut sink = CandidateBuf::new();
+        sp.on_miss(&ctx, &mut sink);
+        assert_eq!(sink.pages(), vec![VirtPage::new(8)]);
     }
 
     #[test]
     fn handles_address_space_end() {
         let mut sp = SequentialPrefetcher::new();
-        let d = sp.decide(&miss(u64::MAX));
+        let d = miss(&mut sp, u64::MAX);
         assert!(d.is_none());
     }
 

@@ -14,9 +14,7 @@
 //! # Contract
 //!
 //! * The **caller** clears the sink before each `on_miss` call (engines
-//!   keep one sink per engine; [`CandidateBuf::take_decision`] and the
-//!   [`TlbPrefetcher::decide`](crate::TlbPrefetcher::decide) convenience
-//!   wrapper do it for you).
+//!   keep one sink per engine; tests may use a fresh sink per miss).
 //! * Mechanisms [`push`](CandidateBuf::push) candidates in **priority
 //!   order** (MRU prediction first); engines issue them in push order.
 //! * Capacity is [`CandidateBuf::CAPACITY`] — comfortably above the
@@ -25,7 +23,6 @@
 //!   [`overflowed`](CandidateBuf::overflowed), and reported through
 //!   `push`'s return value.
 
-use crate::prefetcher::PrefetchDecision;
 use crate::types::VirtPage;
 
 /// A fixed-capacity, heap-free buffer of prefetch candidates plus the
@@ -93,7 +90,9 @@ impl CandidateBuf {
     }
 
     /// Appends a candidate in priority order. Returns `false` (and
-    /// counts the drop) if the sink is full.
+    /// counts the drop) if the sink is full. The engine filters out pages
+    /// already in the TLB or the prefetch buffer, so mechanisms need not
+    /// deduplicate against those structures.
     pub fn push(&mut self, page: VirtPage) -> bool {
         if self.len == Self::CAPACITY {
             self.overflowed += 1;
@@ -104,7 +103,8 @@ impl CandidateBuf {
         true
     }
 
-    /// Adds state-maintenance memory operations (RP's pointer updates).
+    /// Adds state-maintenance memory operations (RP's pointer updates),
+    /// excluding the page-table reads that fetch the candidates themselves.
     pub fn add_maintenance_ops(&mut self, ops: u32) {
         self.maintenance_ops += ops;
     }
@@ -146,18 +146,6 @@ impl CandidateBuf {
     /// Iterates candidates in priority order.
     pub fn iter(&self) -> std::slice::Iter<'_, VirtPage> {
         self.pages().iter()
-    }
-
-    /// Converts the sink's contents into an owned [`PrefetchDecision`]
-    /// and clears the sink — the allocating convenience bridge for tests
-    /// and examples, **not** for the per-miss loop.
-    pub fn take_decision(&mut self) -> PrefetchDecision {
-        let decision = PrefetchDecision {
-            pages: self.pages().to_vec(),
-            maintenance_ops: self.maintenance_ops,
-        };
-        self.clear();
-        decision
     }
 }
 
@@ -240,16 +228,5 @@ mod tests {
         assert_eq!(sink.maintenance_ops(), 4);
         assert!(!sink.is_none());
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn take_decision_converts_and_clears() {
-        let mut sink = CandidateBuf::new();
-        sink.push(VirtPage::new(1));
-        sink.add_maintenance_ops(3);
-        let d = sink.take_decision();
-        assert_eq!(d.pages, vec![VirtPage::new(1)]);
-        assert_eq!(d.maintenance_ops, 3);
-        assert!(sink.is_none());
     }
 }

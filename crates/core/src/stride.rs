@@ -60,17 +60,19 @@ pub struct RptEntry {
 /// # Examples
 ///
 /// ```
-/// use tlbsim_core::{MissContext, Pc, PrefetcherConfig, StridePrefetcher, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{
+///     CandidateBuf, MissContext, Pc, PrefetcherConfig, StridePrefetcher, TlbPrefetcher, VirtPage,
+/// };
 ///
 /// let mut asp = StridePrefetcher::from_config(&PrefetcherConfig::stride())?;
-/// let pc = Pc::new(0x40);
-/// // Three misses with stride 5 establish the steady state…
-/// for page in [100u64, 105, 110] {
-///     asp.decide(&MissContext::demand(VirtPage::new(page), pc));
+/// let mut sink = CandidateBuf::new();
+/// // Three misses with stride 5 establish the steady state, so the
+/// // fourth predicts page + 5.
+/// for page in [100u64, 105, 110, 115] {
+///     sink.clear();
+///     asp.on_miss(&MissContext::demand(VirtPage::new(page), Pc::new(0x40)), &mut sink);
 /// }
-/// // …so the fourth predicts page + 5.
-/// let d = asp.decide(&MissContext::demand(VirtPage::new(115), pc));
-/// assert_eq!(d.pages, vec![VirtPage::new(120)]);
+/// assert_eq!(sink.pages(), &[VirtPage::new(120)]);
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -202,8 +204,13 @@ mod tests {
         StridePrefetcher::new(rows, Associativity::Direct).unwrap()
     }
 
-    fn miss(p: &mut StridePrefetcher, pc: u64, page: u64) -> crate::PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(pc)))
+    fn miss(p: &mut StridePrefetcher, pc: u64, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(pc)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
@@ -211,7 +218,7 @@ mod tests {
         let mut p = asp(64);
         assert!(miss(&mut p, 4, 100).is_none()); // allocate
         assert!(miss(&mut p, 4, 103).is_none()); // Initial -> Transient (stride 3)
-        assert!(miss(&mut p, 4, 106).pages == vec![VirtPage::new(109)]); // Steady
+        assert!(miss(&mut p, 4, 106).pages() == vec![VirtPage::new(109)]); // Steady
     }
 
     #[test]
@@ -229,7 +236,7 @@ mod tests {
         miss(&mut p, 8, 100);
         miss(&mut p, 8, 98);
         let d = miss(&mut p, 8, 96);
-        assert_eq!(d.pages, vec![VirtPage::new(94)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(94)]);
     }
 
     #[test]
@@ -243,7 +250,7 @@ mod tests {
         // Back on the old stride relative to the new prev page: 100 -> 102
         // matches the preserved stride, returning straight to Steady.
         let d = miss(&mut p, 4, 102);
-        assert_eq!(d.pages, vec![VirtPage::new(104)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(104)]);
     }
 
     #[test]
@@ -255,7 +262,7 @@ mod tests {
         assert_eq!(p.entry(Pc::new(4)).unwrap().state, RptState::NoPrediction);
         miss(&mut p, 4, 11); // match -> Transient
         let d = miss(&mut p, 4, 13); // match -> Steady, prefetch 15
-        assert_eq!(d.pages, vec![VirtPage::new(15)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(15)]);
     }
 
     #[test]
@@ -268,8 +275,8 @@ mod tests {
         miss(&mut p, 0x80, 1010);
         let d1 = miss(&mut p, 0x40, 2);
         let d2 = miss(&mut p, 0x80, 1020);
-        assert_eq!(d1.pages, vec![VirtPage::new(3)]);
-        assert_eq!(d2.pages, vec![VirtPage::new(1030)]);
+        assert_eq!(d1.pages(), vec![VirtPage::new(3)]);
+        assert_eq!(d2.pages(), vec![VirtPage::new(1030)]);
     }
 
     #[test]

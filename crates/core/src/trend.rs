@@ -96,18 +96,18 @@ impl TrendRow {
 /// the prediction:
 ///
 /// ```
-/// use tlbsim_core::{MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage};
+/// use tlbsim_core::{CandidateBuf, MissContext, Pc, PrefetcherConfig, TlbPrefetcher, VirtPage};
 ///
 /// let mut cfg = PrefetcherConfig::trend_stride();
 /// cfg.window(4);
 /// let mut tp = cfg.build()?;
-/// let pc = Pc::new(0x40);
-/// for page in [0u64, 2, 4, 6, 99, 101] {
-///     tp.decide(&MissContext::demand(VirtPage::new(page), pc));
+/// let mut sink = CandidateBuf::new();
+/// for page in [0u64, 2, 4, 6, 99, 101, 103] {
+///     sink.clear();
+///     tp.on_miss(&MissContext::demand(VirtPage::new(page), Pc::new(0x40)), &mut sink);
 /// }
 /// // Window holds [+2, +93, +2, +2]: majority +2 still predicts.
-/// let d = tp.decide(&MissContext::demand(VirtPage::new(103), pc));
-/// assert_eq!(d.pages, vec![VirtPage::new(105)]);
+/// assert_eq!(sink.pages(), &[VirtPage::new(105)]);
 /// # Ok::<(), tlbsim_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -270,8 +270,13 @@ mod tests {
         TrendStridePrefetcher::new(rows, Associativity::Direct, window).unwrap()
     }
 
-    fn miss(p: &mut impl TlbPrefetcher, pc: u64, page: u64) -> crate::PrefetchDecision {
-        p.decide(&MissContext::demand(VirtPage::new(page), Pc::new(pc)))
+    fn miss(p: &mut impl TlbPrefetcher, pc: u64, page: u64) -> CandidateBuf {
+        let mut sink = CandidateBuf::new();
+        p.on_miss(
+            &MissContext::demand(VirtPage::new(page), Pc::new(pc)),
+            &mut sink,
+        );
+        sink
     }
 
     #[test]
@@ -283,7 +288,7 @@ mod tests {
         assert!(miss(&mut p, 4, 4).is_none());
         assert!(miss(&mut p, 4, 6).is_none());
         // Fifth miss: window [2,2,2,2] votes +2.
-        assert_eq!(miss(&mut p, 4, 8).pages, vec![VirtPage::new(10)]);
+        assert_eq!(miss(&mut p, 4, 8).pages(), vec![VirtPage::new(10)]);
     }
 
     #[test]
@@ -306,7 +311,7 @@ mod tests {
         }
         // Irregular reference: window [3,3,3,100] still votes +3.
         let d = miss(&mut p, 4, 112);
-        assert_eq!(d.pages, vec![VirtPage::new(115)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(115)]);
     }
 
     #[test]
@@ -316,7 +321,7 @@ mod tests {
         for page in [0u64, 1, 3, 6, 10] {
             miss(&mut p, 4, page);
         }
-        assert!(miss(&mut p, 4, 15).pages.is_empty());
+        assert!(miss(&mut p, 4, 15).pages().is_empty());
     }
 
     #[test]
@@ -334,7 +339,7 @@ mod tests {
         miss(&mut p, 8, 100);
         miss(&mut p, 8, 95);
         let d = miss(&mut p, 8, 90);
-        assert_eq!(d.pages, vec![VirtPage::new(85)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(85)]);
     }
 
     #[test]
@@ -344,8 +349,8 @@ mod tests {
         miss(&mut p, 0x80, 1000);
         miss(&mut p, 0x40, 1);
         miss(&mut p, 0x80, 1010);
-        assert_eq!(miss(&mut p, 0x40, 2).pages, vec![VirtPage::new(3)]);
-        assert_eq!(miss(&mut p, 0x80, 1020).pages, vec![VirtPage::new(1030)]);
+        assert_eq!(miss(&mut p, 0x40, 2).pages(), vec![VirtPage::new(3)]);
+        assert_eq!(miss(&mut p, 0x80, 1020).pages(), vec![VirtPage::new(1030)]);
     }
 
     #[test]
@@ -356,9 +361,9 @@ mod tests {
         for page in [0u64, 5, 10] {
             miss(&mut p, 4, page);
         }
-        assert!(miss(&mut p, 4, 19).pages.is_empty()); // window [5,9]
+        assert!(miss(&mut p, 4, 19).pages().is_empty()); // window [5,9]
         let d = miss(&mut p, 4, 28); // window [9,9]
-        assert_eq!(d.pages, vec![VirtPage::new(37)]);
+        assert_eq!(d.pages(), vec![VirtPage::new(37)]);
     }
 
     #[test]
@@ -392,10 +397,10 @@ mod tests {
         // Fresh context: same PC has no row, no prediction.
         assert!(miss(&mut p, 4, 500).is_none());
         assert!(miss(&mut p, 4, 503).is_none());
-        assert_eq!(miss(&mut p, 4, 506).pages, vec![VirtPage::new(509)]);
+        assert_eq!(miss(&mut p, 4, 506).pages(), vec![VirtPage::new(509)]);
         p.set_asid(crate::types::Asid::DEFAULT);
         // Original context resumes its +10 trend.
-        assert_eq!(miss(&mut p, 4, 30).pages, vec![VirtPage::new(40)]);
+        assert_eq!(miss(&mut p, 4, 30).pages(), vec![VirtPage::new(40)]);
     }
 
     #[test]

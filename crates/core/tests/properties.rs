@@ -102,26 +102,27 @@ proptest! {
                 prefetch_buffer_hit: i % 3 == 0,
                 evicted_tlb_entry: if i % 2 == 0 { Some(VirtPage::new(*page / 2)) } else { None },
             };
-            let d = p.decide(&ctx);
-            prop_assert!(d.pages.len() <= max as usize,
-                "{} returned {} pages (max {})", p.name(), d.pages.len(), max);
+            let mut d = CandidateBuf::new();
+            p.on_miss(&ctx, &mut d);
+            prop_assert!(d.pages().len() <= max as usize,
+                "{} returned {} pages (max {})", p.name(), d.pages().len(), max);
             if kind != PrefetcherKind::Recency {
                 // RP may legitimately prefetch a stack neighbour equal to
                 // another page; but no scheme may prefetch the missed page.
-                prop_assert!(!d.pages.contains(&VirtPage::new(*page)));
+                prop_assert!(!d.pages().contains(&VirtPage::new(*page)));
             }
         }
     }
 
     /// A long-lived sink reused across every miss (the engines' shape)
-    /// observes exactly what a fresh `decide()` per miss observes.
+    /// observes exactly what a fresh sink per miss observes.
     #[test]
     fn reused_sink_matches_fresh_decisions(
         kind in any_kind(),
         pages in prop::collection::vec(0u64..500, 1..150),
     ) {
         let mut via_sink = PrefetcherConfig::new(kind).build().unwrap();
-        let mut via_decide = PrefetcherConfig::new(kind).build().unwrap();
+        let mut via_fresh = PrefetcherConfig::new(kind).build().unwrap();
         let mut sink = CandidateBuf::new();
         for (i, page) in pages.iter().enumerate() {
             let ctx = MissContext {
@@ -132,9 +133,10 @@ proptest! {
             };
             sink.clear();
             via_sink.on_miss(&ctx, &mut sink);
-            let d = via_decide.decide(&ctx);
-            prop_assert_eq!(sink.pages(), d.pages.as_slice());
-            prop_assert_eq!(sink.maintenance_ops(), d.maintenance_ops);
+            let mut d = CandidateBuf::new();
+            via_fresh.on_miss(&ctx, &mut d);
+            prop_assert_eq!(sink.pages(), d.pages());
+            prop_assert_eq!(sink.maintenance_ops(), d.maintenance_ops());
         }
     }
 
@@ -149,7 +151,10 @@ proptest! {
         let mut b = PrefetcherConfig::new(kind).build().unwrap();
         for page in &pages {
             let ctx = MissContext::demand(VirtPage::new(*page), Pc::new(page % 16 * 4));
-            prop_assert_eq!(a.decide(&ctx), b.decide(&ctx));
+            let (mut da, mut db) = (CandidateBuf::new(), CandidateBuf::new());
+            a.on_miss(&ctx, &mut da);
+            b.on_miss(&ctx, &mut db);
+            prop_assert_eq!(da, db);
         }
     }
 
@@ -162,13 +167,16 @@ proptest! {
     ) {
         let mut warmed = PrefetcherConfig::new(kind).build().unwrap();
         for page in &warmup {
-            warmed.decide(&MissContext::demand(VirtPage::new(*page), Pc::new(0)));
+            warmed.on_miss(&MissContext::demand(VirtPage::new(*page), Pc::new(0)), &mut CandidateBuf::new());
         }
         warmed.flush();
         let mut fresh = PrefetcherConfig::new(kind).build().unwrap();
         for page in &probe {
             let ctx = MissContext::demand(VirtPage::new(*page), Pc::new(0));
-            prop_assert_eq!(warmed.decide(&ctx), fresh.decide(&ctx));
+            let (mut dw, mut df) = (CandidateBuf::new(), CandidateBuf::new());
+            warmed.on_miss(&ctx, &mut dw);
+            fresh.on_miss(&ctx, &mut df);
+            prop_assert_eq!(dw, df);
         }
     }
 

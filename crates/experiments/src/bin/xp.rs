@@ -330,8 +330,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     "standard" => Scale::STANDARD,
                     n => Scale::new(
                         n.parse::<u32>()
-                            .map_err(|_| format!("bad scale {n:?}"))?
-                            .max(1),
+                            .ok()
+                            .filter(|n| *n >= 1)
+                            .ok_or_else(|| format!("bad scale {n:?}"))?,
                     ),
                 };
             }
@@ -926,6 +927,11 @@ mod tests {
             assert!(message.contains(flag), "{line}: {message}");
             assert!(message.contains(usage()), "{line}: {message}");
         }
+        // A zero scale is rejected like a zero quantum, not run at x1.
+        assert_eq!(
+            parse("table2 --scale 0").err().as_deref(),
+            Some("bad scale \"0\"")
+        );
     }
 
     /// `xp convert`'s row of the trace error matrix (the library entry
@@ -1015,7 +1021,7 @@ mod tests {
             "empty: ok, 8 bytes written\n",
             "three bytes: exit 1: convert: reading <in>: trace parse error at line 1: expected `pc R|W vaddr`, got \"TLB\"\n",
             "bad magic: exit 1: convert: reading <in>: trace i/o error: stream did not contain valid UTF-8\n",
-            "version 0: exit 1: convert: reading <in>: trace parse error at line 1: expected `pc R|W vaddr`, got \"TLBT\\0\\0\\0\\0\"\n",
+            "version 0: exit 1: convert: reading <in>: unsupported trace version 0\n",
             "version 3: exit 1: convert: reading <in>: unsupported trace version 3\n",
             "version 0xFFFF: exit 1: convert: reading <in>: unsupported trace version 65535\n",
             "v1 torn tail: exit 1: convert: reading <in>: trace ends mid-record\n",

@@ -72,9 +72,9 @@ impl TraceReader {
         }
     }
 
-    /// [`TraceReader::open`] for a file that may be text: one without
-    /// the `TLBT` magic and a version word other than 0 (which no binary
-    /// format uses) is `Ok(None)`.
+    /// [`TraceReader::open`] for a file that may be text: a file is
+    /// binary exactly when it starts with the `TLBT` magic, and any other
+    /// file is `Ok(None)`.
     ///
     /// # Errors
     ///
@@ -84,8 +84,7 @@ impl TraceReader {
         policy: DecodePolicy,
     ) -> Result<Option<Self>, TraceError> {
         let map = Mmap::open(path)?;
-        let bytes = map.as_bytes();
-        if bytes.len() >= 6 && bytes[..4] == MAGIC && bytes[4..6] != [0, 0] {
+        if map.as_bytes().starts_with(&MAGIC) {
             Self::from_map(map, policy).map(Some)
         } else {
             Ok(None)

@@ -27,9 +27,8 @@
 //! allocation-free by contract:
 //!
 //! * mechanisms write prefetch candidates into a caller-owned, inline
-//!   [`core::CandidateBuf`] sink ([`core::TlbPrefetcher::on_miss`]);
-//!   the owned-`Vec` [`core::PrefetchDecision`] survives only behind the
-//!   [`core::TlbPrefetcher::decide`] convenience wrapper;
+//!   [`core::CandidateBuf`] sink ([`core::TlbPrefetcher::on_miss`]),
+//!   the one shape every engine, test and example reads;
 //! * the functional engine simulates page runs, one TLB probe per run
 //!   (`access_runs`), streams workloads as runs via
 //!   [`workloads::Workload::fill_runs`], and keeps one sink plus one
