@@ -166,8 +166,10 @@ proptest! {
         probe in prop::collection::vec(0u64..500, 1..50),
     ) {
         let mut warmed = PrefetcherConfig::new(kind).build().unwrap();
+        let mut sink = CandidateBuf::new();
         for page in &warmup {
-            warmed.on_miss(&MissContext::demand(VirtPage::new(*page), Pc::new(0)), &mut CandidateBuf::new());
+            sink.clear();
+            warmed.on_miss(&MissContext::demand(VirtPage::new(*page), Pc::new(0)), &mut sink);
         }
         warmed.flush();
         let mut fresh = PrefetcherConfig::new(kind).build().unwrap();
