@@ -3,20 +3,20 @@
 //! `sharded_run` times `run_app_sharded` at 1/2/4 shards against the
 //! sequential `run_app` path on the figure-scale DP fixture (galgel at
 //! the standard scale — the paper's highest-miss-rate SPEC
-//! application). The group then asserts the tentpole scaling gate:
-//! **≥ 2× throughput at 4 shards**, so a regression in the sharded
-//! executor fails `cargo bench` loudly instead of drifting.
+//! application). The same sequential and 4-shard lanes then run through
+//! [`assert_ratio`] for the tentpole scaling gate: **≥ 2× throughput at
+//! 4 shards**, so a regression in the sharded executor fails `cargo
+//! bench` loudly instead of drifting.
 //!
 //! The gate is a statement about parallel hardware, so it is guarded by
 //! [`std::thread::available_parallelism`]: on hosts with fewer than 4
 //! CPUs (where a 4-shard run cannot physically run 4 workers at once)
-//! the measurement still prints but the assertion is skipped with an
-//! explanatory note. CI runners and developer machines with ≥ 4 cores
-//! enforce it.
-
-use std::time::Instant;
+//! the Criterion lanes still report every time, but the gate prints
+//! `gate SKIPPED` with the CPU count before measuring anything. CI
+//! runners and developer machines with ≥ 4 cores enforce it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use tlbsim_bench::assert_ratio;
 use tlbsim_sim::{run_app, run_app_sharded, SimConfig};
 use tlbsim_workloads::{find_app, AppSpec, Scale};
 
@@ -25,7 +25,7 @@ use tlbsim_workloads::{find_app, AppSpec, Scale};
 ///
 /// It is skipped on hosts with fewer than [`GATE_SHARDS`] CPUs, so a
 /// shared 2-CPU x86-64 host never checks it: there it prints `gate
-/// SKIPPED` after measuring 1.58x, and no noise band is recorded.
+/// SKIPPED` without measuring, and no noise band is recorded.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
 /// Shard count the gate is evaluated at.
 const GATE_SHARDS: usize = 4;
@@ -41,28 +41,25 @@ fn bench_sharded_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_run");
     group.throughput(Throughput::Elements(accesses));
 
-    group.bench_function("sequential", |b| {
-        b.iter(|| run_app(app, scale, &config).expect("valid config").misses);
-    });
+    let sequential = || run_app(app, scale, &config).expect("valid config").misses;
+    let sharded = |shards| {
+        run_app_sharded(app, scale, &config, shards)
+            .expect("valid config")
+            .merged
+            .misses
+    };
+
+    group.bench_function("sequential", |b| b.iter(sequential));
     for shards in [1usize, 2, GATE_SHARDS] {
         group.bench_with_input(
             BenchmarkId::new("sharded", shards),
             &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    run_app_sharded(app, scale, &config, shards)
-                        .expect("valid config")
-                        .merged
-                        .misses
-                });
-            },
+            |b, &shards| b.iter(|| sharded(shards)),
         );
     }
     group.finish();
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = measure_speedup_once();
-    println!("sharded_run speedup at {GATE_SHARDS} shards: {speedup:.2}x ({cpus} cpus)");
     if cpus < GATE_SHARDS {
         println!(
             "sharded_run gate SKIPPED: {cpus} cpus cannot run {GATE_SHARDS} shard workers \
@@ -70,36 +67,9 @@ fn bench_sharded_run(c: &mut Criterion) {
         );
         return;
     }
-    // Typical headroom on a >= 4-core host is ~3x against the 2x floor.
-    // A single noisy sample shouldn't read as a regression, so a
-    // borderline measurement gets one clean retry before the assert.
-    if speedup < GATE_MIN_SPEEDUP {
-        let retry = measure_speedup_once();
-        println!("sharded_run retry speedup: {retry:.2}x");
-        assert!(
-            retry.max(speedup) >= GATE_MIN_SPEEDUP,
-            "sharded run at {GATE_SHARDS} shards must be >= {GATE_MIN_SPEEDUP}x the \
-             sequential path on a {cpus}-cpu host, measured {speedup:.2}x then {retry:.2}x"
-        );
-    }
-}
-
-/// One directly-timed speedup sample (best-of-3 for each path),
-/// independent of the Criterion sample settings.
-fn measure_speedup_once() -> f64 {
-    let (app, scale, config) = fixture();
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..3 {
-        let start = Instant::now();
-        std::hint::black_box(run_app(app, scale, &config).expect("valid config"));
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        std::hint::black_box(
-            run_app_sharded(app, scale, &config, GATE_SHARDS).expect("valid config"),
-        );
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-    }
-    best[0] / best[1]
+    assert_ratio("sharded_run", GATE_MIN_SPEEDUP, sequential, || {
+        sharded(GATE_SHARDS)
+    });
 }
 
 criterion_group!(benches, bench_sharded_run);

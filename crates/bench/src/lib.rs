@@ -6,8 +6,8 @@
 //! the kernels that regenerate each figure/table, `prefetchers.rs` and
 //! `substrates.rs` microbenchmark the mechanisms and hardware models, and
 //! `ablations.rs` quantifies the design choices documented in the
-//! repository `README.md`. Five groups assert in-tree gates, each with one
-//! retry:
+//! repository `README.md`. Five groups assert in-tree gates, all through
+//! [`assert_ratio`]'s one alternating best-of-[`GATE_ROUNDS`] protocol:
 //!
 //! - `throughput.rs`: the confidence-wrapped DP (C+DP ≥ 0.8× plain DP
 //!   throughput);
@@ -23,7 +23,9 @@
 //! End-to-end numbers with a spread come from the repository benchmark
 //! (`perfbench/`), not from these groups.
 
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tlbsim_core::{MemoryAccess, MissContext, Pc, VirtPage};
 use tlbsim_sim::{Engine, SimConfig, SimStats};
@@ -109,9 +111,86 @@ pub fn run_functional(app: &AppSpec, config: &SimConfig) -> SimStats {
     engine.stats().clone()
 }
 
+/// Alternating rounds each lane of a gate runs in [`assert_ratio`].
+pub const GATE_ROUNDS: usize = 25;
+
+/// The in-tree gate protocol. Times `base` then `candidate`, alternating,
+/// for [`GATE_ROUNDS`] rounds, keeps each lane's best wall time, prints
+/// both with the ratio and `floor`, and returns the ratio (base time
+/// over candidate time, so above 1 means the candidate is faster).
+///
+/// # Panics
+///
+/// Panics, naming `gate` and both best times, when the ratio is below
+/// `floor`.
+pub fn assert_ratio<A, B>(
+    gate: &str,
+    floor: f64,
+    mut base: impl FnMut() -> A,
+    mut candidate: impl FnMut() -> B,
+) -> f64 {
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..GATE_ROUNDS {
+        let start = Instant::now();
+        black_box(base());
+        best[0] = best[0].min(start.elapsed());
+        let start = Instant::now();
+        black_box(candidate());
+        best[1] = best[1].min(start.elapsed());
+    }
+    let [base_ns, candidate_ns] = best.map(|d| d.as_nanos() as f64);
+    let ratio = base_ns / candidate_ns;
+    println!(
+        "{gate} gate: best base {base_ns:.0} ns, best candidate {candidate_ns:.0} ns, \
+         ratio {ratio:.2}x (floor {floor:.3}x)"
+    );
+    assert!(
+        ratio >= floor,
+        "{gate} gate failed: ratio {ratio:.2}x is below the {floor:.3}x floor \
+         (best base {base_ns:.0} ns, best candidate {candidate_ns:.0} ns \
+         over {GATE_ROUNDS} alternating rounds)"
+    );
+    ratio
+}
+
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+
+    #[test]
+    fn each_lane_runs_every_round_alternating_base_first() {
+        let log = RefCell::new(String::new());
+        let lane = |name| {
+            log.borrow_mut().push(name);
+            std::thread::sleep(Duration::from_micros(10));
+        };
+        assert_ratio("order", 0.0, || lane('b'), || lane('c'));
+        assert_eq!(log.into_inner(), "bc".repeat(GATE_ROUNDS));
+    }
+
+    #[test]
+    fn a_faster_candidate_passes() {
+        let ratio = assert_ratio(
+            "faster",
+            2.0,
+            || std::thread::sleep(Duration::from_millis(5)),
+            || std::thread::sleep(Duration::from_millis(1)),
+        );
+        assert!(ratio >= 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slower gate failed")]
+    fn a_slower_candidate_fails_naming_the_gate() {
+        assert_ratio(
+            "slower",
+            1.0,
+            || std::thread::sleep(Duration::from_millis(1)),
+            || std::thread::sleep(Duration::from_millis(5)),
+        );
+    }
 
     #[test]
     fn fixtures_are_deterministic() {

@@ -18,6 +18,7 @@
 //! (d) of §1 that neither stride- nor address-history-based schemes track.
 
 use crate::assoc::Associativity;
+use crate::banked::Banked;
 use crate::config::{ConfigError, PrefetcherConfig};
 use crate::prefetcher::{
     HardwareProfile, IndexSource, MissContext, RowBudget, StateLocation, TlbPrefetcher,
@@ -95,11 +96,7 @@ pub struct DistancePrefetcher {
     table: PredictionTable<DistanceKey, SlotList<Distance>>,
     slots: usize,
     mode: IndexMode,
-    regs: DistanceRegs,
-    asid: Asid,
-    // Parked register files of non-current contexts, indexed by ASID.
-    // Grown only at switch time, keeping the miss path allocation-free.
-    banked_regs: Vec<DistanceRegs>,
+    regs: Banked<DistanceRegs>,
 }
 
 impl DistancePrefetcher {
@@ -119,9 +116,7 @@ impl DistancePrefetcher {
             table: PredictionTable::new(rows, assoc)?,
             slots,
             mode: IndexMode::DistanceOnly,
-            regs: DistanceRegs::default(),
-            asid: Asid::DEFAULT,
-            banked_regs: Vec::new(),
+            regs: Banked::default(),
         })
     }
 
@@ -248,31 +243,17 @@ impl TlbPrefetcher for DistancePrefetcher {
 
     fn flush(&mut self) {
         self.table.clear();
-        self.regs = DistanceRegs::default();
-        self.banked_regs.fill(DistanceRegs::default());
+        self.regs.reset_all(|r| *r = DistanceRegs::default());
     }
 
     fn set_asid(&mut self, asid: Asid) {
         self.table.set_asid(asid);
-        if asid == self.asid {
-            return;
-        }
-        let needed = self.asid.index().max(asid.index()) + 1;
-        if self.banked_regs.len() < needed {
-            self.banked_regs.resize(needed, DistanceRegs::default());
-        }
-        self.banked_regs[self.asid.index()] = self.regs;
-        self.regs = std::mem::take(&mut self.banked_regs[asid.index()]);
-        self.asid = asid;
+        self.regs.switch(asid);
     }
 
     fn evict_asid(&mut self, asid: Asid) {
         self.table.evict_asid(asid);
-        if asid == self.asid {
-            self.regs = DistanceRegs::default();
-        } else if let Some(slot) = self.banked_regs.get_mut(asid.index()) {
-            *slot = DistanceRegs::default();
-        }
+        self.regs.evict(asid, |r| *r = DistanceRegs::default());
     }
 
     fn profile(&self) -> HardwareProfile {

@@ -15,10 +15,9 @@
 //! * In follower regions the component with the highest score issues
 //!   (ties break to the lowest index, keeping the duel deterministic).
 //!
-//! Scores are banked per ASID with exactly the register-file idiom the
-//! distance prefetcher uses, so flush-free multiprogramming duels each
-//! context independently while the component tables stay shared and
-//! ASID-tagged.
+//! Scores are banked per ASID in the register bank DP, MP and RP use,
+//! so flush-free multiprogramming duels each context independently
+//! while the component tables stay shared and ASID-tagged.
 //!
 //! With a **single** component there is nothing to duel: leader and
 //! follower regions alike issue component 0's candidates verbatim, so
@@ -26,6 +25,7 @@
 //! oracle the `adaptive_oracles` integration test enforces through the
 //! full simulation stack.
 
+use crate::banked::Banked;
 use crate::config::{ConfigError, PrefetcherConfig};
 use crate::prefetcher::{
     HardwareProfile, IndexSource, MissContext, RowBudget, StateLocation, TlbPrefetcher,
@@ -47,11 +47,8 @@ use crate::types::Asid;
 /// ```
 pub struct EnsemblePrefetcher {
     components: Vec<Box<dyn TlbPrefetcher>>,
-    /// Current context's duel scores, one per component.
-    scores: Vec<u32>,
-    asid: Asid,
-    /// Parked score files of non-current contexts, indexed by ASID.
-    banked_scores: Vec<Vec<u32>>,
+    /// Duel scores, one per component, banked per context.
+    scores: Banked<Vec<u32>>,
     /// Private sink each component fills in turn (reused, never grown).
     scratch: CandidateBuf,
 }
@@ -85,9 +82,7 @@ impl EnsemblePrefetcher {
         let k = components.len();
         Ok(EnsemblePrefetcher {
             components,
-            scores: vec![Self::SCORE_INIT; k],
-            asid: Asid::DEFAULT,
-            banked_scores: Vec::new(),
+            scores: Banked::new(vec![Self::SCORE_INIT; k]),
             scratch: CandidateBuf::new(),
         })
     }
@@ -178,42 +173,26 @@ impl TlbPrefetcher for EnsemblePrefetcher {
         for component in &mut self.components {
             component.flush();
         }
-        self.scores.fill(Self::SCORE_INIT);
-        for bank in &mut self.banked_scores {
-            bank.fill(Self::SCORE_INIT);
-        }
+        self.scores.reset_all(|s| s.fill(Self::SCORE_INIT));
     }
 
     fn set_asid(&mut self, asid: Asid) {
         for component in &mut self.components {
             component.set_asid(asid);
         }
-        if asid == self.asid {
-            return;
-        }
-        let needed = self.asid.index().max(asid.index()) + 1;
-        if self.banked_scores.len() < needed {
-            self.banked_scores.resize(needed, Vec::new());
-        }
-        self.banked_scores[self.asid.index()] = std::mem::take(&mut self.scores);
-        self.scores = std::mem::take(&mut self.banked_scores[asid.index()]);
+        self.scores.switch(asid);
         if self.scores.len() != self.components.len() {
             // First visit to this context: fresh midpoint scores (switch
             // time may allocate; the miss path never does).
-            self.scores = vec![Self::SCORE_INIT; self.components.len()];
+            *self.scores = vec![Self::SCORE_INIT; self.components.len()];
         }
-        self.asid = asid;
     }
 
     fn evict_asid(&mut self, asid: Asid) {
         for component in &mut self.components {
             component.evict_asid(asid);
         }
-        if asid == self.asid {
-            self.scores.fill(Self::SCORE_INIT);
-        } else if let Some(bank) = self.banked_scores.get_mut(asid.index()) {
-            bank.fill(Self::SCORE_INIT);
-        }
+        self.scores.evict(asid, |s| s.fill(Self::SCORE_INIT));
     }
 
     fn profile(&self) -> HardwareProfile {

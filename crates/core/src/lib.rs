@@ -77,6 +77,7 @@
 #![deny(missing_docs)]
 
 mod assoc;
+mod banked;
 mod confidence;
 mod config;
 mod distance;

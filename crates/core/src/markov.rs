@@ -9,6 +9,7 @@
 //! online.
 
 use crate::assoc::Associativity;
+use crate::banked::Banked;
 use crate::config::{ConfigError, PrefetcherConfig};
 use crate::prefetcher::{
     HardwareProfile, IndexSource, MissContext, RowBudget, StateLocation, TlbPrefetcher,
@@ -41,12 +42,7 @@ use crate::types::{Asid, VirtPage};
 pub struct MarkovPrefetcher {
     table: PredictionTable<VirtPage, SlotList<VirtPage>>,
     slots: usize,
-    prev_miss: Option<VirtPage>,
-    asid: Asid,
-    // Parked `prev_miss` registers of non-current contexts, indexed by
-    // ASID. Grown only at switch time, so the miss path stays
-    // allocation-free.
-    banked_prev: Vec<Option<VirtPage>>,
+    prev_miss: Banked<Option<VirtPage>>,
 }
 
 impl MarkovPrefetcher {
@@ -65,9 +61,7 @@ impl MarkovPrefetcher {
         Ok(MarkovPrefetcher {
             table: PredictionTable::new(rows, assoc)?,
             slots,
-            prev_miss: None,
-            asid: Asid::DEFAULT,
-            banked_prev: Vec::new(),
+            prev_miss: Banked::default(),
         })
     }
 
@@ -118,42 +112,28 @@ impl TlbPrefetcher for MarkovPrefetcher {
         //    row. The previous row may have been evicted by step 1 in a
         //    conflicting set; re-allocating it matches the hardware, which
         //    simply writes the slot wherever the tag now lives.
-        if let Some(prev) = self.prev_miss {
+        if let Some(prev) = *self.prev_miss {
             if prev != page {
                 let row = self.table.get_or_insert_with(prev, || SlotList::new(slots));
                 row.insert(page);
             }
         }
-        self.prev_miss = Some(page);
+        *self.prev_miss = Some(page);
     }
 
     fn flush(&mut self) {
         self.table.clear();
-        self.prev_miss = None;
-        self.banked_prev.fill(None);
+        self.prev_miss.reset_all(|prev| *prev = None);
     }
 
     fn set_asid(&mut self, asid: Asid) {
         self.table.set_asid(asid);
-        if asid == self.asid {
-            return;
-        }
-        let needed = self.asid.index().max(asid.index()) + 1;
-        if self.banked_prev.len() < needed {
-            self.banked_prev.resize(needed, None);
-        }
-        self.banked_prev[self.asid.index()] = self.prev_miss.take();
-        self.prev_miss = self.banked_prev[asid.index()].take();
-        self.asid = asid;
+        self.prev_miss.switch(asid);
     }
 
     fn evict_asid(&mut self, asid: Asid) {
         self.table.evict_asid(asid);
-        if asid == self.asid {
-            self.prev_miss = None;
-        } else if let Some(slot) = self.banked_prev.get_mut(asid.index()) {
-            *slot = None;
-        }
+        self.prev_miss.evict(asid, |prev| *prev = None);
     }
 
     fn profile(&self) -> HardwareProfile {

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use crate::banked::Banked;
 use crate::hash::BuildPageHasher;
 use crate::prefetcher::{
     HardwareProfile, IndexSource, MissContext, RowBudget, StateLocation, TlbPrefetcher,
@@ -29,13 +30,21 @@ struct StackNode {
     below: Option<VirtPage>,
 }
 
-/// One context's parked LRU stack. RP's pointers live in page-table
-/// entries, which are per address space — so the whole stack banks per
-/// ASID, not per row.
+/// One context's LRU stack. RP's pointers live in page-table entries,
+/// which are per address space — so the whole stack banks per ASID, not
+/// per row.
 #[derive(Debug, Clone, Default)]
-struct RecencyBank {
+struct RecencyStack {
     nodes: HashMap<VirtPage, StackNode, BuildPageHasher>,
     top: Option<VirtPage>,
+}
+
+impl RecencyStack {
+    /// Empties the stack, keeping the map's allocation.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.top = None;
+    }
 }
 
 /// The recency prefetcher.
@@ -63,13 +72,7 @@ struct RecencyBank {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecencyPrefetcher {
-    nodes: HashMap<VirtPage, StackNode, BuildPageHasher>,
-    top: Option<VirtPage>,
-    asid: Asid,
-    // Parked stacks of non-current contexts, indexed by ASID; the
-    // current context's slot holds an empty (checked-out) bank. Swapped
-    // wholesale at switch time — the miss path never indexes it.
-    banks: Vec<RecencyBank>,
+    stack: Banked<RecencyStack>,
 }
 
 impl RecencyPrefetcher {
@@ -81,18 +84,18 @@ impl RecencyPrefetcher {
     /// Number of pages currently on the LRU stack (equals the extra
     /// page-table footprint RP is paying for).
     pub fn stack_len(&self) -> usize {
-        self.nodes.len()
+        self.stack.nodes.len()
     }
 
     /// Allocating snapshot of the stack from top (most recently evicted)
     /// to bottom — debug/test introspection, never called on the miss
     /// path.
     pub fn stack_snapshot(&self) -> Vec<VirtPage> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        let mut cur = self.top;
+        let mut out = Vec::with_capacity(self.stack.nodes.len());
+        let mut cur = self.stack.top;
         while let Some(page) = cur {
             out.push(page);
-            cur = self.nodes.get(&page).and_then(|n| n.below);
+            cur = self.stack.nodes.get(&page).and_then(|n| n.below);
         }
         out
     }
@@ -101,21 +104,21 @@ impl RecencyPrefetcher {
     /// neighbours before the unlink) and the number of pointer writes
     /// performed.
     fn unlink(&mut self, page: VirtPage) -> (Option<StackNode>, u32) {
-        let Some(node) = self.nodes.remove(&page) else {
+        let Some(node) = self.stack.nodes.remove(&page) else {
             return (None, 0);
         };
         let mut writes = 0;
         if let Some(above) = node.above {
-            if let Some(n) = self.nodes.get_mut(&above) {
+            if let Some(n) = self.stack.nodes.get_mut(&above) {
                 n.below = node.below;
                 writes += 1;
             }
         } else {
             // Page was the top.
-            self.top = node.below;
+            self.stack.top = node.below;
         }
         if let Some(below) = node.below {
-            if let Some(n) = self.nodes.get_mut(&below) {
+            if let Some(n) = self.stack.nodes.get_mut(&below) {
                 n.above = node.above;
                 writes += 1;
             }
@@ -126,21 +129,21 @@ impl RecencyPrefetcher {
     /// Pushes `page` on top of the stack, returning pointer writes.
     fn push_top(&mut self, page: VirtPage) -> u32 {
         let mut writes = 1; // writing the new node's pointers
-        let old_top = self.top;
+        let old_top = self.stack.top;
         if let Some(top) = old_top {
-            if let Some(n) = self.nodes.get_mut(&top) {
+            if let Some(n) = self.stack.nodes.get_mut(&top) {
                 n.above = Some(page);
                 writes += 1;
             }
         }
-        self.nodes.insert(
+        self.stack.nodes.insert(
             page,
             StackNode {
                 above: None,
                 below: old_top,
             },
         );
-        self.top = Some(page);
+        self.stack.top = Some(page);
         writes
     }
 }
@@ -172,40 +175,15 @@ impl TlbPrefetcher for RecencyPrefetcher {
     }
 
     fn flush(&mut self) {
-        self.nodes.clear();
-        self.top = None;
-        for bank in &mut self.banks {
-            bank.nodes.clear();
-            bank.top = None;
-        }
+        self.stack.reset_all(RecencyStack::clear);
     }
 
     fn set_asid(&mut self, asid: Asid) {
-        if asid == self.asid {
-            return;
-        }
-        let needed = self.asid.index().max(asid.index()) + 1;
-        if self.banks.len() < needed {
-            self.banks.resize_with(needed, RecencyBank::default);
-        }
-        // Park the live stack, then check out the new context's.
-        let old = self.asid.index();
-        std::mem::swap(&mut self.banks[old].nodes, &mut self.nodes);
-        self.banks[old].top = self.top;
-        let new = asid.index();
-        std::mem::swap(&mut self.banks[new].nodes, &mut self.nodes);
-        self.top = self.banks[new].top.take();
-        self.asid = asid;
+        self.stack.switch(asid);
     }
 
     fn evict_asid(&mut self, asid: Asid) {
-        if asid == self.asid {
-            self.nodes.clear();
-            self.top = None;
-        } else if let Some(bank) = self.banks.get_mut(asid.index()) {
-            bank.nodes.clear();
-            bank.top = None;
-        }
+        self.stack.evict(asid, RecencyStack::clear);
     }
 
     fn profile(&self) -> HardwareProfile {

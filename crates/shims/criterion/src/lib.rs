@@ -4,10 +4,11 @@
 //! once, then timed over enough iterations to fill a measurement window,
 //! and the median-of-samples nanoseconds per iteration is printed
 //! together with derived element throughput when the group declared one.
-//! There is no statistical regression machinery — results are for
-//! eyeballing and for in-bench assertions via [`Criterion::results`].
-//! End-to-end numbers with a spread come from the repository benchmark
-//! (`perfbench/`).
+//! There is no statistical regression machinery and, as in real
+//! criterion, no way to read a result back: results are for eyeballing.
+//! Benches that gate on a ratio time their lanes themselves
+//! (`tlbsim_bench::assert_ratio`). End-to-end numbers with a spread come
+//! from the repository benchmark (`perfbench/`).
 //!
 //! Environment knobs:
 //!
@@ -67,18 +68,18 @@ impl From<String> for BenchmarkId {
 
 /// One completed measurement.
 #[derive(Debug, Clone)]
-pub struct BenchResult {
+struct BenchResult {
     /// Full benchmark path (`group/label`).
-    pub name: String,
+    name: String,
     /// Median nanoseconds per iteration.
-    pub ns_per_iter: f64,
+    ns_per_iter: f64,
     /// Declared per-iteration element count, if any.
-    pub elements: Option<u64>,
+    elements: Option<u64>,
 }
 
 impl BenchResult {
     /// Elements per second, when a throughput was declared.
-    pub fn elements_per_sec(&self) -> Option<f64> {
+    fn elements_per_sec(&self) -> Option<f64> {
         self.elements.map(|n| n as f64 / (self.ns_per_iter / 1e9))
     }
 }
@@ -132,7 +133,6 @@ impl Default for Criterion {
         Criterion {
             window: Duration::from_millis(window_ms),
             samples: samples.max(1),
-
             results: Vec::new(),
         }
     }
@@ -189,11 +189,6 @@ impl Criterion {
             None => println!("{:<44} {:>14.1} ns/iter", result.name, result.ns_per_iter),
         }
         self.results.push(result);
-    }
-
-    /// All measurements recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
     }
 
     /// Prints the closing summary line.
@@ -290,9 +285,9 @@ mod tests {
         });
         group.finish();
         c.bench_function("plain", |b| b.iter(|| 2 + 2));
-        assert_eq!(c.results().len(), 2);
-        assert_eq!(c.results()[0].name, "g/x");
-        assert!(c.results()[0].elements_per_sec().unwrap() > 0.0);
-        assert!(c.results()[1].elements.is_none());
+        assert_eq!(c.results.len(), 2);
+        assert_eq!(c.results[0].name, "g/x");
+        assert!(c.results[0].elements_per_sec().unwrap() > 0.0);
+        assert!(c.results[1].elements.is_none());
     }
 }

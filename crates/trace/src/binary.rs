@@ -154,10 +154,9 @@ impl<R: Read> BinaryTraceReader<R> {
     /// Opens a reader, validating the header.
     ///
     /// Record indexing is shared across every consumer of the format:
-    /// the record this reader yields `n`-th is the one
-    /// [`window(n, …)`](crate::TraceStreamExt::window) starts at, the
-    /// one an [`MmapTraceCursor`](crate::MmapTraceCursor) seeked to `n`
-    /// decodes next, and the one a replayed workload stands on after
+    /// the record this reader yields `n`-th is the one `skip(n)` starts
+    /// at, the one an [`MmapTraceCursor`](crate::MmapTraceCursor) seeked
+    /// to `n` decodes next, and the one a replayed workload stands on after
     /// `skip_accesses(n)` — a doc-test on
     /// `tlbsim_workloads::TraceWorkload` proves the three agree.
     ///

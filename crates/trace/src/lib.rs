@@ -29,15 +29,17 @@
 //!   line format with comments for hand-written regression inputs;
 //! * [`TraceWriter`] — one writer over the three formats, picked at run
 //!   time, and [`TraceReader`] / [`AnyCursor`] — one reader over the two
-//!   binary formats, picked by the header's version word;
-//! * [`TraceStreamExt`] — the skip/take window discipline the paper uses
-//!   (fast-forward 2 B instructions, simulate 1 B) and sampling.
+//!   binary formats, picked by the header's version word.
+//!
+//! Every reader is an `Iterator`, so the paper's fast-forward + simulate
+//! window (skip 2 B instructions, simulate 1 B; §3.1) is std's
+//! `skip(n).take(m)`.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use tlbsim_core::MemoryAccess;
-//! use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamExt};
+//! use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter};
 //!
 //! // Write a short trace to memory (a file works identically).
 //! let mut buf = Vec::new();
@@ -50,7 +52,8 @@
 //! // Read it back, skipping a warm-up prefix.
 //! let n = BinaryTraceReader::open(buf.as_slice())?
 //!     .map(|r| r.expect("valid record"))
-//!     .window(100, 500)
+//!     .skip(100)
+//!     .take(500)
 //!     .count();
 //! assert_eq!(n, 500);
 //! # Ok::<(), tlbsim_trace::TraceError>(())
@@ -66,7 +69,6 @@ mod fault;
 mod mmap;
 mod policy;
 mod reader;
-mod stream;
 mod text;
 mod v2;
 mod writer;
@@ -82,7 +84,6 @@ pub use fault::{wild_vaddr, FaultKind, FaultPlan, FaultyRead, PlannedFault};
 pub use mmap::{MmapTrace, MmapTraceCursor};
 pub use policy::{DecodePolicy, TraceHealth};
 pub use reader::{AnyCursor, TraceReader};
-pub use stream::{Sampled, TraceStreamExt, TraceWindow};
 pub use text::{TextTraceReader, TextTraceWriter};
 pub use v2::{V2Trace, V2TraceCursor, V2TraceWriter};
 pub use writer::TraceWriter;

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use tlbsim_core::{AccessKind, MemoryAccess};
 use tlbsim_trace::{
     BinaryTraceReader, BinaryTraceWriter, DecodePolicy, FaultKind, FaultPlan, MmapTrace,
-    TextTraceReader, TextTraceWriter, TraceError, TraceStreamExt, V2Trace, V2TraceWriter,
-    HEADER_BYTES, RECORD_BYTES,
+    TextTraceReader, TextTraceWriter, TraceError, V2Trace, V2TraceWriter, HEADER_BYTES,
+    RECORD_BYTES,
 };
 
 fn encode(records: &[MemoryAccess]) -> Vec<u8> {
@@ -444,25 +444,5 @@ proptest! {
             .copied()
             .collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn window_equals_skip_take(
-        records in prop::collection::vec(arb_access(), 0..100),
-        skip in 0u64..50,
-        take in 0u64..50,
-    ) {
-        let via_window: Vec<MemoryAccess> = records
-            .iter()
-            .copied()
-            .window(skip, take)
-            .collect();
-        let via_std: Vec<MemoryAccess> = records
-            .iter()
-            .copied()
-            .skip(skip as usize)
-            .take(take as usize)
-            .collect();
-        prop_assert_eq!(via_window, via_std);
     }
 }

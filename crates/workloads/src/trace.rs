@@ -38,13 +38,12 @@ use crate::spec::StreamSpec;
 /// # Examples
 ///
 /// Record indexing agrees across the whole stack: skipping `n` accesses
-/// into a replayed trace stands on the same record the trace crate's
-/// [`window(n, …)`](tlbsim_trace::TraceStreamExt::window) adapter
-/// starts at.
+/// into a replayed trace stands on the same record `skip(n)` over the
+/// trace crate's streaming reader starts at.
 ///
 /// ```
 /// use tlbsim_core::MemoryAccess;
-/// use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamExt};
+/// use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter};
 /// use tlbsim_workloads::TraceWorkload;
 ///
 /// let path = std::env::temp_dir().join(format!("tlbt-window-{}", std::process::id()));
@@ -54,10 +53,11 @@ use crate::spec::StreamSpec;
 /// }
 /// w.finish()?;
 ///
-/// // Record indexing: `window(skip, take)` over the streaming reader…
+/// // Record indexing: `skip(n).take(m)` over the streaming reader…
 /// let windowed: Vec<MemoryAccess> = BinaryTraceReader::open(std::fs::File::open(&path)?)?
 ///     .map(|r| r.expect("valid record"))
-///     .window(7, 5)
+///     .skip(7)
+///     .take(5)
 ///     .collect();
 /// // …and `skip_accesses(skip)` on a replayed workload count records
 /// // identically: both start at record index 7.

@@ -9,7 +9,7 @@
 
 use tlb_distance::experiments::tracestat;
 use tlb_distance::prelude::*;
-use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter, TraceStreamExt};
+use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "swim".to_owned());
@@ -36,9 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Simulate straight from the file, skipping a warm-up window.
     let reader = BinaryTraceReader::open(std::fs::File::open(&path)?)?;
-    let stream = reader
-        .map(|r| r.expect("valid record"))
-        .window(1_000, u64::MAX);
+    let stream = reader.map(|r| r.expect("valid record")).skip(1_000);
     let mut engine = Engine::new(&SimConfig::paper_default())?;
     engine.run(stream);
     println!("\nsimulation from trace (after 1k-record fast-forward):");
