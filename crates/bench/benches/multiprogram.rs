@@ -21,7 +21,7 @@ use tlbsim_sim::{run_app, run_mix, SwitchPolicy, TablePolicy};
 /// the back-to-back single-stream path.
 ///
 /// Noise band at the default settings on a shared 2-CPU x86-64 host,
-/// through [`assert_ratio`]: 0.93-0.95x over 20 runs (median 0.94x).
+/// through [`assert_ratio`]: 0.91-0.98x over 12 runs (median 0.945x).
 const GATE_MIN_RATIO: f64 = 0.8;
 
 fn bench_multiprogram(c: &mut Criterion) {

@@ -2,11 +2,11 @@
 //! page table, prefetch channel, and the trace codecs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tlbsim_bench::looping_access_stream;
-use tlbsim_core::{Associativity, PageSize, PhysPage, VirtPage};
+use tlbsim_bench::{looping_access_stream, TempFileGuard};
+use tlbsim_core::{Associativity, MemoryAccess, PageSize, PhysPage, VirtPage};
 use tlbsim_mem::PrefetchChannel;
 use tlbsim_mmu::{PageTable, PrefetchBuffer, Tlb, TlbConfig};
-use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter};
+use tlbsim_trace::{BinaryTraceWriter, MmapTrace};
 
 fn bench_tlb(c: &mut Criterion) {
     let stream = looping_access_stream(200, 4, 3);
@@ -91,6 +91,13 @@ fn bench_trace_codec(c: &mut Criterion) {
         writer.write(access).unwrap();
     }
     writer.finish().unwrap();
+    let file = TempFileGuard(std::env::temp_dir().join(format!(
+        "tlbsim-bench-substrates-{}.tlbt",
+        std::process::id()
+    )));
+    std::fs::write(&file.0, &encoded).unwrap();
+    let trace = MmapTrace::open(&file.0).unwrap();
+    let mut batch = vec![MemoryAccess::read(0, 0); 512];
 
     let mut group = c.benchmark_group("trace");
     group.throughput(Throughput::Elements(stream.len() as u64));
@@ -107,10 +114,15 @@ fn bench_trace_codec(c: &mut Criterion) {
     });
     group.bench_function("decode", |b| {
         b.iter(|| {
-            BinaryTraceReader::open(encoded.as_slice())
-                .unwrap()
-                .filter(|r| r.is_ok())
-                .count()
+            let mut cursor = trace.cursor();
+            let mut decoded = 0;
+            loop {
+                let n = cursor.decode_batch(&mut batch).unwrap();
+                if n == 0 {
+                    break decoded;
+                }
+                decoded += n;
+            }
         });
     });
     group.finish();

@@ -21,7 +21,7 @@ use tlbsim_workloads::TraceWorkload;
 /// generator throughput.
 ///
 /// Noise band at the default settings on a shared 2-CPU x86-64 host,
-/// through [`assert_ratio`]: 0.97-1.18x over 20 runs (median 1.01x).
+/// through [`assert_ratio`]: 0.97-1.05x over 20 runs (median 1.01x).
 /// Both lanes swing together from run to run, and alternating rounds
 /// with a best time per lane cancel that swing out of the ratio.
 const GATE_MIN_RATIO: f64 = 0.8;

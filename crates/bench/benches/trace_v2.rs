@@ -25,9 +25,9 @@ use tlbsim_workloads::TraceWorkload;
 /// fraction of raw-mmap replay throughput (1/1.2).
 ///
 /// Noise band at the default settings on a shared 2-CPU x86-64 host,
-/// through [`assert_ratio`]: 0.83-0.98x over 20 runs (median 0.96x).
-/// The one run below 0.92x failed (0.83x) while the host ran both
-/// lanes 1.6-1.9x slower than in every other run.
+/// through [`assert_ratio`]: 0.90-1.05x over 20 runs (median 0.95x).
+/// The lowest run held both lanes about 1.9x slower than a quiet run for
+/// all 100 rounds (raw 4.82 ms, compressed 5.37 ms) and still passed.
 const GATE_MIN_RATIO: f64 = 1.0 / 1.2;
 
 /// The size gate: the v2 encoding of the fixture must average at most

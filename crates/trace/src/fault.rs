@@ -5,13 +5,10 @@
 //! which* fault. Tests and the `xp chaos` driver build a plan — either
 //! explicitly with [`FaultPlan::with`] or pseudo-randomly with
 //! [`FaultPlan::seeded`] — then either bake the byte-level faults into a
-//! TLBT image with [`FaultPlan::apply_to_bytes`], wrap a reader in
-//! [`FaultyRead`] for transient I/O errors, or hand the plan to the
+//! TLBT image with [`FaultPlan::apply_to_bytes`] or hand the plan to the
 //! workloads crate's `ChaosSpec` for worker-panic injection. The same
 //! `(seed, record_count, kinds)` triple always produces the same plan,
 //! so every failure CI ever sees is replayable at a desk.
-
-use std::io::{self, Read};
 
 use crate::binary::{HEADER_BYTES, RECORD_BYTES};
 
@@ -27,9 +24,6 @@ pub enum FaultKind {
     /// Cut the file mid-record after this record (`Strict` →
     /// `TraceError::TruncatedRecord`, `Quarantine` → torn tail).
     TruncateTail,
-    /// Surface one transient `io::ErrorKind::Interrupted` when a
-    /// streaming read reaches this record (readers must retry).
-    TransientIo,
     /// Panic the worker thread that decodes this record (exercises the
     /// sharded runner's retry/degrade path).
     WorkerPanic,
@@ -37,11 +31,10 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every fault kind, for matrix-style tests.
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::CorruptKind,
         FaultKind::WildVaddr,
         FaultKind::TruncateTail,
-        FaultKind::TransientIo,
         FaultKind::WorkerPanic,
     ];
 }
@@ -154,8 +147,8 @@ impl FaultPlan {
     /// `CorruptKind` overwrites kind bytes with `0xEE`, `WildVaddr`
     /// rewrites vaddr fields to `0xFFFF_FFFF_FFF0_0000 + record·4096`,
     /// and `TruncateTail` (applied last) cuts the buffer 5 bytes into
-    /// the earliest truncation record. `TransientIo` and `WorkerPanic`
-    /// are not byte-level faults and are ignored here.
+    /// the earliest truncation record. `WorkerPanic` is not a
+    /// byte-level fault and is ignored here.
     ///
     /// Faults aimed past the end of the image are ignored — a plan can
     /// be broader than one particular file.
@@ -186,7 +179,7 @@ impl FaultPlan {
                     let wild = wild_vaddr(fault.record);
                     bytes[base + 8..base + 16].copy_from_slice(&wild.to_le_bytes());
                 }
-                FaultKind::TruncateTail | FaultKind::TransientIo | FaultKind::WorkerPanic => {}
+                FaultKind::TruncateTail | FaultKind::WorkerPanic => {}
             }
         }
         if let Some(cut) = self
@@ -209,70 +202,6 @@ impl FaultPlan {
 /// at replay by the workloads crate's chaos wrapper.
 pub fn wild_vaddr(record: u64) -> u64 {
     0xFFFF_0000_0000_0000u64 + (record % (1 << 32)) * 4096
-}
-
-/// A [`Read`] adapter that surfaces one transient
-/// [`io::ErrorKind::Interrupted`] error the first time the read
-/// position reaches each planned [`FaultKind::TransientIo`] record,
-/// then serves the underlying bytes untouched.
-///
-/// `BinaryTraceReader` retries `Interrupted` (as any correct `Read`
-/// consumer must), so a stream wrapped in `FaultyRead` decodes to the
-/// identical record sequence — which is exactly the property the chaos
-/// tests pin.
-#[derive(Debug)]
-pub struct FaultyRead<R> {
-    inner: R,
-    position: u64,
-    /// Byte offsets at which to fire, sorted descending (pop from end).
-    pending: Vec<u64>,
-}
-
-impl<R: Read> FaultyRead<R> {
-    /// Wraps `inner`, scheduling one transient error per
-    /// `TransientIo` fault in `plan` (other kinds are ignored).
-    pub fn new(inner: R, plan: &FaultPlan) -> Self {
-        let mut pending: Vec<u64> = plan
-            .faults()
-            .iter()
-            .filter(|f| f.kind == FaultKind::TransientIo)
-            .map(|f| (HEADER_BYTES + f.record as usize * RECORD_BYTES) as u64)
-            .collect();
-        pending.sort_unstable_by(|a, b| b.cmp(a));
-        FaultyRead {
-            inner,
-            position: 0,
-            pending,
-        }
-    }
-
-    /// Transient errors not yet fired.
-    pub fn pending_faults(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-impl<R: Read> Read for FaultyRead<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(&at) = self.pending.last() {
-            if self.position >= at {
-                self.pending.pop();
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "chaos: injected transient read fault",
-                ));
-            }
-            // Stop the read short of the fault point so the fault fires
-            // exactly at its planned byte offset.
-            let limit = (at - self.position).min(buf.len() as u64) as usize;
-            let n = self.inner.read(&mut buf[..limit])?;
-            self.position += n as u64;
-            return Ok(n);
-        }
-        let n = self.inner.read(buf)?;
-        self.position += n as u64;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -342,27 +271,5 @@ mod tests {
         let before = bytes.clone();
         plan.apply_to_bytes(&mut bytes);
         assert_eq!(bytes, before);
-    }
-
-    #[test]
-    fn faulty_read_fires_once_per_fault_and_preserves_bytes() {
-        let data: Vec<u8> = (0..200u16).map(|i| (i % 251) as u8).collect();
-        let plan = FaultPlan::new()
-            .with(2, FaultKind::TransientIo)
-            .with(5, FaultKind::TransientIo);
-        let mut reader = FaultyRead::new(&data[..], &plan);
-        assert_eq!(reader.pending_faults(), 2);
-        let mut out = Vec::new();
-        let mut buf = [0u8; 64];
-        loop {
-            match reader.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => out.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(out, data);
-        assert_eq!(reader.pending_faults(), 0);
     }
 }

@@ -1,15 +1,14 @@
-//! Zero-copy trace replay over a memory-mapped file.
+//! Zero-copy trace replay over a memory-mapped file: the one v1
+//! decoder.
 //!
-//! [`BinaryTraceReader`](crate::BinaryTraceReader) decodes through a
-//! `BufReader` one record at a time — fine for tools, too slow (and too
-//! iterator-shaped) for the simulator's batched hot loop. [`MmapTrace`]
-//! maps the file once (via the `tlbsim-shim-mmap` wrapper; a safe
-//! read-whole-file fallback keeps semantics identical off Linux),
-//! validates the header **once** at open, and then hands out
-//! [`MmapTraceCursor`]s that decode fixed-size record slices straight
-//! out of the mapped bytes into caller-owned `&mut [MemoryAccess]`
-//! buffers — zero heap allocations in steady-state replay, pinned by
-//! `tlbsim-sim`'s counting-allocator test.
+//! [`MmapTrace`] maps the file once (via the `tlbsim-shim-mmap`
+//! wrapper; a safe read-whole-file fallback keeps semantics identical
+//! off Linux), validates the header **once** at open, and then hands
+//! out [`MmapTraceCursor`]s that decode fixed-size record slices
+//! straight out of the mapped bytes into caller-owned
+//! `&mut [MemoryAccess]` buffers — zero heap allocations in
+//! steady-state replay, pinned by `tlbsim-sim`'s counting-allocator
+//! test.
 //!
 //! Records are fixed 17-byte cells, so cursors also seek in O(1):
 //! [`MmapTraceCursor::skip_records`] is one bounds-checked add, which is
@@ -163,32 +162,14 @@ impl MmapTrace {
         self.map.backend().label()
     }
 
-    /// The decode policy this trace was opened under (inherited by its
-    /// cursors).
-    pub fn policy(&self) -> DecodePolicy {
-        self.policy
-    }
-
-    /// Bytes of a torn final record the mapping carries (always 0 under
-    /// the strict policy, which rejects torn files at open).
-    pub fn torn_tail_bytes(&self) -> u64 {
-        self.torn_tail
-    }
-
     /// A fresh cursor positioned at record 0, decoding under the
     /// trace's own policy.
     pub fn cursor(&self) -> MmapTraceCursor {
-        self.cursor_with_policy(self.policy)
-    }
-
-    /// A fresh cursor decoding under an explicit policy (e.g. a strict
-    /// validation pass over a quarantine-opened trace).
-    pub fn cursor_with_policy(&self, policy: DecodePolicy) -> MmapTraceCursor {
         MmapTraceCursor {
             map: Arc::clone(&self.map),
             records: self.records,
             next: 0,
-            policy,
+            policy: self.policy,
             ok_seen: 0,
             bad_seen: 0,
             first_bad: None,
@@ -196,25 +177,11 @@ impl MmapTrace {
         }
     }
 
-    /// Decodes every record once, verifying the access-kind bytes, so a
-    /// subsequent replay cannot fail mid-stream. Doubles as a sequential
-    /// page-cache warm-up of the mapping. Always strict, regardless of
-    /// the trace's policy — use [`MmapTrace::scan_health`] for a
-    /// policy-aware pass.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidKind`] on the first bad record.
-    pub fn validate_records(&self) -> Result<(), TraceError> {
-        AnyCursor::V1(self.cursor_with_policy(DecodePolicy::Strict))
-            .drain()
-            .map(drop)
-    }
-
     /// Decodes every record once under the trace's policy, returning
-    /// the full [`TraceHealth`] report. Like
-    /// [`MmapTrace::validate_records`], the pass doubles as page-cache
-    /// warm-up; on a clean trace under any policy the report is
+    /// the full [`TraceHealth`] report. Under the strict policy this
+    /// validates the trace, so a later replay cannot fail mid-stream.
+    /// The pass doubles as a sequential page-cache warm-up of the
+    /// mapping; on a clean trace under any policy the report is
     /// all-zeros except `records_ok`.
     ///
     /// # Errors
@@ -418,11 +385,6 @@ impl MmapTraceCursor {
         self.records - self.next
     }
 
-    /// The decode policy this cursor runs under.
-    pub fn policy(&self) -> DecodePolicy {
-        self.policy
-    }
-
     /// Running health tally over everything this cursor has decoded or
     /// skipped so far (complete once the cursor is exhausted). A strict
     /// cursor reports every record it passed as ok — it would have
@@ -464,7 +426,8 @@ impl Iterator for MmapTraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{BinaryTraceReader, BinaryTraceWriter, MAGIC};
+    use crate::binary::tests::decode_longhand;
+    use crate::binary::{BinaryTraceWriter, MAGIC};
 
     fn sample(n: u64) -> Vec<MemoryAccess> {
         (0..n)
@@ -512,18 +475,15 @@ mod tests {
     }
 
     #[test]
-    fn mmap_agrees_with_the_bufreader_decoder() {
+    fn mmap_agrees_with_the_longhand_decoder() {
         let bytes = encode(&sample(257));
-        let via_reader: Vec<MemoryAccess> = BinaryTraceReader::open(bytes.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
+        let via_longhand = decode_longhand(&bytes);
         let via_mmap: Vec<MemoryAccess> = open_bytes(bytes)
             .unwrap()
             .cursor()
             .map(|r| r.unwrap())
             .collect();
-        assert_eq!(via_mmap, via_reader);
+        assert_eq!(via_mmap, via_longhand);
     }
 
     #[test]
@@ -569,7 +529,37 @@ mod tests {
         let err = cursor.decode_batch(&mut buf).unwrap_err();
         assert!(matches!(err, TraceError::InvalidKind { found: 9 }));
         assert_eq!(cursor.position(), 4);
-        assert!(trace.validate_records().is_err());
+        assert!(trace.scan_health().is_err());
+    }
+
+    #[test]
+    fn iteration_reports_each_fault_once_then_resumes_or_ends() {
+        // `xp convert` and `xp tracestat` iterate an `AnyCursor`. Strict:
+        // a bad kind at record 4 is one error between records 0–3 and 5–9.
+        let records = sample(10);
+        let mut bytes = encode(&records);
+        bytes[HEADER_BYTES + 4 * RECORD_BYTES + 16] = 9;
+        let got: Vec<_> = AnyCursor::V1(open_bytes(bytes.clone()).unwrap().cursor()).collect();
+        assert_eq!(got.len(), 10);
+        assert!(matches!(got[4], Err(TraceError::InvalidKind { found: 9 })));
+        let good: Vec<MemoryAccess> = got.into_iter().filter_map(Result::ok).collect();
+        let mut want = records.clone();
+        want.remove(4);
+        assert_eq!(good, want);
+
+        // Quarantine: the record that blows the budget is one error after
+        // the good records before it, and then the stream ends.
+        for bad in [1usize, 2] {
+            bytes[HEADER_BYTES + bad * RECORD_BYTES + 16] = 9;
+        }
+        let got: Vec<_> = AnyCursor::V1(open_quarantine(bytes, 2).cursor()).collect();
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0].as_ref().ok(), Some(&records[0]));
+        assert_eq!(got[1].as_ref().ok(), Some(&records[3]));
+        assert!(matches!(
+            got[2],
+            Err(TraceError::QuarantineExceeded { bad: 3, max_bad: 2 })
+        ));
     }
 
     #[test]
@@ -610,7 +600,7 @@ mod tests {
         assert_eq!(trace.record_count(), 50);
         assert_eq!(trace.byte_len(), 8 + 50 * 17);
         assert!(trace.backend() == "mmap" || trace.backend() == "read");
-        assert!(trace.validate_records().is_ok());
+        assert_eq!(trace.scan_health().unwrap().records_ok, 50);
         let got: Vec<MemoryAccess> = trace.cursor().map(|r| r.unwrap()).collect();
         assert_eq!(got, records);
         std::fs::remove_file(&path).unwrap();
@@ -672,7 +662,6 @@ mod tests {
         ));
         let trace = open_quarantine(torn, 0);
         assert_eq!(trace.record_count(), 9);
-        assert_eq!(trace.torn_tail_bytes(), 13);
         let health = trace.scan_health().unwrap();
         assert_eq!(health.records_ok, 9);
         assert_eq!(health.torn_tail_bytes, 13);

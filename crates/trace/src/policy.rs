@@ -91,8 +91,7 @@ impl fmt::Display for DecodePolicy {
 /// were quarantined, and whether the file ends in a torn record.
 ///
 /// Produced by [`MmapTrace::scan_health`](crate::MmapTrace::scan_health),
-/// by [`MmapTraceCursor::health`](crate::MmapTraceCursor::health) /
-/// [`BinaryTraceReader::health`](crate::BinaryTraceReader::health) as a
+/// by [`MmapTraceCursor::health`](crate::MmapTraceCursor::health) as a
 /// running tally, and surfaced end-to-end through
 /// `TraceWorkload::health` and the sharded runner's `RunHealth`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

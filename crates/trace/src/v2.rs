@@ -415,48 +415,28 @@ impl V2Trace {
         self.map.backend().label()
     }
 
-    /// The decode policy this trace was opened under (inherited by its
-    /// cursors).
-    pub fn policy(&self) -> DecodePolicy {
-        self.policy
-    }
-
     /// A fresh cursor positioned at record 0, decoding under the
     /// trace's own policy.
     pub fn cursor(&self) -> V2TraceCursor {
-        self.cursor_with_policy(self.policy)
-    }
-
-    /// A fresh cursor decoding under an explicit policy.
-    pub fn cursor_with_policy(&self, policy: DecodePolicy) -> V2TraceCursor {
         let blocks = BlockSource::Whole {
             map: Arc::clone(&self.map),
             index_offset: self.meta.index_offset,
             block_count: self.meta.block_count,
         };
-        V2TraceCursor::at_start(blocks, self.meta.block_len, self.meta.total, policy)
-    }
-
-    /// Decodes every block once, strictly, so a subsequent strict
-    /// replay cannot fail mid-stream; doubles as page-cache warm-up.
-    ///
-    /// # Errors
-    ///
-    /// The first block's typed damage error
-    /// ([`TraceError::TornRestart`], [`TraceError::TornBlock`] or
-    /// [`TraceError::InvalidKind`]).
-    pub fn validate_records(&self) -> Result<(), TraceError> {
-        AnyCursor::V2(self.cursor_with_policy(DecodePolicy::Strict))
-            .drain()
-            .map(drop)
+        V2TraceCursor::at_start(blocks, self.meta.block_len, self.meta.total, self.policy)
     }
 
     /// Decodes every block once under the trace's policy, returning the
     /// full [`TraceHealth`] report (block-granular under quarantine).
+    /// Under the strict policy this validates the trace, so a later
+    /// replay cannot fail mid-stream; the pass doubles as page-cache
+    /// warm-up.
     ///
     /// # Errors
     ///
-    /// Strict: the first block's typed damage error. Quarantine:
+    /// Strict: the first block's typed damage error
+    /// ([`TraceError::TornRestart`], [`TraceError::TornBlock`] or
+    /// [`TraceError::InvalidKind`]). Quarantine:
     /// [`TraceError::QuarantineExceeded`] once the per-record tally of
     /// quarantined blocks passes the policy's `max_bad`.
     pub fn scan_health(&self) -> Result<TraceHealth, TraceError> {
@@ -880,11 +860,6 @@ impl V2TraceCursor {
         self.total - self.next
     }
 
-    /// The decode policy this cursor runs under.
-    pub fn policy(&self) -> DecodePolicy {
-        self.policy
-    }
-
     /// Running health tally over everything this cursor has decoded or
     /// skipped so far (complete once the cursor is exhausted). A strict
     /// cursor reports every record it passed as ok — it would have
@@ -972,7 +947,7 @@ pub(crate) fn bake_faults(bytes: &mut [u8], faults: &[PlannedFault]) {
                 let wild = wild_vaddr(fault.record);
                 bytes[base + 8..base + 16].copy_from_slice(&wild.to_le_bytes());
             }
-            FaultKind::TruncateTail | FaultKind::TransientIo | FaultKind::WorkerPanic => {}
+            FaultKind::TruncateTail | FaultKind::WorkerPanic => {}
         }
     }
 }
@@ -1209,7 +1184,7 @@ mod tests {
         assert_eq!(&got[..16], &records[..16]);
         assert_eq!(&got[32..], &records[32..]);
         assert_ne!(got[16].vaddr, records[16].vaddr);
-        assert!(trace.validate_records().is_ok());
+        assert!(trace.scan_health().is_ok());
     }
 
     #[test]
@@ -1340,7 +1315,6 @@ mod tests {
         let trace = open_bytes(buf).unwrap();
         assert_eq!(trace.record_count(), 5);
         assert_eq!(trace.block_count(), 1);
-        assert_eq!(trace.policy(), DecodePolicy::Strict);
         assert!(trace.backend() == "mmap" || trace.backend() == "read");
     }
 

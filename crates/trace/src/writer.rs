@@ -62,7 +62,8 @@ impl<W: Write> TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinaryTraceReader, TextTraceReader, V2Trace};
+    use crate::binary::tests::decode_longhand;
+    use crate::{MmapTrace, TextTraceReader, V2Trace};
 
     #[test]
     fn every_variant_round_trips_through_its_reader() {
@@ -87,8 +88,10 @@ mod tests {
             .map(|r| r.expect("valid text record"))
             .collect();
         assert_eq!(decoded, records);
-        let decoded: Vec<MemoryAccess> = BinaryTraceReader::open(v1.as_slice())
-            .expect("v1 header")
+        assert_eq!(decode_longhand(&v1), records);
+        let decoded: Vec<MemoryAccess> = MmapTrace::from_map(mmap::Mmap::from_vec(v1))
+            .expect("v1 opens")
+            .cursor()
             .map(|r| r.expect("valid v1 record"))
             .collect();
         assert_eq!(decoded, records);

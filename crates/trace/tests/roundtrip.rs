@@ -1,14 +1,14 @@
 //! Property tests: both trace codecs round-trip arbitrary records, the
-//! two formats agree with each other, the mmap reader agrees with the
-//! streaming reader, and malformed inputs always surface as typed
+//! two formats agree with each other, the mmap decoder agrees with a
+//! longhand strict decode, and malformed inputs always surface as typed
 //! [`TraceError`]s — never panics or silent short reads.
 
 use proptest::prelude::*;
 use tlbsim_core::{AccessKind, MemoryAccess};
 use tlbsim_trace::{
-    BinaryTraceReader, BinaryTraceWriter, DecodePolicy, FaultKind, FaultPlan, MmapTrace,
-    TextTraceReader, TextTraceWriter, TraceError, V2Trace, V2TraceWriter, HEADER_BYTES,
-    RECORD_BYTES,
+    BinaryTraceWriter, DecodePolicy, FaultKind, FaultPlan, MmapTrace, TextTraceReader,
+    TextTraceWriter, TraceError, V2Trace, V2TraceWriter, HEADER_BYTES, MAGIC, RECORD_BYTES,
+    VERSION,
 };
 
 fn encode(records: &[MemoryAccess]) -> Vec<u8> {
@@ -19,6 +19,26 @@ fn encode(records: &[MemoryAccess]) -> Vec<u8> {
     }
     w.finish().unwrap();
     buf
+}
+
+/// The retained slow path for v1: a strict decode written out longhand,
+/// which `MmapTrace` is checked against. It panics on any damage.
+fn decode_longhand(bytes: &[u8]) -> Vec<MemoryAccess> {
+    assert_eq!(bytes[0..4], MAGIC, "magic");
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION, "version");
+    let body = &bytes[HEADER_BYTES..];
+    assert_eq!(body.len() % RECORD_BYTES, 0, "torn final record");
+    body.chunks_exact(RECORD_BYTES)
+        .map(|raw| {
+            let pc = u64::from_le_bytes(raw[0..8].try_into().unwrap());
+            let vaddr = u64::from_le_bytes(raw[8..16].try_into().unwrap());
+            match raw[16] {
+                0 => MemoryAccess::read(pc, vaddr),
+                1 => MemoryAccess::write(pc, vaddr),
+                found => panic!("invalid kind byte {found}"),
+            }
+        })
+        .collect()
 }
 
 /// Opens trace bytes through a real file so the proptests exercise the
@@ -87,11 +107,7 @@ proptest! {
             w.write(r).unwrap();
         }
         w.finish().unwrap();
-        let got: Vec<MemoryAccess> = BinaryTraceReader::open(buf.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        prop_assert_eq!(got, records);
+        prop_assert_eq!(decode_longhand(&buf), records);
     }
 
     #[test]
@@ -120,8 +136,9 @@ proptest! {
         }
         bw.finish().unwrap();
         tw.finish().unwrap();
-        let from_bin: Vec<MemoryAccess> = BinaryTraceReader::open(bin.as_slice())
+        let from_bin: Vec<MemoryAccess> = open_via_file(&bin, "formats")
             .unwrap()
+            .cursor()
             .map(|r| r.unwrap())
             .collect();
         let from_txt: Vec<MemoryAccess> = TextTraceReader::open(txt.as_slice())
@@ -152,7 +169,7 @@ proptest! {
     }
 
     #[test]
-    fn mmap_and_streaming_readers_agree(
+    fn mmap_agrees_with_the_longhand_decoder(
         records in prop::collection::vec(arb_access(), 0..150),
     ) {
         let bytes = encode(&records);
@@ -161,11 +178,7 @@ proptest! {
             .cursor()
             .map(|r| r.unwrap())
             .collect();
-        let via_reader: Vec<MemoryAccess> = BinaryTraceReader::open(bytes.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        prop_assert_eq!(via_mmap, via_reader);
+        prop_assert_eq!(via_mmap, decode_longhand(&bytes));
     }
 
     #[test]
@@ -234,7 +247,7 @@ proptest! {
         let mut bytes = encode(&records);
         bytes[HEADER_BYTES + victim * RECORD_BYTES + 16] = bad_kind;
         let trace = open_via_file(&bytes, "kind").unwrap();
-        match trace.validate_records() {
+        match trace.scan_health() {
             Err(TraceError::InvalidKind { found }) => prop_assert_eq!(found, bad_kind),
             other => prop_assert!(false, "corrupt kind accepted: {:?}", other.is_ok()),
         }
@@ -275,7 +288,7 @@ proptest! {
                 Err(other) => prop_assert!(false, "unexpected error {other}"),
             }
         }
-        prop_assert_eq!(trace.validate_records().is_err(), kind_broken);
+        prop_assert_eq!(trace.scan_health().is_err(), kind_broken);
     }
 
     #[test]
@@ -334,10 +347,10 @@ proptest! {
         ));
         let trace = open_via_file_policy(torn, "tear-salvage", DecodePolicy::quarantine(0)).unwrap();
         prop_assert_eq!(trace.record_count(), records.len() as u64 - 1);
-        prop_assert_eq!(trace.torn_tail_bytes() as usize, RECORD_BYTES - cut);
         let got: Vec<MemoryAccess> = trace.cursor().map(|r| r.unwrap()).collect();
         prop_assert_eq!(&got[..], &records[..records.len() - 1]);
         let health = trace.scan_health().unwrap();
+        prop_assert_eq!(health.torn_tail_bytes as usize, RECORD_BYTES - cut);
         prop_assert_eq!(health.records_ok, got.len() as u64);
         prop_assert_eq!(health.records_bad, 0);
         prop_assert!(!health.is_clean());
@@ -421,7 +434,7 @@ proptest! {
 
         let strict = open_v2_via_file(&bytes, "v2-chaos-strict", DecodePolicy::Strict).unwrap();
         prop_assert!(matches!(
-            strict.validate_records(),
+            strict.scan_health(),
             Err(TraceError::InvalidKind { .. })
         ));
 

@@ -15,11 +15,9 @@
 //!   limit forces the inline-degrade path; one more makes the failure
 //!   persistent and the run errors typed.
 //!
-//! Byte-level faults (`CorruptKind`, `TruncateTail`) and I/O faults
-//! (`TransientIo`) don't exist at this layer — bake those into a trace
-//! image with [`FaultPlan::apply_to_bytes`] or wrap a reader in
-//! [`FaultyRead`](tlbsim_trace::FaultyRead) instead; this wrapper
-//! ignores them.
+//! Byte-level faults (`CorruptKind`, `TruncateTail`) don't exist at
+//! this layer — bake those into a trace image with
+//! [`FaultPlan::apply_to_bytes`] instead; this wrapper ignores them.
 //!
 //! Everything is deterministic: the plan pins fault positions, and the
 //! budget makes panic transience an explicit, countable resource.

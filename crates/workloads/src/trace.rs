@@ -38,12 +38,12 @@ use crate::spec::StreamSpec;
 /// # Examples
 ///
 /// Record indexing agrees across the whole stack: skipping `n` accesses
-/// into a replayed trace stands on the same record `skip(n)` over the
-/// trace crate's streaming reader starts at.
+/// into a replayed trace stands on the same record `skip(n)` over a
+/// trace cursor starts at.
 ///
 /// ```
 /// use tlbsim_core::MemoryAccess;
-/// use tlbsim_trace::{BinaryTraceReader, BinaryTraceWriter};
+/// use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceReader};
 /// use tlbsim_workloads::TraceWorkload;
 ///
 /// let path = std::env::temp_dir().join(format!("tlbt-window-{}", std::process::id()));
@@ -53,8 +53,9 @@ use crate::spec::StreamSpec;
 /// }
 /// w.finish()?;
 ///
-/// // Record indexing: `skip(n).take(m)` over the streaming reader…
-/// let windowed: Vec<MemoryAccess> = BinaryTraceReader::open(std::fs::File::open(&path)?)?
+/// // Record indexing: `skip(n).take(m)` over a trace cursor…
+/// let windowed: Vec<MemoryAccess> = TraceReader::open(&path, DecodePolicy::Strict)?
+///     .cursor()
 ///     .map(|r| r.expect("valid record"))
 ///     .skip(7)
 ///     .take(5)

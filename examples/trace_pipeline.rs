@@ -9,7 +9,7 @@
 
 use tlb_distance::experiments::tracestat;
 use tlb_distance::prelude::*;
-use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter};
+use tlb_distance::trace::{BinaryTraceWriter, TraceReader};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "swim".to_owned());
@@ -35,8 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{}", stat.render());
 
     // 3. Simulate straight from the file, skipping a warm-up window.
-    let reader = BinaryTraceReader::open(std::fs::File::open(&path)?)?;
-    let stream = reader.map(|r| r.expect("valid record")).skip(1_000);
+    let stream = TraceReader::open(&path, DecodePolicy::Strict)?
+        .cursor()
+        .map(|r| r.expect("valid record"))
+        .skip(1_000);
     let mut engine = Engine::new(&SimConfig::paper_default())?;
     engine.run(stream);
     println!("\nsimulation from trace (after 1k-record fast-forward):");

@@ -97,10 +97,9 @@
 //! everywhere) and quarantine decode (skip unparseable records up to a
 //! budget, resync on the 17-byte grid, report the loss in a
 //! [`trace::TraceHealth`]); [`trace::FaultPlan`] bakes deterministic
-//! seeded faults — corrupt kind bytes, wild vaddrs, torn tails,
-//! transient I/O errors, worker panics — into trace images, readers
-//! ([`trace::FaultyRead`]) or live streams ([`workloads::ChaosSpec`])
-//! for chaos testing; and the sharded executors self-heal: a panicking
+//! seeded faults — corrupt kind bytes, wild vaddrs, torn tails, worker
+//! panics — into trace images or live streams
+//! ([`workloads::ChaosSpec`]) for chaos testing; and the sharded executors self-heal: a panicking
 //! shard worker is retried, then degraded to in-line sequential
 //! execution, with recovery reported in [`sim::RunHealth`] and the
 //! recovered statistics bit-identical to an undisturbed run. The fault

@@ -5,15 +5,15 @@ use std::collections::HashSet;
 use tlb_distance::experiments;
 use tlb_distance::prelude::*;
 
-use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter};
+use tlb_distance::trace::{BinaryTraceWriter, TraceReader};
 
 #[test]
 fn simulation_from_trace_equals_simulation_from_generator() {
     // Writing a workload to a binary trace and replaying it must produce
     // bit-identical simulation results.
     let app = find_app("wupwise").unwrap();
-    let mut buf = Vec::new();
-    let mut writer = BinaryTraceWriter::create(&mut buf).unwrap();
+    let path = std::env::temp_dir().join(format!("tlbsim-e2e-{}.tlbt", std::process::id()));
+    let mut writer = BinaryTraceWriter::create(std::fs::File::create(&path).unwrap()).unwrap();
     for access in app.workload(Scale::TINY) {
         writer.write(&access).unwrap();
     }
@@ -24,10 +24,12 @@ fn simulation_from_trace_equals_simulation_from_generator() {
 
     let mut from_trace = Engine::new(&SimConfig::paper_default()).unwrap();
     from_trace.run(
-        BinaryTraceReader::open(buf.as_slice())
+        TraceReader::open(&path, DecodePolicy::Strict)
             .unwrap()
+            .cursor()
             .map(|r| r.expect("valid record")),
     );
+    std::fs::remove_file(&path).unwrap();
 
     assert_eq!(from_gen.stats(), from_trace.stats());
 }

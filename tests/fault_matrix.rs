@@ -3,18 +3,17 @@
 //!
 //! The contract this harness pins is *totality*: whatever a
 //! [`FaultPlan`] does to an input — corrupt kind bytes, wild virtual
-//! addresses, a torn tail, transient I/O errors, worker panics — the
-//! stack either completes the run (skipping and counting under
-//! quarantine, retrying and degrading in the sharded executor) or
-//! returns a typed error. It never panics out of the runner and never
-//! silently mis-replays. Strict decode stays the default and rejects
+//! addresses, a torn tail, worker panics — the stack either completes
+//! the run (skipping and counting under quarantine, retrying and
+//! degrading in the sharded executor) or returns a typed error. It
+//! never panics out of the runner and never silently mis-replays. Strict decode stays the default and rejects
 //! any byte-level damage; quarantine admits it up to a budget and
 //! reports exactly what was lost.
 
 use std::sync::Arc;
 
 use tlb_distance::prelude::*;
-use tlb_distance::trace::{wild_vaddr, BinaryTraceReader, BinaryTraceWriter, FaultyRead};
+use tlb_distance::trace::{wild_vaddr, BinaryTraceWriter};
 
 const RECORDS: u64 = 2000;
 
@@ -181,37 +180,6 @@ fn a_torn_tail_fails_strict_and_replays_the_whole_records_under_quarantine() {
 
     std::fs::remove_file(&clean).unwrap();
     std::fs::remove_file(&dirty).unwrap();
-}
-
-#[test]
-fn transient_io_errors_are_absorbed_and_the_decoded_stream_still_simulates() {
-    let clean = record_gap("io-clean");
-    let plan = FaultPlan::seeded(17, RECORDS, &[(FaultKind::TransientIo, 5)]);
-
-    for policy in [DecodePolicy::Strict, DecodePolicy::quarantine(0)] {
-        // The streaming reader retries through every injected
-        // `Interrupted` and decodes the full stream...
-        let file = std::fs::File::open(&clean).unwrap();
-        let reader =
-            BinaryTraceReader::open_with_policy(FaultyRead::new(file, &plan), policy).unwrap();
-        let decoded: Vec<MemoryAccess> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(decoded.len() as u64, RECORDS, "{policy}");
-
-        // ...and what it decoded drives every execution mode: re-encode
-        // and run, proving the recovered stream is the clean stream.
-        let rewritten = temp("io-rewritten");
-        let mut writer =
-            BinaryTraceWriter::create(std::fs::File::create(&rewritten).unwrap()).unwrap();
-        for access in &decoded {
-            writer.write(access).unwrap();
-        }
-        writer.finish().unwrap();
-        let trace = TraceWorkload::open(&rewritten).unwrap();
-        run_all_modes(&trace, RECORDS, "transient-io");
-        std::fs::remove_file(&rewritten).unwrap();
-    }
-
-    std::fs::remove_file(&clean).unwrap();
 }
 
 #[test]

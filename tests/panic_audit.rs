@@ -37,10 +37,12 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     // same infallible slice-to-array idiom mmap.rs and binary.rs
     // already carry, bounds-checked by the enclosing length guards.
     // trace 18 → 14 (one trace reader): the v1 header checks of
-    // `MmapTrace` and `BinaryTraceReader` each held two `try_into()`
+    // `MmapTrace` and the `Read`-path v1 reader each held two `try_into()`
     // `expect`s on the magic and version slices; all three readers now
     // share `header_version`, which indexes the bytes directly.
-    ("crates/trace", 14),
+    // trace 14 → 12 (one v1 decoder): the `Read`-path v1 reader's two
+    // `expect("8-byte slice")` went with it.
+    ("crates/trace", 12),
     // workloads 14 → 16 (trace-format-v2 PR): two validated-at-open
     // invariants in the v2 arms of TraceWorkload — the streaming
     // cursor and whole-map health were both established by `open`

@@ -15,7 +15,9 @@
 //! build did not produce.
 
 use tlb_distance::prelude::*;
-use tlb_distance::trace::{BinaryTraceReader, BinaryTraceWriter, MmapTrace, V2TraceWriter};
+use tlb_distance::trace::{
+    BinaryTraceWriter, MmapTrace, V2TraceWriter, HEADER_BYTES, MAGIC, RECORD_BYTES, VERSION,
+};
 
 /// One representative per application family (suite), chosen for
 /// distinct stream shapes: mcf (SPEC, pointer-heavy), adpcm-enc
@@ -118,6 +120,27 @@ fn one_shard_trace_replay_equals_the_sequential_replay() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// The retained slow path for v1: a strict decode written out longhand,
+/// independent of `MmapTrace`, the decoder it is checked against. It
+/// panics on any damage.
+fn decode_longhand(bytes: &[u8]) -> Vec<MemoryAccess> {
+    assert_eq!(bytes[0..4], MAGIC, "magic");
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION, "version");
+    let body = &bytes[HEADER_BYTES..];
+    assert_eq!(body.len() % RECORD_BYTES, 0, "torn final record");
+    body.chunks_exact(RECORD_BYTES)
+        .map(|raw| {
+            let pc = u64::from_le_bytes(raw[0..8].try_into().unwrap());
+            let vaddr = u64::from_le_bytes(raw[8..16].try_into().unwrap());
+            match raw[16] {
+                0 => MemoryAccess::read(pc, vaddr),
+                1 => MemoryAccess::write(pc, vaddr),
+                found => panic!("invalid kind byte {found}"),
+            }
+        })
+        .collect()
+}
+
 /// Converts a flat v1 trace into a block-compressed v2 trace (the `xp
 /// convert --format v2` path, inlined so the differential pins the
 /// library, not the CLI).
@@ -130,12 +153,11 @@ fn convert_to_v2(v1_path: &std::path::Path, block_len: u32, tag: &str) -> std::p
             .and_then(|s| s.to_str())
             .unwrap_or("trace")
     ));
-    let reader = BinaryTraceReader::open(std::fs::File::open(v1_path).unwrap()).unwrap();
     let mut writer =
         V2TraceWriter::create_with_block_len(std::fs::File::create(&out).unwrap(), block_len)
             .unwrap();
-    for record in reader {
-        writer.write(&record.unwrap()).unwrap();
+    for record in decode_longhand(&std::fs::read(v1_path).unwrap()) {
+        writer.write(&record).unwrap();
     }
     writer.finish().unwrap();
     out
@@ -255,12 +277,8 @@ fn checked_in_regression_trace_replays_identically_on_both_decoders() {
     assert_eq!(trace.byte_len(), 8 + 2000 * 17);
 
     let via_mmap: Vec<MemoryAccess> = trace.cursor().map(|r| r.unwrap()).collect();
-    let via_reader: Vec<MemoryAccess> =
-        BinaryTraceReader::open(std::fs::File::open(REGRESSION_TRACE).unwrap())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-    assert_eq!(via_mmap, via_reader);
+    let via_longhand = decode_longhand(&std::fs::read(REGRESSION_TRACE).unwrap());
+    assert_eq!(via_mmap, via_longhand);
 
     // The recorded prefix equals what today's generator emits: the
     // record pipeline (fill_batch -> writer) has not drifted.
