@@ -23,6 +23,7 @@ use std::io::{self, BufWriter, Write};
 use tlbsim_core::{AccessKind, MemoryAccess};
 
 use crate::error::TraceError;
+use crate::fault::{wild_vaddr, FaultKind, PlannedFault};
 
 /// Magic bytes opening every binary trace.
 pub const MAGIC: [u8; 4] = *b"TLBT";
@@ -51,6 +52,61 @@ pub(crate) fn header_version(bytes: &[u8]) -> Result<u16, TraceError> {
         });
     }
     Ok(u16::from_le_bytes([bytes[4], bytes[5]]))
+}
+
+/// The kind byte of an access: 0 = read, 1 = write.
+#[inline(always)]
+pub(crate) fn encode_kind(kind: AccessKind) -> u8 {
+    match kind {
+        AccessKind::Read => 0,
+        AccessKind::Write => 1,
+    }
+}
+
+/// The access kind a kind byte names; any byte other than 0 or 1 is
+/// `Err` carrying that byte.
+#[inline(always)]
+pub(crate) fn decode_kind(byte: u8) -> Result<AccessKind, u8> {
+    match byte {
+        0 => Ok(AccessKind::Read),
+        1 => Ok(AccessKind::Write),
+        found => Err(found),
+    }
+}
+
+/// Encodes one record cell: `pc: u64`, `vaddr: u64`, `kind: u8`, the
+/// layout of a v1 record and of a v2 block's restart record.
+#[inline(always)]
+pub(crate) fn encode_cell(access: &MemoryAccess) -> [u8; RECORD_BYTES] {
+    let mut cell = [0u8; RECORD_BYTES];
+    cell[0..8].copy_from_slice(&access.pc.raw().to_le_bytes());
+    cell[8..16].copy_from_slice(&access.vaddr.raw().to_le_bytes());
+    cell[16] = encode_kind(access.kind);
+    cell
+}
+
+/// Decodes one record cell; a bad kind byte is `Err` carrying it.
+#[inline(always)]
+pub(crate) fn decode_cell(cell: &[u8; RECORD_BYTES]) -> Result<MemoryAccess, u8> {
+    let kind = decode_kind(cell[16])?;
+    Ok(MemoryAccess {
+        pc: u64::from_le_bytes(cell[0..8].try_into().expect("8-byte slice")).into(),
+        vaddr: u64::from_le_bytes(cell[8..16].try_into().expect("8-byte slice")).into(),
+        kind,
+    })
+}
+
+/// Plants a byte-level fault in one record cell: `CorruptKind` smashes
+/// the kind byte to `0xEE`, `WildVaddr` rewrites the vaddr to
+/// [`wild_vaddr`]`(record)`; the other kinds are not cell edits.
+pub(crate) fn fault_cell(cell: &mut [u8; RECORD_BYTES], fault: &PlannedFault) {
+    match fault.kind {
+        FaultKind::CorruptKind => cell[16] = 0xEE,
+        FaultKind::WildVaddr => {
+            cell[8..16].copy_from_slice(&wild_vaddr(fault.record).to_le_bytes())
+        }
+        FaultKind::TruncateTail | FaultKind::WorkerPanic => {}
+    }
 }
 
 /// Streaming writer for the binary trace format.
@@ -100,14 +156,7 @@ impl<W: Write> BinaryTraceWriter<W> {
     ///
     /// Returns [`TraceError::Io`] on write failure.
     pub fn write(&mut self, access: &MemoryAccess) -> Result<(), TraceError> {
-        let mut record = [0u8; RECORD_BYTES];
-        record[0..8].copy_from_slice(&access.pc.raw().to_le_bytes());
-        record[8..16].copy_from_slice(&access.vaddr.raw().to_le_bytes());
-        record[16] = match access.kind {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        };
-        self.out.write_all(&record)?;
+        self.out.write_all(&encode_cell(access))?;
         self.written += 1;
         Ok(())
     }
@@ -186,6 +235,23 @@ pub(crate) mod tests {
     #[test]
     fn empty_trace_is_valid() {
         assert!(roundtrip(&[]).is_empty());
+    }
+
+    #[test]
+    fn cell_codec_round_trips_and_rejects_every_other_kind_byte() {
+        let (pc, vaddr) = (0x0123_4567_89AB_CDEF, u64::MAX - 7);
+        let cell = encode_cell(&MemoryAccess::write(pc, vaddr));
+        assert_eq!(cell[16], 1);
+        for byte in 0..=u8::MAX {
+            let mut cell = cell;
+            cell[16] = byte;
+            let want = match byte {
+                0 => Ok(MemoryAccess::read(pc, vaddr)),
+                1 => Ok(MemoryAccess::write(pc, vaddr)),
+                found => Err(found),
+            };
+            assert_eq!(decode_cell(&cell), want, "kind byte {byte}");
+        }
     }
 
     #[test]

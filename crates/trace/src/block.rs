@@ -23,17 +23,19 @@
 //! deltas, and shard cuts land on block boundaries without scanning.
 //!
 //! The normative specification is `docs/TRACE_FORMAT.md`; this module
-//! holds the pure byte-level helpers shared by the v2 writer, the
-//! whole-file cursor and the windowed streaming cursor in
-//! [`crate::v2`].
+//! holds the pure byte-level helpers shared by the v2 writer and
+//! cursor in [`crate::v2`]; the restart record is the v1 record cell,
+//! whose codec lives in `binary.rs`.
 
 use tlbsim_core::{AccessKind, MemoryAccess};
+
+use crate::binary::{decode_cell, decode_kind, encode_cell, encode_kind, RECORD_BYTES};
 
 /// Format version stamped in the header of block-compressed traces.
 pub const V2_VERSION: u16 = 2;
 /// Size of a block's restart record — the block's first record stored
-/// absolutely, in the same cell layout as a v1 record.
-pub const RESTART_BYTES: usize = 17;
+/// absolutely, as a v1 record cell.
+pub const RESTART_BYTES: usize = RECORD_BYTES;
 /// Size of one block-index entry: `byte_offset: u64`, `first_record:
 /// u64`, both little-endian.
 pub const INDEX_ENTRY_BYTES: usize = 16;
@@ -90,11 +92,9 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Encodes `access` as a 17-byte restart record (absolute fields).
+/// Encodes `access` as a restart record: one v1 record cell.
 pub(crate) fn encode_restart(out: &mut Vec<u8>, access: &MemoryAccess) {
-    out.extend_from_slice(&access.pc.raw().to_le_bytes());
-    out.extend_from_slice(&access.vaddr.raw().to_le_bytes());
-    out.push(kind_byte(access.kind));
+    out.extend_from_slice(&encode_cell(access));
 }
 
 /// Encodes `access` as a delta record against the previous record's
@@ -105,20 +105,12 @@ pub(crate) fn encode_delta(
     prev_vaddr: u64,
     access: &MemoryAccess,
 ) {
-    out.push(kind_byte(access.kind));
+    out.push(encode_kind(access.kind));
     put_varint(out, zigzag(access.pc.raw().wrapping_sub(prev_pc) as i64));
     put_varint(
         out,
         zigzag(access.vaddr.raw().wrapping_sub(prev_vaddr) as i64),
     );
-}
-
-#[inline]
-fn kind_byte(kind: AccessKind) -> u8 {
-    match kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-    }
 }
 
 /// What went wrong decoding inside one block. The cursor maps these to
@@ -185,24 +177,17 @@ pub(crate) fn next_record(
     state: &mut DecodeState,
 ) -> Result<MemoryAccess, BlockFault> {
     if state.emitted == 0 {
-        if bytes.len() < RESTART_BYTES {
-            return Err(BlockFault::Restart);
-        }
-        let pc = u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte slice"));
-        let vaddr = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let kind = decode_kind(bytes[16])?;
+        let cell = bytes.first_chunk().ok_or(BlockFault::Restart)?;
+        let record = decode_cell(cell).map_err(BlockFault::BadKind)?;
         state.pos = RESTART_BYTES;
         state.emitted = 1;
-        state.prev_pc = pc;
-        state.prev_vaddr = vaddr;
-        return Ok(MemoryAccess {
-            pc: pc.into(),
-            vaddr: vaddr.into(),
-            kind,
-        });
+        state.prev_pc = record.pc.raw();
+        state.prev_vaddr = record.vaddr.raw();
+        return Ok(record);
     }
     let mut pos = state.pos;
-    let kind = decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?)?;
+    let kind =
+        decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?).map_err(BlockFault::BadKind)?;
     pos += 1;
     let dpc = read_varint(bytes, &mut pos).ok_or(BlockFault::Payload)?;
     let dvaddr = read_varint(bytes, &mut pos).ok_or(BlockFault::Payload)?;
@@ -272,7 +257,8 @@ pub(crate) fn decode_deltas(
 /// and the position after it.
 #[inline(always)]
 fn delta_at(bytes: &[u8], pos: usize) -> Result<(AccessKind, u64, u64, usize), BlockFault> {
-    let kind = decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?)?;
+    let kind =
+        decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?).map_err(BlockFault::BadKind)?;
     let mut at = pos + 1;
     let dpc = short_varint(bytes, &mut at).ok_or(BlockFault::Payload)?;
     let dvaddr = short_varint(bytes, &mut at).ok_or(BlockFault::Payload)?;
@@ -296,15 +282,6 @@ fn short_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
         }
     }
     read_varint(bytes, pos)
-}
-
-#[inline]
-fn decode_kind(byte: u8) -> Result<AccessKind, BlockFault> {
-    match byte {
-        0 => Ok(AccessKind::Read),
-        1 => Ok(AccessKind::Write),
-        found => Err(BlockFault::BadKind(found)),
-    }
 }
 
 /// Walks a whole block without emitting, checking that exactly

@@ -10,7 +10,8 @@
 //! `(seed, record_count, kinds)` triple always produces the same plan,
 //! so every failure CI ever sees is replayable at a desk.
 
-use crate::binary::{HEADER_BYTES, RECORD_BYTES};
+use crate::binary::{fault_cell, header_version, HEADER_BYTES, RECORD_BYTES};
+use crate::block::V2_VERSION;
 
 /// One injectable failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,16 +28,6 @@ pub enum FaultKind {
     /// Panic the worker thread that decodes this record (exercises the
     /// sharded runner's retry/degrade path).
     WorkerPanic,
-}
-
-impl FaultKind {
-    /// Every fault kind, for matrix-style tests.
-    pub const ALL: [FaultKind; 4] = [
-        FaultKind::CorruptKind,
-        FaultKind::WildVaddr,
-        FaultKind::TruncateTail,
-        FaultKind::WorkerPanic,
-    ];
 }
 
 /// One planned fault: a [`FaultKind`] pinned to a record index.
@@ -153,33 +144,25 @@ impl FaultPlan {
     /// Faults aimed past the end of the image are ignored — a plan can
     /// be broader than one particular file.
     ///
-    /// Images carrying a **v2** header (version 2 with a parseable
-    /// footer) take the block-format baking path instead: each fault
+    /// Images carrying a **v2** header take the block-format baking
+    /// path instead (and are left untouched unless their footer and
+    /// index validate): each fault
     /// lands on the restart record of the block containing its target
     /// record, and `TruncateTail` is ignored (tail truncation destroys
     /// the v2 footer, which is fatal under every policy — there is no
     /// quarantinable torn tail to manufacture).
     pub fn apply_to_bytes(&self, bytes: &mut Vec<u8>) {
-        if bytes.len() >= HEADER_BYTES
-            && bytes[0..4] == crate::binary::MAGIC
-            && u16::from_le_bytes([bytes[4], bytes[5]]) == crate::block::V2_VERSION
-        {
+        if matches!(header_version(bytes), Ok(V2_VERSION)) {
             crate::v2::bake_faults(bytes, &self.faults);
             return;
         }
         let record_base = |r: u64| HEADER_BYTES + (r as usize) * RECORD_BYTES;
         for fault in &self.faults {
-            let base = record_base(fault.record);
-            if base + RECORD_BYTES > bytes.len() {
-                continue;
-            }
-            match fault.kind {
-                FaultKind::CorruptKind => bytes[base + 16] = 0xEE,
-                FaultKind::WildVaddr => {
-                    let wild = wild_vaddr(fault.record);
-                    bytes[base + 8..base + 16].copy_from_slice(&wild.to_le_bytes());
-                }
-                FaultKind::TruncateTail | FaultKind::WorkerPanic => {}
+            let cell = bytes
+                .get_mut(record_base(fault.record)..)
+                .and_then(|rest| rest.first_chunk_mut());
+            if let Some(cell) = cell {
+                fault_cell(cell, fault);
             }
         }
         if let Some(cut) = self

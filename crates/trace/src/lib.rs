@@ -16,8 +16,10 @@
 //!   block-compressed variant of the same format: records are packed
 //!   into delta-compressed blocks behind a trailing block index, cutting
 //!   corpora to a few bytes per record while keeping O(1) seeks on block
-//!   boundaries, and [`TraceReader::open_streaming`] replays files
-//!   larger than RAM through a sliding mapped window;
+//!   boundaries. Cursors read blocks through one mapped window: the
+//!   whole file for [`V2Trace::open`], or N blocks at a time for
+//!   [`TraceReader::open_streaming`], which replays files larger than
+//!   RAM;
 //! * [`DecodePolicy`] / [`TraceHealth`] — strict (abort on first fault)
 //!   vs quarantine (skip, count, bound) decode, with a health report of
 //!   what a damaged file lost; see "Corruption & quarantine semantics"

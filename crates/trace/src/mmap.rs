@@ -22,11 +22,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ::mmap::Mmap;
-use tlbsim_core::{AccessKind, MemoryAccess};
+use tlbsim_core::MemoryAccess;
 
-use crate::binary::{header_version, HEADER_BYTES, RECORD_BYTES, VERSION};
+use crate::binary::{decode_cell, header_version, HEADER_BYTES, RECORD_BYTES, VERSION};
 use crate::error::TraceError;
-use crate::policy::{DecodePolicy, TraceHealth};
+use crate::policy::{DecodePolicy, Tally, TraceHealth};
 use crate::reader::AnyCursor;
 
 /// A validated, memory-mapped binary trace (`TLBT` format).
@@ -151,11 +151,6 @@ impl MmapTrace {
         self.records == 0
     }
 
-    /// Bytes occupied by the mapped file (header + records).
-    pub fn byte_len(&self) -> u64 {
-        self.map.as_bytes().len() as u64
-    }
-
     /// Which backend serves the bytes (`"mmap"` zero-copy or the
     /// `"read"` fallback).
     pub fn backend(&self) -> &'static str {
@@ -169,10 +164,7 @@ impl MmapTrace {
             map: Arc::clone(&self.map),
             records: self.records,
             next: 0,
-            policy: self.policy,
-            ok_seen: 0,
-            bad_seen: 0,
-            first_bad: None,
+            tally: Tally::new(self.policy),
             torn_tail: self.torn_tail,
         }
     }
@@ -208,11 +200,14 @@ pub struct MmapTraceCursor {
     map: Arc<Mmap>,
     records: u64,
     next: u64,
-    policy: DecodePolicy,
-    ok_seen: u64,
-    bad_seen: u64,
-    first_bad: Option<u64>,
+    tally: Tally,
     torn_tail: u64,
+}
+
+/// The whole record cells of a mapped trace's body.
+#[inline(always)]
+fn cells(map: &Mmap) -> &[[u8; RECORD_BYTES]] {
+    map.as_bytes()[HEADER_BYTES..].as_chunks().0
 }
 
 impl MmapTraceCursor {
@@ -231,7 +226,9 @@ impl MmapTraceCursor {
     /// (see [`MmapTraceCursor::health`]);
     /// [`TraceError::QuarantineExceeded`] once the tally passes the
     /// policy's `max_bad`, with the cursor positioned just past the
-    /// record that blew the budget.
+    /// record that blew the budget, or at the next decode when a
+    /// [`skip_records`](Self::skip_records) blew it. The error is
+    /// reported once; afterwards the cursor reads as exhausted.
     ///
     /// # Panics
     ///
@@ -242,39 +239,29 @@ impl MmapTraceCursor {
             !buf.is_empty(),
             "decode_batch requires a non-empty batch buffer"
         );
-        match self.policy {
+        match self.tally.policy() {
             DecodePolicy::Strict => self.decode_batch_strict(buf),
-            DecodePolicy::Quarantine { max_bad } => self.decode_batch_quarantine(buf, max_bad),
+            DecodePolicy::Quarantine { .. } => self.decode_batch_quarantine(buf),
         }
     }
 
-    /// The pre-quarantine hot path, byte-for-byte: one bounds check,
-    /// then `chunks_exact` over the mapped slice.
+    /// The pre-quarantine hot path: one bounds check, then the cells
+    /// of the batch in order.
     fn decode_batch_strict(&mut self, buf: &mut [MemoryAccess]) -> Result<usize, TraceError> {
         let want = (buf.len() as u64).min(self.records - self.next) as usize;
-        if want == 0 {
-            return Ok(0);
-        }
-        let start = HEADER_BYTES + self.next as usize * RECORD_BYTES;
-        let bytes = &self.map.as_bytes()[start..start + want * RECORD_BYTES];
-        for (i, (slot, raw)) in buf
+        let start = self.next as usize;
+        for (i, (slot, cell)) in buf
             .iter_mut()
-            .zip(bytes.chunks_exact(RECORD_BYTES))
+            .zip(&cells(&self.map)[start..start + want])
             .enumerate()
         {
-            let kind = match raw[16] {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                found => {
+            match decode_cell(cell) {
+                Ok(access) => *slot = access,
+                Err(found) => {
                     self.next += i as u64;
                     return Err(TraceError::InvalidKind { found });
                 }
-            };
-            *slot = MemoryAccess {
-                pc: u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice")).into(),
-                vaddr: u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice")).into(),
-                kind,
-            };
+            }
         }
         self.next += want as u64;
         Ok(want)
@@ -283,47 +270,26 @@ impl MmapTraceCursor {
     /// Quarantine decode: per-record walk of the same grid, skipping
     /// bad-kind cells and tallying them. `Ok(0)` still means exhausted —
     /// trailing bad records are consumed (and counted) on the way there.
-    fn decode_batch_quarantine(
-        &mut self,
-        buf: &mut [MemoryAccess],
-        max_bad: u64,
-    ) -> Result<usize, TraceError> {
-        // A blown budget is terminal: the error was reported once when
-        // the budget broke; afterwards the cursor reads as exhausted.
-        if self.bad_seen > max_bad {
+    fn decode_batch_quarantine(&mut self, buf: &mut [MemoryAccess]) -> Result<usize, TraceError> {
+        if !self.tally.admit()? {
             return Ok(0);
         }
-        let bytes = self.map.as_bytes();
+        let cells = cells(&self.map);
         let mut filled = 0;
         while filled < buf.len() && self.next < self.records {
-            let start = HEADER_BYTES + self.next as usize * RECORD_BYTES;
-            let raw = &bytes[start..start + RECORD_BYTES];
-            let kind = match raw[16] {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                _ => {
-                    if self.first_bad.is_none() {
-                        self.first_bad = Some(self.next);
-                    }
-                    self.bad_seen += 1;
-                    self.next += 1;
-                    if self.bad_seen > max_bad {
-                        return Err(TraceError::QuarantineExceeded {
-                            bad: self.bad_seen,
-                            max_bad,
-                        });
-                    }
-                    continue;
-                }
-            };
-            buf[filled] = MemoryAccess {
-                pc: u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice")).into(),
-                vaddr: u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice")).into(),
-                kind,
-            };
-            filled += 1;
-            self.ok_seen += 1;
+            let at = self.next;
             self.next += 1;
+            match decode_cell(&cells[at as usize]) {
+                Ok(access) => {
+                    buf[filled] = access;
+                    filled += 1;
+                    self.tally.ok(1);
+                }
+                Err(_) => {
+                    self.tally.bad(at, 1, false);
+                    self.tally.check()?;
+                }
+            }
         }
         Ok(filled)
     }
@@ -336,35 +302,27 @@ impl MmapTraceCursor {
     /// fixed-width cells, so a shard positions itself at any mid-trace
     /// offset with one add, no prefix decode at all. Under quarantine a
     /// skip must count only records a decode would have yielded, so it
-    /// scans the prefix's kind bytes (one byte per record, no decode,
-    /// no allocation) and tallies quarantined cells exactly as a decode
-    /// would.
+    /// checks the prefix's cells (no allocation) and tallies
+    /// quarantined cells exactly as a decode would, without enforcing
+    /// the budget: the next decode reports a budget the skip blew.
     pub fn skip_records(&mut self, n: u64) -> u64 {
-        match self.policy {
-            DecodePolicy::Strict => {
-                let skipped = n.min(self.records - self.next);
-                self.next += skipped;
-                skipped
-            }
-            DecodePolicy::Quarantine { .. } => {
-                let bytes = self.map.as_bytes();
-                let mut skipped = 0;
-                while skipped < n && self.next < self.records {
-                    let kind = bytes[HEADER_BYTES + self.next as usize * RECORD_BYTES + 16];
-                    if kind <= 1 {
-                        skipped += 1;
-                        self.ok_seen += 1;
-                    } else {
-                        if self.first_bad.is_none() {
-                            self.first_bad = Some(self.next);
-                        }
-                        self.bad_seen += 1;
-                    }
-                    self.next += 1;
-                }
-                skipped
-            }
+        if self.tally.policy().is_strict() {
+            let skipped = n.min(self.records - self.next);
+            self.next += skipped;
+            return skipped;
         }
+        let cells = cells(&self.map);
+        let mut skipped = 0;
+        while skipped < n && self.next < self.records {
+            if decode_cell(&cells[self.next as usize]).is_ok() {
+                skipped += 1;
+                self.tally.ok(1);
+            } else {
+                self.tally.bad(self.next, 1, false);
+            }
+            self.next += 1;
+        }
+        skipped
     }
 
     /// Repositions the cursor at an absolute record index (clamped to
@@ -379,28 +337,13 @@ impl MmapTraceCursor {
         self.next
     }
 
-    /// Grid cells left to walk (under quarantine an upper bound on the
-    /// records a decode will yield).
-    pub fn remaining(&self) -> u64 {
-        self.records - self.next
-    }
-
     /// Running health tally over everything this cursor has decoded or
     /// skipped so far (complete once the cursor is exhausted). A strict
     /// cursor reports every record it passed as ok — it would have
     /// errored otherwise. The torn-tail byte count is a property of the
     /// mapping and is reported from the start.
     pub fn health(&self) -> TraceHealth {
-        TraceHealth {
-            records_ok: match self.policy {
-                DecodePolicy::Strict => self.next,
-                DecodePolicy::Quarantine { .. } => self.ok_seen,
-            },
-            records_bad: self.bad_seen,
-            torn_tail_bytes: self.torn_tail,
-            first_bad_record: self.first_bad,
-            blocks_bad: 0,
-        }
+        self.tally.health(self.next, self.torn_tail)
     }
 }
 
@@ -471,7 +414,7 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, records);
-        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(cursor.position(), trace.record_count());
     }
 
     #[test]
@@ -573,7 +516,7 @@ mod tests {
         assert_eq!(cursor.skip_records(1000), 60);
         assert_eq!(cursor.skip_records(1), 0);
         cursor.seek(99);
-        assert_eq!(cursor.remaining(), 1);
+        assert_eq!(cursor.position(), 99);
         cursor.seek(10_000);
         assert_eq!(cursor.position(), 100);
     }
@@ -598,7 +541,6 @@ mod tests {
         std::fs::write(&path, encode(&records)).unwrap();
         let trace = MmapTrace::open(&path).unwrap();
         assert_eq!(trace.record_count(), 50);
-        assert_eq!(trace.byte_len(), 8 + 50 * 17);
         assert!(trace.backend() == "mmap" || trace.backend() == "read");
         assert_eq!(trace.scan_health().unwrap().records_ok, 50);
         let got: Vec<MemoryAccess> = trace.cursor().map(|r| r.unwrap()).collect();
@@ -710,6 +652,24 @@ mod tests {
         assert_eq!(tail, all[10..]);
         // Health counted the two bad cells the skip walked over.
         assert_eq!(cursor.health().records_bad, 2);
+    }
+
+    #[test]
+    fn a_skip_that_blows_the_budget_is_reported_by_the_next_decode() {
+        let mut bytes = encode(&sample(30));
+        for bad in [3usize, 5] {
+            bytes[HEADER_BYTES + bad * RECORD_BYTES + 16] = 0xEE;
+        }
+        let mut cursor = open_quarantine(bytes, 1).cursor();
+        assert_eq!(cursor.skip_records(10), 10);
+        assert_eq!(cursor.health().records_bad, 2);
+        let mut buf = [MemoryAccess::read(0, 0); 8];
+        assert!(matches!(
+            cursor.decode_batch(&mut buf),
+            Err(TraceError::QuarantineExceeded { bad: 2, max_bad: 1 })
+        ));
+        assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
+        assert_eq!(cursor.position(), 12);
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //!   [`TraceError::QuarantineExceeded`](crate::TraceError::QuarantineExceeded)
 //!   only once more than `max_bad` records have been quarantined.
 //!
+//! Both cursors keep their running tally — counts, first bad record,
+//! budget check and terminal state — in one crate-private `Tally`,
+//! which their decode and skip paths share.
+//!
 //! The normative description of what counts as a bad record — and why
 //! grid resync is always safe — lives in `docs/TRACE_FORMAT.md`
 //! ("Corruption & quarantine semantics").
 
 use std::fmt;
+
+use crate::error::TraceError;
 
 /// How a trace reader treats malformed records.
 ///
@@ -142,6 +148,100 @@ impl fmt::Display for TraceHealth {
             f.write_str(", clean")?;
         }
         Ok(())
+    }
+}
+
+/// One cursor's running quarantine tally, shared by the decode and
+/// skip paths of both cursors: the good and quarantined record counts,
+/// the first quarantined record, the budget check, and the terminal
+/// state a blown budget leaves behind.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    policy: DecodePolicy,
+    ok: u64,
+    bad: u64,
+    blocks_bad: u64,
+    first_bad: Option<u64>,
+    /// The blown budget has been reported; the cursor reads as
+    /// exhausted from then on.
+    spent: bool,
+}
+
+impl Tally {
+    /// A clean tally under `policy`.
+    pub(crate) fn new(policy: DecodePolicy) -> Self {
+        Tally {
+            policy,
+            ok: 0,
+            bad: 0,
+            blocks_bad: 0,
+            first_bad: None,
+            spent: false,
+        }
+    }
+
+    /// The policy the tally enforces.
+    #[inline(always)]
+    pub(crate) fn policy(&self) -> DecodePolicy {
+        self.policy
+    }
+
+    /// Counts `n` records decoded or skipped cleanly.
+    #[inline(always)]
+    pub(crate) fn ok(&mut self, n: u64) {
+        self.ok += n;
+    }
+
+    /// Counts `records` quarantined records starting at grid record
+    /// `first`: one bad v1 cell, or one whole v2 block when `block`.
+    /// The budget is not checked here; see [`Tally::check`].
+    pub(crate) fn bad(&mut self, first: u64, records: u64, block: bool) {
+        self.first_bad.get_or_insert(first);
+        self.bad += records;
+        self.blocks_bad += u64::from(block);
+    }
+
+    /// The budget check: [`TraceError::QuarantineExceeded`] the first
+    /// time the tally is past the policy's `max_bad`, whether a decode
+    /// or a skip passed it; the tally is terminal from then on.
+    pub(crate) fn check(&mut self) -> Result<(), TraceError> {
+        match self.policy {
+            DecodePolicy::Quarantine { max_bad } if self.bad > max_bad && !self.spent => {
+                self.spent = true;
+                Err(TraceError::QuarantineExceeded {
+                    bad: self.bad,
+                    max_bad,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether a decode may go on: `Ok(false)` once the blown budget has
+    /// been reported, and the one report if a skip blew it.
+    #[inline(always)]
+    pub(crate) fn admit(&mut self) -> Result<bool, TraceError> {
+        if self.spent {
+            return Ok(false);
+        }
+        self.check()?;
+        Ok(true)
+    }
+
+    /// The health report of a cursor standing at grid record `position`.
+    /// A strict cursor reports every record it passed as ok — it would
+    /// have errored otherwise.
+    pub(crate) fn health(&self, position: u64, torn_tail_bytes: u64) -> TraceHealth {
+        TraceHealth {
+            records_ok: match self.policy {
+                DecodePolicy::Strict => position,
+                DecodePolicy::Quarantine { .. } => self.ok,
+            },
+            records_bad: self.bad,
+            torn_tail_bytes,
+            first_bad_record: self.first_bad,
+            blocks_bad: self.blocks_bad,
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! One reader over both binary trace formats. It follows the table of
 //! versions in `docs/TRACE_FORMAT.md` in one place: version 1 opens as
-//! [`MmapTrace`], version 2 as [`V2Trace`] (or a windowed
-//! [`V2TraceCursor`]), and any other is
+//! [`MmapTrace`], version 2 as [`V2Trace`] — mapped whole, or through a
+//! window of N blocks when opened for streaming — and any other is
 //! [`TraceError::UnsupportedVersion`].
 
 use std::fs::File;
@@ -43,11 +43,9 @@ use crate::v2::{V2Trace, V2TraceCursor};
 pub enum TraceReader {
     /// Version 1, the flat record grid, mapped whole.
     V1(MmapTrace),
-    /// Version 2, mapped whole.
+    /// Version 2, read through a mapped window of blocks: the whole
+    /// file, or N blocks at a time when opened for streaming.
     V2(V2Trace),
-    /// Version 2 read through a sliding window of mapped blocks: a
-    /// cursor at record 0 that [`TraceReader::cursor`] restarts.
-    V2Streamed(V2TraceCursor),
 }
 
 impl TraceReader {
@@ -111,7 +109,7 @@ impl TraceReader {
             let len = file.metadata()?.len() as usize;
             Self::from_map(Mmap::map_file_range(&file, 0, len)?, policy)
         } else {
-            V2TraceCursor::open_streaming(file, policy, window_blocks).map(TraceReader::V2Streamed)
+            V2Trace::open_window(file, policy, window_blocks).map(TraceReader::V2)
         }
     }
 
@@ -128,7 +126,7 @@ impl TraceReader {
     pub fn format_version(&self) -> u16 {
         match self {
             TraceReader::V1(_) => VERSION,
-            TraceReader::V2(_) | TraceReader::V2Streamed(_) => V2_VERSION,
+            TraceReader::V2(_) => V2_VERSION,
         }
     }
 
@@ -138,7 +136,6 @@ impl TraceReader {
         match self {
             TraceReader::V1(t) => t.backend(),
             TraceReader::V2(t) => t.backend(),
-            TraceReader::V2Streamed(_) => "mmap-window",
         }
     }
 
@@ -147,7 +144,6 @@ impl TraceReader {
         match self {
             TraceReader::V1(t) => t.record_count(),
             TraceReader::V2(t) => t.record_count(),
-            TraceReader::V2Streamed(c) => c.record_count(),
         }
     }
 
@@ -157,7 +153,6 @@ impl TraceReader {
         match self {
             TraceReader::V1(_) => 1,
             TraceReader::V2(t) => t.block_len().max(1),
-            TraceReader::V2Streamed(c) => c.block_len(),
         }
     }
 
@@ -166,7 +161,6 @@ impl TraceReader {
         match self {
             TraceReader::V1(t) => AnyCursor::V1(t.cursor()),
             TraceReader::V2(t) => AnyCursor::V2(t.cursor()),
-            TraceReader::V2Streamed(c) => AnyCursor::V2(c.restarted()),
         }
     }
 

@@ -1,5 +1,5 @@
 //! The TLBT **v2** block-compressed trace format: writer, validated
-//! trace handle, and cursors (whole-file and windowed streaming).
+//! trace handle, and cursor.
 //!
 //! v2 keeps v1's 8-byte header (version = 2) and replaces the flat
 //! 17-byte record grid with delta-compressed blocks plus a trailing
@@ -12,9 +12,13 @@
 //!   delta decoding to reach — so the sharded executor still cuts a
 //!   trace into worker slices without scanning, provided cuts land on
 //!   block boundaries (`ShardPlan::split_aligned` in `tlbsim-sim`).
-//! * **Larger-than-RAM replay**: a streaming cursor
-//!   ([`TraceReader::open_streaming`](crate::TraceReader::open_streaming))
-//!   keeps one `File` open and maps a sliding window of N blocks
+//! * **One block source**: the index is parsed into block offsets
+//!   once at open, and every cursor slices blocks out of one mapped
+//!   window. [`V2Trace::open`] maps the whole file, a window that
+//!   covers every block and never remaps, so replay allocates nothing.
+//! * **Larger-than-RAM replay**: the same source opened through
+//!   [`TraceReader::open_streaming`](crate::TraceReader::open_streaming)
+//!   keeps one `File` open and maps a window of N blocks at a time
 //!   through `Mmap::map_file_range`, advising the kernel of sequential
 //!   readahead — the only allocations on the replay path are the
 //!   window remaps themselves.
@@ -28,7 +32,6 @@
 //!   truncated at the tail therefore loses its footer and is rejected
 //!   outright — the salvageable torn tail is a v1-only notion.
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -37,14 +40,14 @@ use std::sync::Arc;
 use ::mmap::{Advice, Mmap};
 use tlbsim_core::MemoryAccess;
 
-use crate::binary::{header_version, HEADER_BYTES, MAGIC};
+use crate::binary::{fault_cell, header_version, HEADER_BYTES, MAGIC};
 use crate::block::{
     self, BlockFault, DecodeState, Footer, DEFAULT_BLOCK_LEN, FOOTER_BYTES, INDEX_ENTRY_BYTES,
-    RESTART_BYTES, V2_VERSION,
+    V2_VERSION,
 };
 use crate::error::TraceError;
-use crate::fault::{wild_vaddr, FaultKind, PlannedFault};
-use crate::policy::{DecodePolicy, TraceHealth};
+use crate::fault::PlannedFault;
+use crate::policy::{DecodePolicy, Tally, TraceHealth};
 use crate::reader::AnyCursor;
 
 /// Streaming writer for the v2 block-compressed format.
@@ -69,7 +72,7 @@ use crate::reader::AnyCursor;
 ///
 /// let trace = V2Trace::from_map(mmap::Mmap::from_vec(buf))?;
 /// assert_eq!(trace.record_count(), 1000);
-/// assert_eq!(trace.block_count(), 16);
+/// assert_eq!(trace.block_len(), 64);
 /// # Ok::<(), tlbsim_trace::TraceError>(())
 /// ```
 #[derive(Debug)]
@@ -210,21 +213,18 @@ struct Meta {
     block_len: u64,
     /// Records in the trace.
     total: u64,
-    /// Blocks (= index entries).
-    block_count: u64,
-    /// Absolute byte offset of the block index.
-    index_offset: u64,
 }
 
 /// Reads the footer and block index of a `file_len`-byte v2 file
-/// through `read(offset, len)` and validates them against the file
-/// size, returning the layout and the index bytes. Any inconsistency is
+/// through `read(offset, len)`, validates them against the file size,
+/// and returns the layout with the block offsets parsed out of the
+/// index (see [`Blocks::offsets`]). Any inconsistency is
 /// [`TraceError::TornIndex`] — fatal under every policy, because without
 /// a trustworthy index there is no block grid to quarantine on.
-fn read_layout<'a>(
+fn read_layout(
     file_len: u64,
-    mut read: impl FnMut(u64, usize) -> Result<Cow<'a, [u8]>, TraceError>,
-) -> Result<(Meta, Cow<'a, [u8]>), TraceError> {
+    mut read: impl FnMut(u64, usize) -> Result<Vec<u8>, TraceError>,
+) -> Result<(Meta, Arc<[u64]>), TraceError> {
     let torn = |detail: &'static str| TraceError::TornIndex { detail };
     if file_len < (HEADER_BYTES + FOOTER_BYTES) as u64 {
         return Err(torn("file too short for a footer"));
@@ -257,6 +257,7 @@ fn read_layout<'a>(
     if footer.index_offset < HEADER_BYTES as u64 {
         return Err(torn("index offset inside the header"));
     }
+    let mut offsets = Vec::with_capacity(footer.block_count as usize + 1);
     let mut prev_offset = HEADER_BYTES as u64;
     for i in 0..u64::from(footer.block_count) {
         let (offset, first) = block::index_entry(&index, i);
@@ -272,23 +273,28 @@ fn read_layout<'a>(
         if i.checked_mul(u64::from(footer.block_len)) != Some(first) {
             return Err(torn("index record numbering is inconsistent"));
         }
+        offsets.push(offset);
         prev_offset = offset;
     }
+    offsets.push(footer.index_offset);
     let meta = Meta {
         block_len: u64::from(footer.block_len),
         total: footer.total_records,
-        block_count: u64::from(footer.block_count),
-        index_offset: footer.index_offset,
     };
-    Ok((meta, index))
+    Ok((meta, offsets.into()))
 }
 
-/// A validated, memory-mapped v2 (block-compressed) trace.
+/// A validated v2 (block-compressed) trace, read through a mapped
+/// window of whole blocks.
 ///
-/// The header, footer and block index are validated **once** at open;
-/// block payloads are validated lazily as cursors decode them (strict:
-/// typed error at the damaged block; quarantine: the block is skipped
-/// whole and tallied).
+/// The header, footer and block index are validated **once** at open,
+/// and the index is parsed into memory then; block payloads are
+/// validated lazily as cursors decode them (strict: typed error at the
+/// damaged block; quarantine: the block is skipped whole and tallied).
+/// A trace opened through [`V2Trace::open`] or `from_map*` is mapped
+/// whole: its window covers every block and never moves.
+/// [`TraceReader::open_streaming`](crate::TraceReader::open_streaming)
+/// opens the same trace with a window of N blocks over the file.
 ///
 /// # Examples
 ///
@@ -313,7 +319,7 @@ fn read_layout<'a>(
 /// ```
 #[derive(Debug, Clone)]
 pub struct V2Trace {
-    map: Arc<Mmap>,
+    blocks: Blocks,
     meta: Meta,
     policy: DecodePolicy,
 }
@@ -372,11 +378,58 @@ impl V2Trace {
         if version != V2_VERSION {
             return Err(TraceError::UnsupportedVersion { found: version });
         }
-        let (meta, _) = read_layout(bytes.len() as u64, |at, len| {
-            Ok(Cow::Borrowed(&bytes[at as usize..at as usize + len]))
+        let (meta, offsets) = read_layout(bytes.len() as u64, |at, len| {
+            Ok(bytes[at as usize..at as usize + len].to_vec())
         })?;
+        let end = offsets.len() as u64 - 1;
+        let blocks = Blocks {
+            offsets,
+            file: None,
+            window: Arc::new(map),
+            base: 0,
+            first: 0,
+            end,
+        };
         Ok(V2Trace {
-            map: Arc::new(map),
+            blocks,
+            meta,
+            policy,
+        })
+    }
+
+    /// Opens the v2 trace in `file` with a window of `window_blocks`
+    /// blocks (at least 1): the footer and index are read and validated
+    /// here, and each cursor maps the window over the file as it
+    /// advances, so a trace larger than RAM replays in bounded memory.
+    /// The caller has checked the header.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::TornIndex`] as for [`V2Trace::open`], and
+    /// [`TraceError::Io`] for read failures while loading the footer and
+    /// index.
+    pub(crate) fn open_window(
+        mut file: File,
+        policy: DecodePolicy,
+        window_blocks: u64,
+    ) -> Result<Self, TraceError> {
+        let file_len = file.metadata()?.len();
+        let (meta, offsets) = read_layout(file_len, |at, len| {
+            let mut bytes = vec![0u8; len];
+            file.seek(SeekFrom::Start(at))?;
+            file.read_exact(&mut bytes)?;
+            Ok(bytes)
+        })?;
+        let blocks = Blocks {
+            offsets,
+            file: Some((Arc::new(file), window_blocks.max(1))),
+            window: Arc::new(Mmap::from_vec(Vec::new())),
+            base: 0,
+            first: 0,
+            end: 0,
+        };
+        Ok(V2Trace {
+            blocks,
             meta,
             policy,
         })
@@ -392,11 +445,6 @@ impl V2Trace {
         self.meta.total == 0
     }
 
-    /// Bytes occupied by the mapped file.
-    pub fn byte_len(&self) -> u64 {
-        self.map.as_bytes().len() as u64
-    }
-
     /// Records per block (the final block may hold fewer). Zero only
     /// for a malformed-but-empty edge the validator rejects; callers
     /// may treat it as ≥ 1.
@@ -404,26 +452,27 @@ impl V2Trace {
         self.meta.block_len
     }
 
-    /// Number of blocks (= index entries).
-    pub fn block_count(&self) -> u64 {
-        self.meta.block_count
-    }
-
-    /// Which backend serves the bytes (`"mmap"` or the `"read"`
-    /// fallback).
+    /// Which backend serves the bytes: `"mmap"` or the `"read"`
+    /// fallback for a trace mapped whole, `"mmap-window"` for a
+    /// windowed one.
     pub fn backend(&self) -> &'static str {
-        self.map.backend().label()
+        match self.blocks.file {
+            Some(_) => "mmap-window",
+            None => self.blocks.window.backend().label(),
+        }
     }
 
     /// A fresh cursor positioned at record 0, decoding under the
     /// trace's own policy.
     pub fn cursor(&self) -> V2TraceCursor {
-        let blocks = BlockSource::Whole {
-            map: Arc::clone(&self.map),
-            index_offset: self.meta.index_offset,
-            block_count: self.meta.block_count,
-        };
-        V2TraceCursor::at_start(blocks, self.meta.block_len, self.meta.total, self.policy)
+        V2TraceCursor {
+            blocks: self.blocks.clone(),
+            block_len: self.meta.block_len.max(1),
+            total: self.meta.total,
+            next: 0,
+            tally: Tally::new(self.policy),
+            state: DecodeState::none(),
+        }
     }
 
     /// Decodes every block once under the trace's policy, returning the
@@ -444,106 +493,61 @@ impl V2Trace {
     }
 }
 
-/// Where a cursor gets block bytes from: the whole mapped file, or a
-/// sliding window remapped over an open file.
+/// Where a cursor gets block bytes from: one mapped window of whole
+/// blocks. A trace mapped whole is the window over every block, which
+/// never moves; a windowed trace maps N blocks of its open file at a
+/// time, starting at the block a cursor asks for when it asks outside
+/// the window.
 ///
-/// A clone shares the mapping, or the open file, its index and the
-/// current window; each clone remaps its own windows as it advances.
+/// A clone shares the window and the file; each clone remaps its own
+/// windows as it advances.
 #[derive(Clone)]
-enum BlockSource {
-    /// The whole file is mapped; block extents come from the in-file
-    /// index.
-    Whole {
-        map: Arc<Mmap>,
-        index_offset: u64,
-        block_count: u64,
-    },
-    /// A window of blocks is mapped at a time; the index was read into
-    /// memory at open (`offsets[i]` = block `i`'s byte offset, with a
-    /// final sentinel at the index offset, so `offsets[i + 1]` always
-    /// ends block `i`).
-    Windowed {
-        file: Arc<File>,
-        offsets: Arc<[u64]>,
-        window: Arc<Mmap>,
-        window_first: u64,
-        window_count: u64,
-        window_blocks: u64,
-    },
+struct Blocks {
+    /// `offsets[i]` is block `i`'s byte offset in the file, and a final
+    /// entry holds the index's, so `offsets[i + 1]` always ends block
+    /// `i`.
+    offsets: Arc<[u64]>,
+    /// The file windows are mapped from and the blocks per window;
+    /// `None` when the window is the whole file.
+    file: Option<(Arc<File>, u64)>,
+    window: Arc<Mmap>,
+    /// The file offset of the window's first byte.
+    base: u64,
+    /// The window holds blocks `first..end`.
+    first: u64,
+    end: u64,
 }
 
-impl std::fmt::Debug for BlockSource {
+impl std::fmt::Debug for Blocks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockSource::Whole { block_count, .. } => f
-                .debug_struct("Whole")
-                .field("block_count", block_count)
-                .finish(),
-            BlockSource::Windowed {
-                window_first,
-                window_count,
-                window_blocks,
-                ..
-            } => f
-                .debug_struct("Windowed")
-                .field("window_first", window_first)
-                .field("window_count", window_count)
-                .field("window_blocks", window_blocks)
-                .finish(),
-        }
+        f.debug_struct("Blocks")
+            .field("block_count", &(self.offsets.len() - 1))
+            .field("window", &(self.first..self.end))
+            .finish()
     }
 }
 
-impl BlockSource {
+impl Blocks {
     /// The bytes of block `block`, remapping the window if needed.
+    #[inline]
     fn bytes(&mut self, block: u64) -> Result<&[u8], TraceError> {
-        match self {
-            BlockSource::Whole {
-                map,
-                index_offset,
-                block_count,
-            } => {
-                let all = map.as_bytes();
-                let index = &all[*index_offset as usize
-                    ..(*index_offset + *block_count * INDEX_ENTRY_BYTES as u64) as usize];
-                let (start, _) = block::index_entry(index, block);
-                let end = if block + 1 < *block_count {
-                    block::index_entry(index, block + 1).0
-                } else {
-                    *index_offset
-                };
-                Ok(&all[start as usize..end as usize])
-            }
-            BlockSource::Windowed {
-                file,
-                offsets,
-                window,
-                window_first,
-                window_count,
-                window_blocks,
-            } => {
-                let in_window = block >= *window_first && block < *window_first + *window_count;
-                if !in_window {
-                    let block_count = offsets.len() as u64 - 1;
-                    let count = (*window_blocks).min(block_count - block);
-                    let start = offsets[block as usize];
-                    let end = offsets[(block + count) as usize];
-                    let map = Mmap::map_file_range(file, start, (end - start) as usize)?;
-                    // Replay is overwhelmingly forward-sequential; tell
-                    // the kernel so it reads ahead of the cursor and
-                    // drops pages behind it.
-                    map.advise(Advice::Sequential);
-                    map.advise(Advice::WillNeed);
-                    *window = Arc::new(map);
-                    *window_first = block;
-                    *window_count = count;
-                }
-                let base = offsets[*window_first as usize];
-                let start = (offsets[block as usize] - base) as usize;
-                let end = (offsets[block as usize + 1] - base) as usize;
-                Ok(&window.as_bytes()[start..end])
+        if !(self.first..self.end).contains(&block) {
+            if let Some((file, window_blocks)) = &self.file {
+                let end = block + (*window_blocks).min(self.offsets.len() as u64 - 1 - block);
+                let base = self.offsets[block as usize];
+                let len = (self.offsets[end as usize] - base) as usize;
+                let map = Mmap::map_file_range(file, base, len)?;
+                // Replay is overwhelmingly forward-sequential; tell the
+                // kernel so it reads ahead of the cursor and drops pages
+                // behind it.
+                map.advise(Advice::Sequential);
+                map.advise(Advice::WillNeed);
+                self.window = Arc::new(map);
+                (self.base, self.first, self.end) = (base, block, end);
             }
         }
+        let at = |block: u64| (self.offsets[block as usize] - self.base) as usize;
+        Ok(&self.window.as_bytes()[at(block)..at(block + 1)])
     }
 }
 
@@ -556,110 +560,27 @@ fn fault_error(fault: BlockFault, block: u64) -> TraceError {
     }
 }
 
-/// An independent read position over a v2 trace — the block-format
+/// An independent read position over a [`V2Trace`] — the block-format
 /// counterpart of [`crate::MmapTraceCursor`], with the same
 /// `decode_batch` / `skip_records` / `seek` contract the simulator's
 /// replay seam consumes.
 ///
-/// Obtained from [`V2Trace::cursor`] (whole-file mapping) or through
-/// [`TraceReader::open_streaming`](crate::TraceReader::open_streaming)
-/// (sliding mapped window over an open file, for corpora larger than
-/// RAM). Steady-state decode into a
-/// caller-owned batch buffer performs **zero heap allocations**; in
-/// streaming mode the window remaps are the only allocation site.
+/// Steady-state decode into a caller-owned batch buffer performs **zero
+/// heap allocations** over a trace mapped whole; over a windowed trace
+/// the window remaps are the only allocation site.
 #[derive(Debug, Clone)]
 pub struct V2TraceCursor {
-    blocks: BlockSource,
+    blocks: Blocks,
     block_len: u64,
     total: u64,
-    policy: DecodePolicy,
     /// Absolute record index (on the raw grid, counting quarantined
     /// records) of the next record to yield.
     next: u64,
-    ok_seen: u64,
-    bad_seen: u64,
-    blocks_bad: u64,
-    first_bad: Option<u64>,
+    tally: Tally,
     state: DecodeState,
 }
 
 impl V2TraceCursor {
-    /// Opens a **streaming** cursor over a v2 trace file: the footer
-    /// and block index are read and validated up front (the index is
-    /// held in memory — 16 bytes per block), and block payloads are
-    /// consumed through a sliding mapped window of `window_blocks`
-    /// blocks, remapped forward as the cursor advances. Nothing close
-    /// to the whole file is ever resident, so corpora larger than RAM
-    /// replay in bounded memory.
-    ///
-    /// `window_blocks` is clamped to at least 1. Each remap advises the
-    /// kernel of sequential readahead. The caller has checked the
-    /// header ([`TraceReader::open_streaming`](crate::TraceReader::open_streaming)).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::TornIndex`] as for [`V2Trace::open`], and
-    /// [`TraceError::Io`] for read failures while loading the footer and
-    /// index.
-    pub(crate) fn open_streaming(
-        mut file: File,
-        policy: DecodePolicy,
-        window_blocks: u64,
-    ) -> Result<Self, TraceError> {
-        let file_len = file.metadata()?.len();
-        let (meta, index) = read_layout(file_len, |at, len| {
-            let mut bytes = vec![0u8; len];
-            file.seek(SeekFrom::Start(at))?;
-            file.read_exact(&mut bytes)?;
-            Ok(Cow::Owned(bytes))
-        })?;
-        let offsets: Arc<[u64]> = (0..meta.block_count)
-            .map(|i| block::index_entry(&index, i).0)
-            .chain([meta.index_offset])
-            .collect();
-        let blocks = BlockSource::Windowed {
-            file: Arc::new(file),
-            offsets,
-            window: Arc::new(Mmap::from_vec(Vec::new())),
-            window_first: 0,
-            window_count: 0,
-            window_blocks: window_blocks.max(1),
-        };
-        Ok(Self::at_start(blocks, meta.block_len, meta.total, policy))
-    }
-
-    /// A cursor at record 0 of the trace `blocks` serves.
-    fn at_start(blocks: BlockSource, block_len: u64, total: u64, policy: DecodePolicy) -> Self {
-        V2TraceCursor {
-            blocks,
-            block_len: block_len.max(1),
-            total,
-            policy,
-            next: 0,
-            ok_seen: 0,
-            bad_seen: 0,
-            blocks_bad: 0,
-            first_bad: None,
-            state: DecodeState::none(),
-        }
-    }
-
-    /// A fresh cursor at record 0 over the same bytes and policy; for a
-    /// streaming cursor, the same open file.
-    pub(crate) fn restarted(&self) -> Self {
-        Self::at_start(self.blocks.clone(), self.block_len, self.total, self.policy)
-    }
-
-    /// Number of records in the trace this cursor walks.
-    pub fn record_count(&self) -> u64 {
-        self.total
-    }
-
-    /// Records per block of the underlying trace.
-    pub fn block_len(&self) -> u64 {
-        self.block_len
-    }
-
     /// Fills `buf` with the next records, returning how many were
     /// written; zero means the trace is exhausted. Same contract as
     /// [`crate::MmapTraceCursor::decode_batch`], including the panic on
@@ -674,9 +595,10 @@ impl V2TraceCursor {
     /// validated before any of it is emitted, then skipped **whole**
     /// and tallied (the block is the resync unit — delta chains cannot
     /// be re-entered mid-block); [`TraceError::QuarantineExceeded`]
-    /// once the per-record tally passes the policy's `max_bad`.
-    /// Streaming cursors can also surface [`TraceError::Io`] from a
-    /// window remap.
+    /// once, when the per-record tally has passed the policy's
+    /// `max_bad` in a decode or a skip, after which the cursor reads as
+    /// exhausted. Windowed traces can also surface [`TraceError::Io`]
+    /// from a window remap.
     ///
     /// # Panics
     ///
@@ -701,40 +623,22 @@ impl V2TraceCursor {
             !buf.is_empty(),
             "decode_batch requires a non-empty batch buffer"
         );
-        // A blown budget is terminal, as for the v1 cursor.
-        if let DecodePolicy::Quarantine { max_bad } = self.policy {
-            if self.bad_seen > max_bad {
-                return Ok(0);
-            }
+        if !self.tally.admit()? {
+            return Ok(0);
         }
+        let quarantine = !self.tally.policy().is_strict();
         let mut filled = 0usize;
         while filled < buf.len() && self.next < self.total {
-            let block = self.next / self.block_len;
-            let block_first = block * self.block_len;
-            let block_records = self.block_len.min(self.total - block_first);
+            let (block, block_first, block_records) = self.enter();
             let target = self.next - block_first;
-            self.resync_state(block, target);
             let bytes = self.blocks.bytes(block)?;
-            if let DecodePolicy::Quarantine { max_bad } = self.policy {
-                if !self.state.checked {
-                    if block::validate(bytes, block_records).is_err() {
-                        if self.first_bad.is_none() {
-                            self.first_bad = Some(block_first);
-                        }
-                        self.bad_seen += block_records;
-                        self.blocks_bad += 1;
-                        self.next = block_first + block_records;
-                        self.state = DecodeState::none();
-                        if self.bad_seen > max_bad {
-                            return Err(TraceError::QuarantineExceeded {
-                                bad: self.bad_seen,
-                                max_bad,
-                            });
-                        }
-                        continue;
-                    }
-                    self.state.checked = true;
+            if quarantine && !self.state.checked {
+                if block::validate(bytes, block_records).is_err() {
+                    self.quarantine_block(block_first, block_records);
+                    self.tally.check()?;
+                    continue;
                 }
+                self.state.checked = true;
             }
             // Fast-forward to the intra-block position (only after a
             // seek; bounded by one block of deltas).
@@ -742,12 +646,12 @@ impl V2TraceCursor {
                 block::next_record(bytes, &mut self.state)
                     .map_err(|fault| fault_error(fault, block))?;
             }
-            if filled < buf.len() && self.state.emitted == 0 {
+            if self.state.emitted == 0 {
                 buf[filled] = block::next_record(bytes, &mut self.state)
                     .map_err(|fault| fault_error(fault, block))?;
                 filled += 1;
                 self.next += 1;
-                self.ok_seen += 1;
+                self.tally.ok(1);
             }
             // The rest of the run goes through `deltas` in one call; after
             // a fault, the records before it are still written and counted.
@@ -757,7 +661,7 @@ impl V2TraceCursor {
             let done = self.state.emitted - before;
             filled += done as usize;
             self.next += done;
-            self.ok_seen += done;
+            self.tally.ok(done);
             result.map_err(|fault| fault_error(fault, block))?;
             // A completed block must consume its extent exactly; spare
             // bytes mean the payload (or the index) lied.
@@ -768,18 +672,31 @@ impl V2TraceCursor {
         Ok(filled)
     }
 
-    /// Aligns the cached decode state with (`block`, records already
-    /// consumed in it). Backward intra-block moves restart the block's
+    /// Enters the block holding the next record, returning its number,
+    /// first record and record count, with the cached decode state
+    /// aligned to it. Backward intra-block moves restart the block's
     /// delta chain; the validation flag survives (block bytes are
     /// immutable).
-    fn resync_state(&mut self, block: u64, target: u64) {
+    fn enter(&mut self) -> (u64, u64, u64) {
+        let block = self.next / self.block_len;
+        let first = block * self.block_len;
         if self.state.block != block {
             self.state = DecodeState::at(block);
-        } else if self.state.emitted > target {
-            let checked = self.state.checked;
-            self.state = DecodeState::at(block);
-            self.state.checked = checked;
+        } else if self.state.emitted > self.next - first {
+            self.state = DecodeState {
+                checked: self.state.checked,
+                ..DecodeState::at(block)
+            };
         }
+        (block, first, self.block_len.min(self.total - first))
+    }
+
+    /// Tallies the damaged block starting at record `first` whole and
+    /// steps past it.
+    fn quarantine_block(&mut self, first: u64, records: u64) {
+        self.tally.bad(first, records, true);
+        self.next = first + records;
+        self.state = DecodeState::none();
     }
 
     /// Advances past the next `n` *decodable* records, returning how
@@ -791,54 +708,38 @@ impl V2TraceCursor {
     /// decode would, without enforcing the budget (the next decode
     /// reports it).
     pub fn skip_records(&mut self, n: u64) -> u64 {
-        match self.policy {
-            DecodePolicy::Strict => {
-                let skipped = n.min(self.total - self.next);
-                self.next += skipped;
-                skipped
-            }
-            DecodePolicy::Quarantine { .. } => {
-                let mut skipped = 0u64;
-                while skipped < n && self.next < self.total {
-                    let block = self.next / self.block_len;
-                    let block_first = block * self.block_len;
-                    let block_records = self.block_len.min(self.total - block_first);
-                    let target = self.next - block_first;
-                    self.resync_state(block, target);
-                    let Ok(bytes) = self.blocks.bytes(block) else {
-                        // A streaming remap failure cannot be reported
-                        // from the infallible skip contract; stop here
-                        // and let the next decode surface the error.
-                        break;
-                    };
-                    if !self.state.checked {
-                        if block::validate(bytes, block_records).is_err() {
-                            if self.first_bad.is_none() {
-                                self.first_bad = Some(block_first);
-                            }
-                            self.bad_seen += block_records;
-                            self.blocks_bad += 1;
-                            self.next = block_first + block_records;
-                            self.state = DecodeState::none();
-                            continue;
-                        }
-                        self.state.checked = true;
-                    }
-                    while self.state.emitted < target {
-                        // Validated above: cannot fail.
-                        let _ = block::next_record(bytes, &mut self.state);
-                    }
-                    let take = (n - skipped).min(block_records - target);
-                    for _ in 0..take {
-                        let _ = block::next_record(bytes, &mut self.state);
-                    }
-                    skipped += take;
-                    self.next += take;
-                    self.ok_seen += take;
-                }
-                skipped
-            }
+        if self.tally.policy().is_strict() {
+            let skipped = n.min(self.total - self.next);
+            self.next += skipped;
+            return skipped;
         }
+        let mut skipped = 0u64;
+        while skipped < n && self.next < self.total {
+            let (block, block_first, block_records) = self.enter();
+            let target = self.next - block_first;
+            let Ok(bytes) = self.blocks.bytes(block) else {
+                // A window remap failure cannot be reported from the
+                // infallible skip contract; stop here and let the next
+                // decode surface the error.
+                break;
+            };
+            if !self.state.checked {
+                if block::validate(bytes, block_records).is_err() {
+                    self.quarantine_block(block_first, block_records);
+                    continue;
+                }
+                self.state.checked = true;
+            }
+            let take = (n - skipped).min(block_records - target);
+            while self.state.emitted < target + take {
+                // Validated above: cannot fail.
+                let _ = block::next_record(bytes, &mut self.state);
+            }
+            skipped += take;
+            self.next += take;
+            self.tally.ok(take);
+        }
+        skipped
     }
 
     /// Repositions the cursor at an absolute record index (clamped to
@@ -854,28 +755,13 @@ impl V2TraceCursor {
         self.next
     }
 
-    /// Grid records left to walk (under quarantine an upper bound on
-    /// the records a decode will yield).
-    pub fn remaining(&self) -> u64 {
-        self.total - self.next
-    }
-
     /// Running health tally over everything this cursor has decoded or
     /// skipped so far (complete once the cursor is exhausted). A strict
     /// cursor reports every record it passed as ok — it would have
     /// errored otherwise. v2 has no torn tail: tail truncation destroys
     /// the footer and is rejected at open under every policy.
     pub fn health(&self) -> TraceHealth {
-        TraceHealth {
-            records_ok: match self.policy {
-                DecodePolicy::Strict => self.next,
-                DecodePolicy::Quarantine { .. } => self.ok_seen,
-            },
-            records_bad: self.bad_seen,
-            torn_tail_bytes: 0,
-            first_bad_record: self.first_bad,
-            blocks_bad: self.blocks_bad,
-        }
+        self.tally.health(self.next, 0)
     }
 }
 
@@ -909,45 +795,22 @@ impl Iterator for V2TraceCursor {
 /// still decodes; its addresses go wild). `TruncateTail` is ignored —
 /// a v2 file truncated at the tail loses its footer, which is fatal
 /// under every policy, so there is no quarantinable torn tail to
-/// manufacture. Plans whose footer or index cannot be parsed leave the
-/// image untouched.
+/// manufacture. Images whose footer or index does not validate are
+/// left untouched.
 pub(crate) fn bake_faults(bytes: &mut [u8], faults: &[PlannedFault]) {
-    if bytes.len() < HEADER_BYTES + FOOTER_BYTES {
-        return;
-    }
-    let Some(footer) = Footer::parse(&bytes[bytes.len() - FOOTER_BYTES..]) else {
+    let image: &[u8] = bytes;
+    let Ok((meta, offsets)) = read_layout(image.len() as u64, |at, len| {
+        Ok(image[at as usize..at as usize + len].to_vec())
+    }) else {
         return;
     };
-    let file_len = bytes.len() as u64;
-    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-    if footer
-        .index_offset
-        .checked_add(index_bytes)
-        .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-        != Some(file_len)
-        || footer.block_len == 0
-    {
-        return;
-    }
-    for fault in faults {
-        if fault.record >= footer.total_records {
-            continue;
-        }
-        let block = fault.record / u64::from(footer.block_len);
-        let entry_at = (footer.index_offset + block * INDEX_ENTRY_BYTES as u64) as usize;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[entry_at..entry_at + 8]);
-        let base = u64::from_le_bytes(raw) as usize;
-        if base + RESTART_BYTES > bytes.len() {
-            continue;
-        }
-        match fault.kind {
-            FaultKind::CorruptKind => bytes[base + 16] = 0xEE,
-            FaultKind::WildVaddr => {
-                let wild = wild_vaddr(fault.record);
-                bytes[base + 8..base + 16].copy_from_slice(&wild.to_le_bytes());
-            }
-            FaultKind::TruncateTail | FaultKind::WorkerPanic => {}
+    for fault in faults.iter().filter(|f| f.record < meta.total) {
+        let base = offsets[(fault.record / meta.block_len) as usize] as usize;
+        if let Some(cell) = bytes
+            .get_mut(base..)
+            .and_then(|rest| rest.first_chunk_mut())
+        {
+            fault_cell(cell, fault);
         }
     }
 }
@@ -955,6 +818,8 @@ pub(crate) fn bake_faults(bytes: &mut [u8], faults: &[PlannedFault]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::RESTART_BYTES;
+    use crate::fault::FaultKind;
     use proptest::prelude::*;
     use tlbsim_core::AccessKind;
 
@@ -989,6 +854,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Blocks in the trace's index.
+    fn block_count(trace: &V2Trace) -> u64 {
+        trace.blocks.offsets.len() as u64 - 1
+    }
+
+    /// `bytes` written to a fresh temporary file, opened with a window of
+    /// `window_blocks` blocks; the file is unlinked once opened.
+    fn open_windowed(bytes: &[u8], policy: DecodePolicy, window_blocks: u64) -> V2Trace {
+        static FILES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("tlbt-v2-window-{}-{n}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let trace = V2Trace::open_window(File::open(&path).unwrap(), policy, window_blocks);
+        std::fs::remove_file(&path).unwrap();
+        trace.unwrap()
+    }
+
     fn drain(cursor: &mut V2TraceCursor) -> Vec<MemoryAccess> {
         let mut buf = vec![MemoryAccess::read(0, 0); 97];
         let mut got = Vec::new();
@@ -1010,7 +892,7 @@ mod tests {
             let trace = open_bytes(bytes).unwrap();
             assert_eq!(trace.record_count(), 1000);
             assert_eq!(
-                trace.block_count(),
+                block_count(&trace),
                 1000u64.div_ceil(u64::from(block_len)),
                 "block_len {block_len}"
             );
@@ -1035,7 +917,7 @@ mod tests {
     fn empty_trace_is_valid() {
         let trace = open_bytes(encode(&[], 64)).unwrap();
         assert!(trace.is_empty());
-        assert_eq!(trace.block_count(), 0);
+        assert_eq!(block_count(&trace), 0);
         assert_eq!(drain(&mut trace.cursor()), Vec::new());
     }
 
@@ -1088,7 +970,6 @@ mod tests {
         assert_eq!(tail, records[37..]);
         cursor.seek(10_000);
         assert_eq!(cursor.position(), 500);
-        assert_eq!(cursor.remaining(), 0);
     }
 
     #[test]
@@ -1166,6 +1047,30 @@ mod tests {
     }
 
     #[test]
+    fn a_skip_that_blows_the_budget_is_reported_by_the_next_decode() {
+        let mut bytes = encode(&sample(40), 4);
+        for record in [4u64, 8] {
+            bake_faults(
+                &mut bytes,
+                &[PlannedFault {
+                    record,
+                    kind: FaultKind::CorruptKind,
+                }],
+            );
+        }
+        let mut cursor = open_quarantine(bytes, 4).cursor();
+        assert_eq!(cursor.skip_records(10), 10);
+        assert_eq!(cursor.health().records_bad, 8);
+        let mut buf = vec![MemoryAccess::read(0, 0); 8];
+        assert!(matches!(
+            cursor.decode_batch(&mut buf),
+            Err(TraceError::QuarantineExceeded { bad: 8, max_bad: 4 })
+        ));
+        assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
+        assert_eq!(cursor.position(), 18);
+    }
+
+    #[test]
     fn wild_vaddr_still_decodes() {
         let records = sample(64);
         let mut bytes = encode(&records, 16);
@@ -1191,17 +1096,12 @@ mod tests {
     fn streaming_cursor_matches_whole_file_decode() {
         let records = sample(1111);
         let bytes = encode(&records, 32);
-        let path = std::env::temp_dir().join(format!("tlbt-v2-stream-{}", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
         for window_blocks in [1u64, 2, 7, 1000] {
-            let mut cursor = V2TraceCursor::open_streaming(
-                File::open(&path).unwrap(),
-                DecodePolicy::Strict,
-                window_blocks,
-            )
-            .unwrap();
-            assert_eq!(cursor.record_count(), 1111);
-            assert_eq!(cursor.block_len(), 32);
+            let trace = open_windowed(&bytes, DecodePolicy::Strict, window_blocks);
+            assert_eq!(trace.record_count(), 1111);
+            assert_eq!(trace.block_len(), 32);
+            assert_eq!(trace.backend(), "mmap-window");
+            let mut cursor = trace.cursor();
             assert_eq!(drain(&mut cursor), records, "window {window_blocks}");
             // Seek backwards across windows and replay a slice.
             cursor.seek(40);
@@ -1209,7 +1109,6 @@ mod tests {
             assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 10);
             assert_eq!(&buf[..10], &records[40..50]);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1223,11 +1122,7 @@ mod tests {
                 kind: FaultKind::CorruptKind,
             }],
         );
-        let path = std::env::temp_dir().join(format!("tlbt-v2-streamq-{}", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let mut cursor =
-            V2TraceCursor::open_streaming(File::open(&path).unwrap(), DecodePolicy::lenient(), 2)
-                .unwrap();
+        let mut cursor = open_windowed(&bytes, DecodePolicy::lenient(), 2).cursor();
         let got = drain(&mut cursor);
         // Record 100 is in block 6 (records 96..112).
         let want: Vec<MemoryAccess> = records[..96]
@@ -1238,7 +1133,6 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(cursor.health().blocks_bad, 1);
         assert_eq!(cursor.health().records_bad, 16);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1314,7 +1208,7 @@ mod tests {
         w.finish().unwrap();
         let trace = open_bytes(buf).unwrap();
         assert_eq!(trace.record_count(), 5);
-        assert_eq!(trace.block_count(), 1);
+        assert_eq!(block_count(&trace), 1);
         assert!(trace.backend() == "mmap" || trace.backend() == "read");
     }
 
@@ -1466,12 +1360,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `decode_batch` through the block kernel behaves exactly like
-        /// the per-record loop it replaced, over random records, block
-        /// lengths, batch sizes, seeks and skips, on clean and damaged
-        /// traces under both policies: the same results and typed
-        /// errors, the same records written (also before an error), the
-        /// same positions, and the same health census.
+        /// `decode_batch` through the block kernel, over a window of any
+        /// 1 to `block_count + 1` blocks, behaves exactly like the
+        /// per-record loop it replaced over the whole-file window, for
+        /// random records, block lengths, batch sizes, seeks (backward
+        /// across windows too) and skips, on clean and damaged traces
+        /// under both policies: the same results and typed errors, the
+        /// same records written (also before an error), the same
+        /// positions, and the same health census.
         #[test]
         fn kernel_decode_matches_the_per_record_loop(
             records in crate::block::tests::arb_records(1..9000),
@@ -1488,11 +1384,13 @@ mod tests {
                 (0u64..10_000).prop_map(Some),
             ],
             steps in arb_steps(),
+            window in any::<u64>(),
         ) {
             let bytes = damage_block(&encode(&records, block_len), damaged, damage);
             let policy = max_bad.map_or(DecodePolicy::Strict, DecodePolicy::quarantine);
-            let trace = V2Trace::from_map_with_policy(Mmap::from_vec(bytes), policy).unwrap();
-            let (mut kernel, mut oracle) = (trace.cursor(), trace.cursor());
+            let trace = V2Trace::from_map_with_policy(Mmap::from_vec(bytes.clone()), policy).unwrap();
+            let windowed = open_windowed(&bytes, policy, 1 + window % (block_count(&trace) + 1));
+            let (mut kernel, mut oracle) = (windowed.cursor(), trace.cursor());
             for step in steps {
                 match step {
                     Step::Decode(len) => {
@@ -1513,7 +1411,7 @@ mod tests {
             // Then decode everything with fresh cursors, so any damage is
             // met and the health census covers one whole pass, stepping
             // past each strict fault as a resuming caller would.
-            let (mut kernel, mut oracle) = (trace.cursor(), trace.cursor());
+            let (mut kernel, mut oracle) = (windowed.cursor(), trace.cursor());
             loop {
                 let result = decode_both(&mut kernel, &mut oracle, 97);
                 prop_assert_eq!(kernel.position(), oracle.position());
@@ -1521,7 +1419,7 @@ mod tests {
                 match result {
                     Ok(0) => break,
                     Ok(_) => {}
-                    Err(_) if kernel.remaining() == 0 => break,
+                    Err(_) if kernel.position() == trace.record_count() => break,
                     Err(_) => {
                         kernel.seek(kernel.position() + 1);
                         oracle.seek(oracle.position() + 1);

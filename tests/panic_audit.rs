@@ -42,7 +42,10 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     // share `header_version`, which indexes the bytes directly.
     // trace 14 → 12 (one v1 decoder): the `Read`-path v1 reader's two
     // `expect("8-byte slice")` went with it.
-    ("crates/trace", 12),
+    // trace 12 → 8 (one record cell): the six `expect("8-byte slice")`
+    // of the two v1 decode loops and the v2 restart decode became the
+    // two of `binary::decode_cell`, which all three now call.
+    ("crates/trace", 8),
     // workloads 14 → 16 (trace-format-v2 PR): two validated-at-open
     // invariants in the v2 arms of TraceWorkload — the streaming
     // cursor and whole-map health were both established by `open`
