@@ -1,11 +1,11 @@
 //! The tagged, set-associative, true-LRU map under the simulator's
-//! translation structures: the TLB, the prefetch buffer and the data
-//! cache (all through `tlbsim_mmu::AssocCache`), and under the wide sets
-//! of [`PredictionTable`](crate::PredictionTable).
+//! translation structures: the TLB and the data cache (both through
+//! `tlbsim_mmu::AssocCache`), and under the wide sets of
+//! [`PredictionTable`](crate::PredictionTable). The 16-to-64-entry
+//! prefetch buffer scans its own array instead.
 //!
-//! The paper's default machine is fully associative almost everywhere
-//! (a 128-entry TLB and a 16-entry buffer probed on every reference), so
-//! a lookup must not cost a scan over the ways. [`TaggedLru`] gives
+//! The paper's default TLB is fully associative (128 entries probed on
+//! every reference), so a lookup must not cost a scan over the ways. [`TaggedLru`] gives
 //! every operation expected O(1) cost with three fixed arrays, all
 //! allocated in [`TaggedLru::new`]:
 //!

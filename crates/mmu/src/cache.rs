@@ -1,10 +1,12 @@
 //! A generic set-associative, true-LRU cache of virtual-page keyed
 //! entries.
 //!
-//! The TLB, the prefetch buffer (simply fully associative) and the data
-//! cache are all instances of this structure; sharing it keeps their
-//! replacement semantics identical, which the paper assumes implicitly
-//! by giving a single LRU description for both. [`AssocCache`] is a thin
+//! The TLB and the data cache are both instances of this structure;
+//! sharing it keeps their replacement semantics identical, which the
+//! paper assumes implicitly by giving a single LRU description for
+//! both. The prefetch buffer keeps the same true-LRU semantics in its
+//! own small array ([`PrefetchBuffer`](crate::PrefetchBuffer)), pinned
+//! to this structure by a property test. [`AssocCache`] is a thin
 //! page-keyed view of `tlbsim_core::TaggedLru`: a hash index on
 //! `(asid, page)` plus an intrusive recency list per set, so a probe of
 //! the 128-way TLB costs about what a probe of a direct-mapped one does.

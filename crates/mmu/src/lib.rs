@@ -47,5 +47,5 @@ pub use cache::{AssocCache, Evicted};
 pub use data_cache::{CacheAccess, DataCache, DataCacheConfig};
 pub use hierarchy::{HierarchyConfig, HierarchyHit, TlbHierarchy};
 pub use page_table::PageTable;
-pub use prefetch_buffer::{PrefetchBuffer, DEFAULT_PREFETCH_BUFFER_ENTRIES};
+pub use prefetch_buffer::{BufferEntry, PrefetchBuffer, DEFAULT_PREFETCH_BUFFER_ENTRIES};
 pub use tlb::{Tlb, TlbConfig, TlbFill};

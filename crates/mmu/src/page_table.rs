@@ -9,6 +9,7 @@
 //! the capacity those two extra words would occupy via
 //! [`PageTable::rp_overhead_bytes`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use tlbsim_core::{BuildPageHasher, PhysPage, VirtPage};
@@ -41,13 +42,23 @@ impl PageTable {
 
     /// Translates `page`, allocating a fresh frame on first touch.
     pub fn translate(&mut self, page: VirtPage) -> PhysPage {
-        if let Some(frame) = self.map.get(&page) {
-            return *frame;
+        self.walk(page).0
+    }
+
+    /// Translates `page` with one probe, allocating a fresh frame on
+    /// first touch, and reports whether this walk mapped it. Frames are
+    /// handed out densely, in first-touch order.
+    #[inline]
+    pub fn walk(&mut self, page: VirtPage) -> (PhysPage, bool) {
+        match self.map.entry(page) {
+            Entry::Occupied(mapped) => (*mapped.get(), false),
+            Entry::Vacant(vacant) => {
+                let frame = PhysPage::new(self.next_frame);
+                self.next_frame += 1;
+                vacant.insert(frame);
+                (frame, true)
+            }
         }
-        let frame = PhysPage::new(self.next_frame);
-        self.next_frame += 1;
-        self.map.insert(page, frame);
-        frame
     }
 
     /// Looks up an existing mapping without allocating.
@@ -106,6 +117,15 @@ mod tests {
             assert_eq!(pt.translate(VirtPage::new(7)), first);
         }
         assert_eq!(pt.len(), 1);
+    }
+
+    #[test]
+    fn walk_reports_first_touch_and_numbers_densely() {
+        let mut pt = PageTable::new();
+        assert_eq!(pt.walk(VirtPage::new(9)), (PhysPage::new(0), true));
+        assert_eq!(pt.walk(VirtPage::new(4)), (PhysPage::new(1), true));
+        assert_eq!(pt.walk(VirtPage::new(9)), (PhysPage::new(0), false));
+        assert_eq!(pt.translate(VirtPage::new(4)), PhysPage::new(1));
     }
 
     #[test]

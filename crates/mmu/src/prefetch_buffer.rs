@@ -7,20 +7,54 @@
 //! increase the TLB miss count; the price is that an aggressive mechanism
 //! can evict its own not-yet-used prefetches from the buffer, which is
 //! exactly the effect that degrades ASP at `r = 1024` in Figure 7.
+//!
+//! The buffer holds at most `b` entries (16, 32 or 64 in every
+//! experiment), so it keeps them in one most-recent-first array and
+//! answers every probe with a linear scan, which at that size beats the
+//! hashed index and intrusive list of the TLB's `AssocCache`.
 
 use tlbsim_core::{Asid, Associativity, InvalidGeometry, PhysPage, VirtPage};
-
-use crate::cache::AssocCache;
 
 /// The paper's representative prefetch-buffer size (`b = 16`).
 pub const DEFAULT_PREFETCH_BUFFER_ENTRIES: usize = 16;
 
+/// Bits of a packed key below its context tag: frame numbers stay below
+/// 2^48, far past any footprint a run can map.
+const FRAME_BITS: u32 = 48;
+
+/// One buffered translation: its context and frame packed into one
+/// word, and its page.
 #[derive(Debug, Clone, Copy)]
 struct PbEntry {
-    frame: PhysPage,
+    key: u64,
+    page: VirtPage,
+}
+
+impl PbEntry {
+    fn asid(self) -> u16 {
+        (self.key >> FRAME_BITS) as u16
+    }
+
+    fn frame(self) -> PhysPage {
+        PhysPage::new(self.key & ((1 << FRAME_BITS) - 1))
+    }
 }
 
 /// A fully-associative LRU buffer of prefetched translations.
+///
+/// Entries are kept most recent first and matched by a linear scan. The
+/// miss path, which has the frame in hand after its walk, asks by frame
+/// ([`entry`](PrefetchBuffer::entry),
+/// [`promote_frame`](PrefetchBuffer::promote_frame)): each entry's
+/// context and frame are packed into one word, so a probe costs one
+/// compare per entry. The page-keyed probes answer the same questions
+/// whenever every frame comes from one [`PageTable`](crate::PageTable).
+/// Frames must stay below 2^48. Replacement is true LRU across
+/// contexts, as in a tagged TLB.
+///
+/// The probes the miss path makes are `#[inline]`: the miss path runs
+/// in another crate, where an out-of-line call per probe cost about 7%
+/// of a grid replay.
 ///
 /// # Examples
 ///
@@ -33,14 +67,47 @@ struct PbEntry {
 /// // A reference to page 7 promotes the entry out of the buffer.
 /// assert_eq!(pb.promote(VirtPage::new(7)), Some(PhysPage::new(70)));
 /// assert!(pb.promote(VirtPage::new(7)).is_none());
+/// // Probe once, then insert what the probe did not find.
+/// let entry = pb.entry(PhysPage::new(80));
+/// assert!(!entry.is_buffered());
+/// assert_eq!(entry.insert(VirtPage::new(8)), None);
+/// assert!(pb.contains(VirtPage::new(8)));
 /// # Ok::<(), tlbsim_core::InvalidGeometry>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchBuffer {
-    cache: AssocCache<PbEntry>,
+    /// Resident entries, most recently inserted first.
+    entries: Vec<PbEntry>,
+    capacity: usize,
+    asid: Asid,
     inserted: u64,
     promoted: u64,
     evicted_unused: u64,
+}
+
+/// The current context's slot for one frame in a [`PrefetchBuffer`],
+/// from [`PrefetchBuffer::entry`]: a probe whose
+/// [`insert`](BufferEntry::insert) does not scan the buffer again.
+#[derive(Debug)]
+pub struct BufferEntry<'a> {
+    buffer: &'a mut PrefetchBuffer,
+    key: u64,
+    at: Option<usize>,
+}
+
+impl BufferEntry<'_> {
+    /// Whether the probed frame is buffered in the current context.
+    #[inline]
+    pub fn is_buffered(&self) -> bool {
+        self.at.is_some()
+    }
+
+    /// Inserts `page`, the probed frame's page, as
+    /// [`PrefetchBuffer::insert`] does.
+    #[inline]
+    pub fn insert(self, page: VirtPage) -> Option<VirtPage> {
+        self.buffer.fill(self.at, self.key, page)
+    }
 }
 
 impl PrefetchBuffer {
@@ -50,82 +117,150 @@ impl PrefetchBuffer {
     ///
     /// Returns [`InvalidGeometry`] if `entries` is zero.
     pub fn new(entries: usize) -> Result<Self, InvalidGeometry> {
+        // The fully-associative geometry check: zero entries is invalid.
+        Associativity::Full.sets(entries)?;
         Ok(PrefetchBuffer {
-            cache: AssocCache::new(entries, Associativity::Full)?,
+            entries: Vec::with_capacity(entries),
+            capacity: entries,
+            asid: Asid::DEFAULT,
             inserted: 0,
             promoted: 0,
             evicted_unused: 0,
         })
     }
 
-    /// Inserts a prefetched translation, evicting the LRU entry if full.
+    /// The current context's packed key for `frame`.
+    #[inline]
+    fn key(&self, frame: PhysPage) -> u64 {
+        debug_assert!(
+            frame.number() >> FRAME_BITS == 0,
+            "frame {frame:?} out of range"
+        );
+        u64::from(self.asid.raw()) << FRAME_BITS | frame.number()
+    }
+
+    /// The index of the entry keyed `key`.
+    #[inline]
+    fn position(&self, key: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.key == key)
+    }
+
+    /// The index of the current context's entry for `page`.
+    fn find_page(&self, page: VirtPage) -> Option<usize> {
+        let asid = self.asid.raw();
+        self.entries
+            .iter()
+            .position(|e| e.page == page && e.asid() == asid)
+    }
+
+    /// Puts `page` under `key` first, dropping the entry at `at` (the
+    /// same context's entry for it) or else, when full, the last one.
+    /// Returns the page of a dropped last entry.
+    #[inline]
+    fn fill(&mut self, at: Option<usize>, key: u64, page: VirtPage) -> Option<VirtPage> {
+        self.inserted += 1;
+        let evicted = match at {
+            Some(at) => {
+                self.entries.remove(at);
+                None
+            }
+            // A capacity victim is wasted traffic whichever context owned it.
+            None if self.entries.len() == self.capacity => {
+                self.evicted_unused += 1;
+                self.entries.pop().map(|e| e.page)
+            }
+            None => None,
+        };
+        self.entries.insert(0, PbEntry { key, page });
+        evicted
+    }
+
+    /// Probes the buffer for the current context's translation to
+    /// `frame` (no recency update), for an insert that follows.
+    #[inline]
+    pub fn entry(&mut self, frame: PhysPage) -> BufferEntry<'_> {
+        let key = self.key(frame);
+        let at = self.position(key);
+        BufferEntry {
+            buffer: self,
+            key,
+            at,
+        }
+    }
+
+    /// Inserts a prefetched translation as most recently used, evicting
+    /// the LRU entry of any context if full.
     ///
     /// Returns the evicted page, which by construction was never used
-    /// (used entries leave through [`PrefetchBuffer::promote`]).
+    /// (used entries leave through [`PrefetchBuffer::promote`]). Inserting
+    /// a page the current context already buffers refreshes that entry
+    /// and evicts nothing.
     pub fn insert(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage> {
-        self.inserted += 1;
-        // A capacity victim is wasted traffic whichever context owned
-        // it; only a same-(asid, page) overwrite is not an eviction.
-        let evicted = self
-            .cache
-            .insert(page, PbEntry { frame })
-            .filter(|e| !(e.same_asid && e.page == page))
-            .map(|e| e.page);
-        if evicted.is_some() {
-            self.evicted_unused += 1;
-        }
-        evicted
+        self.fill(self.find_page(page), self.key(frame), page)
     }
 
     /// Returns `true` if `page` is buffered (no recency update).
     pub fn contains(&self, page: VirtPage) -> bool {
-        self.cache.contains(page)
+        self.find_page(page).is_some()
     }
 
     /// Removes and returns the translation for `page` on an actual
     /// reference — the "move over to the TLB" step.
     pub fn promote(&mut self, page: VirtPage) -> Option<PhysPage> {
-        let entry = self.cache.remove(page)?;
+        let at = self.find_page(page)?;
         self.promoted += 1;
-        Some(entry.frame)
+        Some(self.entries.remove(at).frame())
+    }
+
+    /// [`promote`](PrefetchBuffer::promote) by frame: removes the
+    /// translation to `frame` and returns whether it was buffered.
+    #[inline]
+    pub fn promote_frame(&mut self, frame: PhysPage) -> bool {
+        let Some(at) = self.position(self.key(frame)) else {
+            return false;
+        };
+        self.promoted += 1;
+        self.entries.remove(at);
+        true
     }
 
     /// Invalidates every buffered translation.
     pub fn flush(&mut self) {
-        self.cache.flush();
+        self.entries.clear();
     }
 
     /// Switches the current context tag (flush-free context switch).
     pub fn set_asid(&mut self, asid: Asid) {
-        self.cache.set_asid(asid);
+        self.asid = asid;
     }
 
     /// The current context tag.
     pub fn asid(&self) -> Asid {
-        self.cache.asid()
+        self.asid
     }
 
     /// Invalidates every buffered translation tagged with `asid` without
     /// counting the drops as wasted prefetches — mirroring
     /// [`flush`](PrefetchBuffer::flush), which the degeneration argument
-    /// (one live context ⇒ flush semantics) depends on.
+    /// (one live context ⇒ flush semantics) depends on. The other
+    /// contexts' entries keep their recency order.
     pub fn evict_asid(&mut self, asid: Asid) {
-        self.cache.evict_asid(asid);
+        self.entries.retain(|e| e.asid() != asid.raw());
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.entries.len()
     }
 
     /// Returns `true` if the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.entries.is_empty()
     }
 
     /// Buffer capacity (`b` in the paper).
     pub fn capacity(&self) -> usize {
-        self.cache.capacity()
+        self.capacity
     }
 
     /// Prefetches inserted since creation.
@@ -230,6 +365,27 @@ mod tests {
         b.evict_asid(Asid::DEFAULT);
         assert!(b.is_empty());
         assert_eq!(b.evicted_unused(), 0);
+    }
+
+    #[test]
+    fn frame_probes_match_the_page_probes() {
+        let mut b = pb(4);
+        b.insert(VirtPage::new(1), PhysPage::new(10));
+        b.insert(VirtPage::new(2), PhysPage::new(20));
+        assert!(b.entry(PhysPage::new(20)).is_buffered());
+        assert!(!b.entry(PhysPage::new(1)).is_buffered());
+        // Inserting through a probe refreshes a buffered entry.
+        assert_eq!(b.entry(PhysPage::new(10)).insert(VirtPage::new(1)), None);
+        assert_eq!(b.len(), 2);
+        // The key carries the context: another ASID sees nothing.
+        b.set_asid(Asid::new(1));
+        assert!(!b.entry(PhysPage::new(20)).is_buffered());
+        assert!(!b.promote_frame(PhysPage::new(20)));
+        b.set_asid(Asid::DEFAULT);
+        assert!(b.promote_frame(PhysPage::new(20)));
+        assert!(!b.contains(VirtPage::new(2)));
+        assert_eq!(b.promoted(), 1);
+        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! models.
 
 use proptest::prelude::*;
-use tlbsim_core::{Associativity, PhysPage, VirtPage};
-use tlbsim_mmu::{AssocCache, PrefetchBuffer, Tlb, TlbConfig};
+use tlbsim_core::{Asid, Associativity, PhysPage, VirtPage};
+use tlbsim_mmu::{AssocCache, PageTable, PrefetchBuffer, Tlb, TlbConfig};
 
 /// A naive fully-associative LRU model: a Vec ordered MRU-first.
 #[derive(Default)]
@@ -43,6 +43,144 @@ impl NaiveLru {
         };
         self.entries.insert(0, page);
         evicted
+    }
+}
+
+/// The prefetch buffer as it was built on the TLB's [`AssocCache`]: a
+/// fully-associative, ASID-tagged LRU keyed by page. The reference the
+/// array-backed [`PrefetchBuffer`] must match call for call.
+struct AssocBuffer {
+    cache: AssocCache<PhysPage>,
+    inserted: u64,
+    promoted: u64,
+    evicted_unused: u64,
+}
+
+impl AssocBuffer {
+    fn new(entries: usize) -> Self {
+        AssocBuffer {
+            cache: AssocCache::new(entries, Associativity::Full).unwrap(),
+            inserted: 0,
+            promoted: 0,
+            evicted_unused: 0,
+        }
+    }
+
+    fn insert(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage> {
+        self.inserted += 1;
+        // Only a same-(asid, page) overwrite is not an eviction.
+        let evicted = self
+            .cache
+            .insert(page, frame)
+            .filter(|e| !(e.same_asid && e.page == page))
+            .map(|e| e.page);
+        if evicted.is_some() {
+            self.evicted_unused += 1;
+        }
+        evicted
+    }
+
+    fn promote(&mut self, page: VirtPage) -> Option<PhysPage> {
+        let frame = self.cache.remove(page)?;
+        self.promoted += 1;
+        Some(frame)
+    }
+}
+
+/// One call on a prefetch buffer; frame-keyed calls take the page's
+/// frame from the test's page table.
+#[derive(Debug, Clone)]
+enum BufferOp {
+    Insert(u64),
+    Promote(u64),
+    Contains(u64),
+    EntryInsert(u64),
+    PromoteFrame(u64),
+    ContainsFrame(u64),
+    SetAsid(u16),
+    EvictAsid(u16),
+    Flush,
+}
+
+fn buffer_op() -> impl Strategy<Value = BufferOp> {
+    let page = 0u64..48;
+    let asid = 0u16..4;
+    prop_oneof![
+        page.clone().prop_map(BufferOp::Insert),
+        page.clone().prop_map(BufferOp::Promote),
+        page.clone().prop_map(BufferOp::Contains),
+        page.clone().prop_map(BufferOp::EntryInsert),
+        page.clone().prop_map(BufferOp::PromoteFrame),
+        page.prop_map(BufferOp::ContainsFrame),
+        asid.clone().prop_map(BufferOp::SetAsid),
+        asid.prop_map(BufferOp::EvictAsid),
+        Just(BufferOp::Flush),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The array-backed prefetch buffer matches the `AssocCache`-backed
+    /// one it replaced: every return value, the length and every counter
+    /// after every call, across contexts. With every frame from one page
+    /// table, the frame-keyed probes answer what the page-keyed ones do.
+    #[test]
+    fn prefetch_buffer_matches_the_assoc_cache_buffer(
+        capacity in 1usize..=64,
+        ops in prop::collection::vec(buffer_op(), 1..400),
+    ) {
+        let mut pb = PrefetchBuffer::new(capacity).unwrap();
+        let mut oracle = AssocBuffer::new(capacity);
+        let mut table = PageTable::new();
+        for op in ops {
+            match op {
+                BufferOp::Insert(page) => {
+                    let (page, frame) = (VirtPage::new(page), table.translate(VirtPage::new(page)));
+                    prop_assert_eq!(pb.insert(page, frame), oracle.insert(page, frame));
+                }
+                BufferOp::Promote(page) => {
+                    let page = VirtPage::new(page);
+                    prop_assert_eq!(pb.promote(page), oracle.promote(page));
+                }
+                BufferOp::Contains(page) => {
+                    let page = VirtPage::new(page);
+                    prop_assert_eq!(pb.contains(page), oracle.cache.contains(page));
+                }
+                BufferOp::EntryInsert(page) => {
+                    let (page, frame) = (VirtPage::new(page), table.translate(VirtPage::new(page)));
+                    let entry = pb.entry(frame);
+                    prop_assert_eq!(entry.is_buffered(), oracle.cache.contains(page));
+                    prop_assert_eq!(entry.insert(page), oracle.insert(page, frame));
+                }
+                BufferOp::PromoteFrame(page) => {
+                    let (page, frame) = (VirtPage::new(page), table.translate(VirtPage::new(page)));
+                    let promoted = oracle.promote(page);
+                    prop_assert_eq!(pb.promote_frame(frame), promoted.is_some());
+                    prop_assert!(promoted.is_none_or(|f| f == frame));
+                }
+                BufferOp::ContainsFrame(page) => {
+                    let (page, frame) = (VirtPage::new(page), table.translate(VirtPage::new(page)));
+                    prop_assert_eq!(pb.entry(frame).is_buffered(), oracle.cache.contains(page));
+                }
+                BufferOp::SetAsid(asid) => {
+                    pb.set_asid(Asid::new(asid));
+                    oracle.cache.set_asid(Asid::new(asid));
+                }
+                BufferOp::EvictAsid(asid) => {
+                    pb.evict_asid(Asid::new(asid));
+                    oracle.cache.evict_asid(Asid::new(asid));
+                }
+                BufferOp::Flush => {
+                    pb.flush();
+                    oracle.cache.flush();
+                }
+            }
+            prop_assert_eq!(pb.len(), oracle.cache.len());
+            prop_assert_eq!(pb.inserted(), oracle.inserted);
+            prop_assert_eq!(pb.promoted(), oracle.promoted);
+            prop_assert_eq!(pb.evicted_unused(), oracle.evicted_unused);
+        }
     }
 }
 

@@ -63,16 +63,33 @@ where
     }
 }
 
-/// What the functional miss path fills and what its candidate filter
-/// asks: the TLB itself, a sweep job's residency set replayed from a
-/// recorded miss stream, or the L1/L2 TLB pair.
+/// What the functional miss path translates through, fills and asks
+/// its candidate filter: the TLB itself, a sweep job's residency set
+/// replayed from a recorded miss stream, or the L1/L2 TLB pair.
+///
+/// Frames are the keys of every question after the walk. The defaults
+/// walk the core's page table; a replayed stream answers the pages it
+/// recorded with their stream ids instead ("Miss streams" in
+/// `docs/DESIGN.md`).
 pub(crate) trait Residency {
+    /// The frame of `page`, the page that just missed.
+    fn missing(&mut self, table: &mut PageTable, page: VirtPage) -> PhysPage {
+        table.walk(page).0
+    }
+
+    /// The frame of the candidate `page`, and whether this walk mapped
+    /// it: a page mapped just now is neither buffered nor resident.
+    fn translate(&mut self, table: &mut PageTable, page: VirtPage) -> (PhysPage, bool) {
+        table.walk(page)
+    }
+
     /// Installs `page`'s translation as most recently used and returns
     /// the translation of this context it evicted, if any.
     fn fill(&mut self, page: VirtPage, frame: PhysPage) -> Option<VirtPage>;
 
-    /// Whether `page` is resident, without touching recency.
-    fn contains(&self, page: VirtPage) -> bool;
+    /// Whether `page`, mapped to `frame`, is resident, without touching
+    /// recency.
+    fn contains(&self, page: VirtPage, frame: PhysPage) -> bool;
 }
 
 impl Residency for Tlb {
@@ -80,7 +97,7 @@ impl Residency for Tlb {
         Tlb::fill(self, page, frame).evicted
     }
 
-    fn contains(&self, page: VirtPage) -> bool {
+    fn contains(&self, page: VirtPage, _frame: PhysPage) -> bool {
         Tlb::contains(self, page)
     }
 }
@@ -139,13 +156,19 @@ impl PrefetchCore {
     }
 
     /// The functional miss path after a TLB probe missed `page`:
-    /// promote from the buffer or walk, fill `tlb`, run the mechanism on
-    /// the miss and install its candidates into the prefetch buffer,
-    /// counting all of it into `stats`. Never allocates in steady state.
+    /// translate it, promote from the buffer or walk, fill `tlb`, run
+    /// the mechanism on the miss and install its candidates into the
+    /// prefetch buffer, counting all of it into `stats`. Never allocates
+    /// in steady state.
     ///
-    /// A candidate is filtered out when it equals the missing page, or —
-    /// if `filter_resident` — when it is already buffered or resident in
-    /// `tlb`.
+    /// Every page is translated once, through `tlb`, and the buffer and
+    /// the residency filter are asked by frame. A candidate is filtered
+    /// out when it equals the missing page, or — if `filter_resident` —
+    /// when it is already buffered or resident in `tlb`; one the
+    /// translation mapped just now is neither, so it skips the residency
+    /// probe. Translating before filtering changes neither the frame
+    /// numbering nor the footprint: a candidate the filter drops was
+    /// issued or missed earlier, so it was mapped already.
     pub fn miss(
         &mut self,
         stats: &mut SimStats,
@@ -157,16 +180,13 @@ impl PrefetchCore {
         stats.misses += 1;
         // The prefetch buffer is probed concurrently with the TLB; a hit
         // promotes the translation into the TLB, a miss walks.
-        let (frame, pb_hit) = match self.buffer.promote(page) {
-            Some(frame) => {
-                stats.prefetch_buffer_hits += 1;
-                (frame, true)
-            }
-            None => {
-                stats.demand_walks += 1;
-                (self.page_table.translate(page), false)
-            }
-        };
+        let frame = tlb.missing(&mut self.page_table, page);
+        let pb_hit = self.buffer.promote_frame(frame);
+        if pb_hit {
+            stats.prefetch_buffer_hits += 1;
+        } else {
+            stats.demand_walks += 1;
+        }
         let ctx = MissContext {
             page,
             pc,
@@ -176,14 +196,18 @@ impl PrefetchCore {
         let sink = self.mechanism.observe(&ctx);
         stats.maintenance_ops += u64::from(sink.maintenance_ops());
         for &candidate in sink.pages() {
-            if candidate == page
-                || (filter_resident && (self.buffer.contains(candidate) || tlb.contains(candidate)))
+            if candidate == page {
+                stats.prefetches_filtered += 1;
+                continue;
+            }
+            let (frame, new) = tlb.translate(&mut self.page_table, candidate);
+            let entry = self.buffer.entry(frame);
+            if filter_resident && (entry.is_buffered() || (!new && tlb.contains(candidate, frame)))
             {
                 stats.prefetches_filtered += 1;
                 continue;
             }
-            let frame = self.page_table.translate(candidate);
-            if self.buffer.insert(candidate, frame).is_some() {
+            if entry.insert(candidate).is_some() {
                 stats.prefetches_evicted_unused += 1;
             }
             stats.prefetches_issued += 1;
@@ -298,7 +322,8 @@ mod tests {
         );
         // The miss on 14 hits the buffer and predicts 15, which is already
         // resident in the TLB: the filter drops it instead of issuing.
-        let _ = tlb.fill(VirtPage::new(15), PhysPage::new(999));
+        let frame = core.page_table.translate(VirtPage::new(15));
+        let _ = tlb.fill(VirtPage::new(15), frame);
         core.miss(&mut stats, VirtPage::new(14), Pc::new(0), true, &mut tlb);
         assert_eq!(stats.prefetch_buffer_hits, 1);
         assert_eq!(stats.prefetches_filtered, 1);

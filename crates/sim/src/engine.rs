@@ -76,6 +76,10 @@ pub struct Engine {
     /// [`replay_misses`](Engine::replay_misses), one bit each; sized on
     /// first use.
     replayed: Vec<u64>,
+    /// Pages of the stream [`replay_misses`](Engine::replay_misses)
+    /// last replayed: they are numbered by the stream, so the page table
+    /// maps only the rest (0 outside replays).
+    stream_pages_mapped: u64,
 }
 
 impl Engine {
@@ -97,6 +101,7 @@ impl Engine {
             current_stream: None,
             stream_pages: Vec::new(),
             replayed: Vec::new(),
+            stream_pages_mapped: 0,
         })
     }
 
@@ -122,6 +127,7 @@ impl Engine {
         self.core.set_asid(Asid::DEFAULT);
         self.current_stream = None;
         self.stream_pages.clear();
+        self.stream_pages_mapped = 0;
         self.stats = SimStats::default();
         true
     }
@@ -222,7 +228,9 @@ impl Engine {
     /// misses (each inserts its page and removes its victim), which
     /// starts empty as the stream's TLB did; the engine's own TLB is
     /// neither probed nor filled. Per-stream attribution does not apply.
-    /// Never allocates in steady state ("Miss streams" in
+    /// The stream's page ids are the replay's frames, so replay onto a
+    /// fresh or recycled engine, or one that has only replayed this
+    /// stream since. Never allocates in steady state ("Miss streams" in
     /// `docs/DESIGN.md`).
     ///
     /// # Errors
@@ -237,6 +245,7 @@ impl Engine {
             self.config.filter_prefetches,
             &mut self.replayed,
         );
+        self.stream_pages_mapped = stream.pages();
         self.stats.accesses += stream.accesses();
         Ok(self.finish())
     }
@@ -365,7 +374,8 @@ impl Engine {
     /// the `run*` entry points and by external batch drivers (the sweep
     /// runner) once a stream is exhausted.
     pub fn finish(&mut self) -> &SimStats {
-        self.stats.footprint_pages = self.core.page_table.len() as u64;
+        // After a replay every stream page has been walked or promoted.
+        self.stats.footprint_pages = self.stream_pages_mapped + self.core.page_table.len() as u64;
         &self.stats
     }
 

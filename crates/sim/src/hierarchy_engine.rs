@@ -71,7 +71,7 @@ impl Residency for TlbHierarchy {
 
     /// Candidates are filtered only against the prefetch buffer: the
     /// engine never probes two TLB levels for residency.
-    fn contains(&self, _page: VirtPage) -> bool {
+    fn contains(&self, _page: VirtPage, _frame: PhysPage) -> bool {
         false
     }
 }

@@ -8,13 +8,16 @@
 //! `(page, pc, evicted)`; a sweep then replays only the miss path of
 //! every scheme over it ([`Engine::replay_misses`](crate::Engine::replay_misses),
 //! [`sweep_misses`](crate::sweep_misses)), with the candidate filter
-//! asking a residency set rebuilt from the misses instead of a TLB
-//! ("Miss streams" in `docs/DESIGN.md`).
+//! asking a residency set rebuilt from the misses instead of a TLB.
+//! The stream numbers every page that misses, and the replay uses those
+//! ids as the pages' frames, so a miss walks no page table and a
+//! candidate costs one probe of the stream's id map ("Miss streams" in
+//! `docs/DESIGN.md`).
 
 use std::collections::HashMap;
 
 use tlbsim_core::{BuildPageHasher, PageRun, PageSize, Pc, PhysPage, VirtPage};
-use tlbsim_mmu::{Tlb, TlbConfig};
+use tlbsim_mmu::{PageTable, Tlb, TlbConfig};
 
 use crate::batch::{PrefetchCore, Residency};
 use crate::config::{SimConfig, SimError};
@@ -150,6 +153,12 @@ impl MissStream {
         })
     }
 
+    /// Pages that missed so far: the replay's frames below this are
+    /// their ids.
+    pub(crate) fn pages(&self) -> u64 {
+        self.pages.len() as u64
+    }
+
     /// References pushed so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -176,8 +185,10 @@ impl MissStream {
     /// Runs every recorded miss through [`PrefetchCore::miss`], with the
     /// filter asking `resident`: one bit per page id, rebuilt from the
     /// misses (each sets its page and clears its victim) from empty, as
-    /// the stream's TLB started. Never allocates once `resident` has
-    /// grown to the stream's page count.
+    /// the stream's TLB started. A page that ever misses translates to
+    /// its id; the core's page table maps only the pages that never
+    /// miss, numbered after the stream's. Never allocates once
+    /// `resident` has grown to the stream's page count.
     pub(crate) fn replay(
         &self,
         core: &mut PrefetchCore,
@@ -211,7 +222,8 @@ impl std::fmt::Debug for MissStream {
 }
 
 /// A replaying job's view of the stream's TLB at one miss: the resident
-/// page ids as bits, and the miss whose fill comes next.
+/// page ids as bits, and the miss whose fill comes next. Its frames are
+/// the stream's page ids.
 struct Replayed<'a> {
     stream: &'a MissStream,
     resident: &'a mut [u64],
@@ -219,6 +231,18 @@ struct Replayed<'a> {
 }
 
 impl Residency for Replayed<'_> {
+    fn missing(&mut self, _table: &mut PageTable, _page: VirtPage) -> PhysPage {
+        PhysPage::new(u64::from(self.miss.page))
+    }
+
+    fn translate(&mut self, table: &mut PageTable, page: VirtPage) -> (PhysPage, bool) {
+        if let Some(&id) = self.stream.ids.get(&page) {
+            return (PhysPage::new(u64::from(id)), false);
+        }
+        let (frame, new) = table.walk(page);
+        (PhysPage::new(self.stream.pages() + frame.number()), new)
+    }
+
     fn fill(&mut self, _page: VirtPage, _frame: PhysPage) -> Option<VirtPage> {
         let page = self.miss.page as usize;
         self.resident[page / 64] |= 1 << (page % 64);
@@ -230,11 +254,10 @@ impl Residency for Replayed<'_> {
         Some(self.stream.pages[victim])
     }
 
-    fn contains(&self, page: VirtPage) -> bool {
-        self.stream
-            .ids
-            .get(&page)
-            .is_some_and(|&id| self.resident[id as usize / 64] & (1 << (id % 64)) != 0)
+    fn contains(&self, _page: VirtPage, frame: PhysPage) -> bool {
+        // Frames past the stream's ids are pages that never miss.
+        let id = frame.number();
+        id < self.stream.pages() && self.resident[id as usize / 64] & (1 << (id % 64)) != 0
     }
 }
 

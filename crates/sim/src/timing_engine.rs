@@ -89,11 +89,12 @@ impl TimingEngine {
         self.now += self.params.cycles_per_access();
         let now_ticks = self.now as u64;
 
-        // Completed prefetch fetches land in the buffer.
+        // Completed prefetch fetches are translated and land in the
+        // buffer, keyed by frame.
         let core = &mut self.core;
         self.channel.drain_arrived(now_ticks, |page| {
             let frame = core.page_table.translate(page);
-            core.buffer.insert(page, frame);
+            core.buffer.entry(frame).insert(page);
         });
 
         let page = self.config.page_size.page_of(access.vaddr);
@@ -117,9 +118,13 @@ impl TimingEngine {
 
         let channel_busy_at_miss = self.channel.is_busy(self.now as u64);
 
-        let (frame, pb_hit) = if let Some(frame) = self.core.buffer.promote(page) {
+        // Translate once; the buffer is asked by frame. A buffered page
+        // was translated when its fetch arrived, so this maps no page
+        // the buffer could have served.
+        let frame = self.core.page_table.translate(page);
+        let pb_hit = if self.core.buffer.promote_frame(frame) {
             self.stats.covered_hits += 1;
-            (frame, true)
+            true
         } else if let Some(done) = self.channel.pending_completion(page) {
             // Issued but still in flight: stall until it arrives — but
             // never longer than the demand walk the miss handler can
@@ -132,12 +137,12 @@ impl TimingEngine {
             self.stats.inflight_hits += 1;
             self.now += wait;
             self.channel.consume(page);
-            (self.core.page_table.translate(page), true)
+            true
         } else {
             self.stats.demand_misses += 1;
             self.stats.stall_demand += self.params.tlb_miss_penalty as f64;
             self.now += self.params.tlb_miss_penalty as f64;
-            (self.core.page_table.translate(page), false)
+            false
         };
         let fill = self.tlb.fill(page, frame);
 
@@ -167,6 +172,8 @@ impl TimingEngine {
         // The install policy: always filtered (the paper's channel never
         // fetches a resident or in-flight translation), then issued on
         // the channel; arrivals reach the buffer at the top of `access`.
+        // A candidate is translated only when its fetch arrives, so the
+        // buffer is asked by page here.
         for &candidate in sink.pages() {
             if candidate == page
                 || self.tlb.contains(candidate)

@@ -406,18 +406,23 @@ proptest! {
     /// must equal, on every field, a per-scheme `sweep` job streaming
     /// the records and per-record `Engine::access`, for all 30 grid
     /// schemes with and without candidate filtering, on three TLB
-    /// geometries. The runs reach the stream collapsed with random
-    /// cuts (so not maximal) and in `push_runs` calls cut at random
-    /// runs.
+    /// geometries and a prefetch buffer of 1, 16 or 64 entries (1 makes
+    /// every insert an eviction; 64 is Figure 9's largest). The runs
+    /// reach the stream collapsed with random cuts (so not maximal) and
+    /// in `push_runs` calls cut at random runs.
     #[test]
     fn miss_stream_sweep_matches_per_scheme_sweeps_and_per_record_access(
         stream in arb_page_runs(),
         seed in 1u64..u64::MAX,
+        buffer in prop_oneof![Just(1usize), Just(16), Just(64)],
     ) {
         let spec: SweepSpec = Arc::new(Recorded(Arc::new(stream.clone())));
         let mut coin = Coin(seed);
         for tlb in oracle_tlbs() {
-            let configs = miss_stream_configs(tlb);
+            let configs: Vec<SimConfig> = miss_stream_configs(tlb)
+                .into_iter()
+                .map(|config| config.with_prefetch_buffer(buffer))
+                .collect();
             let page_size = configs[0].page_size;
             let runs = collapse_with_cuts(&stream, page_size, || coin.flip(8));
             let mut misses = MissStream::new(tlb, page_size).unwrap();
@@ -452,9 +457,10 @@ proptest! {
                 prop_assert_eq!(
                     &replayed.stats,
                     expected,
-                    "{} on {:?}, filter {}: miss replay diverged",
+                    "{} on {:?}, buffer {}, filter {}: miss replay diverged",
                     config.prefetcher.label(),
                     tlb,
+                    buffer,
                     config.filter_prefetches
                 );
                 prop_assert_eq!(&swept.stats, expected);

@@ -304,12 +304,17 @@ impl MmapTraceCursor {
     /// skip must count only records a decode would have yielded, so it
     /// checks the prefix's cells (no allocation) and tallies
     /// quarantined cells exactly as a decode would, without enforcing
-    /// the budget: the next decode reports a budget the skip blew.
+    /// the budget: the next decode reports a budget the skip blew. Once
+    /// a decode has reported the blown budget the cursor reads as
+    /// exhausted, and a skip passes nothing.
     pub fn skip_records(&mut self, n: u64) -> u64 {
         if self.tally.policy().is_strict() {
             let skipped = n.min(self.records - self.next);
             self.next += skipped;
             return skipped;
+        }
+        if self.tally.spent() {
+            return 0;
         }
         let cells = cells(&self.map);
         let mut skipped = 0;
@@ -670,6 +675,28 @@ mod tests {
         ));
         assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
         assert_eq!(cursor.position(), 12);
+    }
+
+    #[test]
+    fn a_spent_cursor_skips_nothing() {
+        let mut bytes = encode(&sample(30));
+        for bad in [3usize, 5] {
+            bytes[HEADER_BYTES + bad * RECORD_BYTES + 16] = 0xEE;
+        }
+        let mut cursor = open_quarantine(bytes, 1).cursor();
+        let mut buf = [MemoryAccess::read(0, 0); 4];
+        let err = loop {
+            match cursor.decode_batch(&mut buf) {
+                Ok(0) => panic!("must hit the budget first"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, TraceError::QuarantineExceeded { .. }));
+        let at = cursor.position();
+        assert_eq!(cursor.skip_records(10), 0);
+        assert_eq!(cursor.position(), at);
+        assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
     }
 
     #[test]

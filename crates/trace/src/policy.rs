@@ -217,11 +217,18 @@ impl Tally {
         }
     }
 
+    /// Whether the blown budget has been reported: the cursor reads as
+    /// exhausted, to a decode and to a skip alike.
+    #[inline(always)]
+    pub(crate) fn spent(&self) -> bool {
+        self.spent
+    }
+
     /// Whether a decode may go on: `Ok(false)` once the blown budget has
     /// been reported, and the one report if a skip blew it.
     #[inline(always)]
     pub(crate) fn admit(&mut self) -> Result<bool, TraceError> {
-        if self.spent {
+        if self.spent() {
             return Ok(false);
         }
         self.check()?;

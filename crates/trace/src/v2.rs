@@ -706,12 +706,15 @@ impl V2TraceCursor {
     /// deferred to the next `decode_batch`); quarantine skips validate
     /// the blocks they traverse and tally damaged ones exactly as a
     /// decode would, without enforcing the budget (the next decode
-    /// reports it).
+    /// reports it). A spent cursor skips nothing.
     pub fn skip_records(&mut self, n: u64) -> u64 {
         if self.tally.policy().is_strict() {
             let skipped = n.min(self.total - self.next);
             self.next += skipped;
             return skipped;
+        }
+        if self.tally.spent() {
+            return 0;
         }
         let mut skipped = 0u64;
         while skipped < n && self.next < self.total {
@@ -1068,6 +1071,34 @@ mod tests {
         ));
         assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
         assert_eq!(cursor.position(), 18);
+    }
+
+    #[test]
+    fn a_spent_cursor_skips_nothing() {
+        let mut bytes = encode(&sample(40), 4);
+        for record in [4u64, 8] {
+            bake_faults(
+                &mut bytes,
+                &[PlannedFault {
+                    record,
+                    kind: FaultKind::CorruptKind,
+                }],
+            );
+        }
+        let mut cursor = open_quarantine(bytes, 4).cursor();
+        let mut buf = vec![MemoryAccess::read(0, 0); 3];
+        let err = loop {
+            match cursor.decode_batch(&mut buf) {
+                Ok(0) => panic!("must hit the budget first"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, TraceError::QuarantineExceeded { .. }));
+        let at = cursor.position();
+        assert_eq!(cursor.skip_records(10), 0);
+        assert_eq!(cursor.position(), at);
+        assert_eq!(cursor.decode_batch(&mut buf).unwrap(), 0);
     }
 
     #[test]
