@@ -1,13 +1,8 @@
-//! # tlbsim-bench — shared benchmark fixtures
+//! # tlbsim-bench — the in-tree ratio gates
 //!
-//! Deterministic miss streams, recorded-trace and multiprogram fixtures,
-//! and run helpers used by the Criterion benches in `benches/`. The bench
-//! groups mirror the paper's artifacts: `figures.rs` and `tables.rs` time
-//! the kernels that regenerate each figure/table, `prefetchers.rs` and
-//! `substrates.rs` microbenchmark the mechanisms and hardware models, and
-//! `ablations.rs` quantifies the design choices documented in the
-//! repository `README.md`. Five groups assert in-tree gates, all through
-//! [`assert_ratio`]'s one alternating best-of-rounds protocol:
+//! Each bench target in `benches/` is a plain binary with no options:
+//! it builds one deterministic fixture and hands a base lane and a
+//! candidate lane to [`assert_ratio`] once. The gates:
 //!
 //! - `throughput.rs`: the confidence-wrapped DP (C+DP ≥ 0.8× plain DP
 //!   throughput);
@@ -20,43 +15,16 @@
 //! - `multiprogram.rs`: the interleaved multiprogrammed path (≥ 0.8×
 //!   back-to-back single-stream throughput on the identical accesses).
 //!
-//! End-to-end numbers with a spread come from the repository benchmark
-//! (`perfbench/`), not from these groups.
+//! End-to-end and per-layer numbers with a spread come from the
+//! repository benchmark (`perfbench/`), not from these gates.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tlbsim_core::{MemoryAccess, MissContext, Pc, VirtPage};
-use tlbsim_sim::{Engine, SimConfig, SimStats};
+use tlbsim_core::MemoryAccess;
+use tlbsim_sim::SimConfig;
 use tlbsim_workloads::{find_app, AppSpec, MultiStreamSpec, Scale, Schedule, StreamSpec};
-
-/// A deterministic synthetic miss stream mixing strided runs with
-/// repeating jumps — exercises every mechanism's table paths without
-/// degenerating into a single hot row.
-pub fn mixed_miss_stream(len: usize) -> Vec<MissContext> {
-    let mut out = Vec::with_capacity(len);
-    let mut page = 0x10_0000u64;
-    for i in 0..len {
-        page += match i % 7 {
-            0..=3 => 1,
-            4 => 13,
-            5 => 1,
-            _ => 97,
-        };
-        out.push(MissContext {
-            page: VirtPage::new(page),
-            pc: Pc::new(0x400 + (i as u64 % 4) * 4),
-            prefetch_buffer_hit: i % 3 == 0,
-            evicted_tlb_entry: if i % 2 == 0 {
-                Some(VirtPage::new(page - 200))
-            } else {
-                None
-            },
-        });
-    }
-    out
-}
 
 /// A deterministic access stream for whole-engine benchmarks.
 pub fn looping_access_stream(pages: u64, refs: u64, laps: u64) -> Vec<MemoryAccess> {
@@ -74,7 +42,7 @@ pub fn looping_access_stream(pages: u64, refs: u64, laps: u64) -> Vec<MemoryAcce
 /// The trace-replay fixture: galgel — the paper's highest-miss-rate
 /// SPEC application — at the `SMALL` scale (the recorded file stays a
 /// few MiB), under the representative DP configuration. The
-/// `trace_replay` and `trace_v2` groups both record it.
+/// `trace_replay` and `trace_v2` gates both record it.
 pub fn trace_replay_fixture() -> (&'static AppSpec, Scale, SimConfig) {
     let app = find_app("galgel").expect("galgel is registered");
     (app, Scale::SMALL, SimConfig::paper_default())
@@ -102,13 +70,6 @@ pub fn multiprogram_fixture() -> (MultiStreamSpec, Scale, SimConfig) {
     let mix = MultiStreamSpec::new(streams, Schedule::RoundRobin { quantum: 4096 })
         .expect("two-stream fixture is a valid mix");
     (mix, Scale::SMALL, SimConfig::paper_default())
-}
-
-/// Runs an application through the functional engine at bench scale.
-pub fn run_functional(app: &AppSpec, config: &SimConfig) -> SimStats {
-    let mut engine = Engine::new(config).expect("valid bench configuration");
-    engine.run(app.workload(Scale::TINY));
-    engine.stats().clone()
 }
 
 /// Alternating rounds a gate's bests must hold in [`assert_ratio`]: the
@@ -214,7 +175,6 @@ mod tests {
 
     #[test]
     fn fixtures_are_deterministic() {
-        assert_eq!(mixed_miss_stream(100), mixed_miss_stream(100));
         assert_eq!(
             looping_access_stream(10, 2, 2),
             looping_access_stream(10, 2, 2)

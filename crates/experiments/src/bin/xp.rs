@@ -59,11 +59,12 @@
 //! and per-stream prediction accuracy. `--switch-policy` picks the
 //! context-switch semantics: `none` keeps all state across switches,
 //! `flush` empties the TLB, prefetch buffer and prediction tables at
-//! every switch (the paper's §4 scenario; `--flush-on-switch` is the
-//! older spelling), and `asid` retags state per stream so switches are
-//! flush-free — `--asid-contexts <n>` caps the live contexts (default:
-//! all streams) and `--table-policy partitioned` gives each stream
-//! private prediction tables instead of shared competitive ones.
+//! every switch (the paper's §4 scenario), and `asid` retags state per
+//! stream so switches are flush-free — `--asid-contexts <n>` caps the
+//! live contexts (default: all streams) and `--table-policy partitioned`
+//! gives each stream private prediction tables instead of shared
+//! competitive ones. Those two flags apply only to `asid`; with another
+//! policy they are an error.
 //! `--shards` partitions each run across workers at switch boundaries
 //! (or whole streams, for eviction-free partitioned ASID runs).
 //!
@@ -105,8 +106,8 @@ struct Args {
     streams: Vec<String>,
     quantum: u64,
     switch_policy: String,
-    asid_contexts: usize,
-    table_policy: String,
+    asid_contexts: Option<usize>,
+    table_policy: Option<String>,
     policy: DecodePolicy,
     seed: u64,
     corrupt: usize,
@@ -139,7 +140,7 @@ fn usage() -> &'static str {
      xp replay --trace <path> [--shards <n|auto>] [--quarantine <n|unlimited>] \
      [--stream-window <blocks>] [--csv <dir>]\n       \
      xp mix --streams <a,b,...> [--quantum <n>] [--switch-policy none|flush|asid] \
-     [--flush-on-switch] [--asid-contexts <n>] [--table-policy shared|partitioned] \
+     [--asid-contexts <n>] [--table-policy shared|partitioned] \
      [--scale <s>] [--shards <n|auto>] [--quarantine <n|unlimited>] [--csv <dir>]\n       \
      xp check --trace <path> [--quarantine <n|unlimited>]\n       \
      xp chaos --trace <path> --out <path> [--seed <n>] [--corrupt <k>] \
@@ -190,8 +191,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut streams = Vec::new();
     let mut quantum = 50_000u64;
     let mut switch_policy = "none".to_owned();
-    let mut asid_contexts = 0usize;
-    let mut table_policy = "shared".to_owned();
+    let mut asid_contexts = None;
+    let mut table_policy = None;
     let mut policy = DecodePolicy::Strict;
     let mut seed = 1u64;
     let mut corrupt = 0usize;
@@ -252,24 +253,18 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     }
                 }
             }
-            // Older spelling of `--switch-policy flush`, kept for scripts.
-            "--flush-on-switch" => {
-                switch_policy = "flush".to_owned();
-            }
             "--asid-contexts" => {
                 let value = argv.next().ok_or("--asid-contexts needs a count")?;
-                asid_contexts = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("bad context count {value:?} (want an integer >= 1)"))?;
+                asid_contexts = Some(value.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(
+                    || format!("bad context count {value:?} (want an integer >= 1)"),
+                )?);
             }
             "--table-policy" => {
                 let value = argv
                     .next()
                     .ok_or("--table-policy needs <shared|partitioned>")?;
                 match value.as_str() {
-                    "shared" | "partitioned" => table_policy = value,
+                    "shared" | "partitioned" => table_policy = Some(value),
                     other => {
                         return Err(format!(
                             "bad table policy {other:?} (want \"shared\" or \"partitioned\")"
@@ -546,22 +541,26 @@ fn run_mix(args: &Args) -> Result<(), String> {
     if args.streams.is_empty() {
         return Err(format!("mix needs --streams <a,b,...>\n{}", usage()));
     }
+    // `--asid-contexts` and `--table-policy` shape ASID contexts, so
+    // under another policy they are a contradiction, not a silent no-op.
+    let asid_only = args.asid_contexts.is_some() || args.table_policy.is_some();
     let switch_policy = match args.switch_policy.as_str() {
-        "none" => SwitchPolicy::None,
-        "flush" => SwitchPolicy::FlushOnSwitch,
         "asid" => SwitchPolicy::Asid {
             // Default: every stream keeps a live context — fully
             // flush-free. `--asid-contexts` squeezes that down.
-            contexts: if args.asid_contexts == 0 {
-                args.streams.len()
-            } else {
-                args.asid_contexts
-            },
-            tables: match args.table_policy.as_str() {
-                "partitioned" => TablePolicy::Partitioned,
+            contexts: args.asid_contexts.unwrap_or(args.streams.len()),
+            tables: match args.table_policy.as_deref() {
+                Some("partitioned") => TablePolicy::Partitioned,
                 _ => TablePolicy::Shared,
             },
         },
+        _ if asid_only => {
+            return Err(
+                "--asid-contexts and --table-policy only apply to --switch-policy asid".to_owned(),
+            )
+        }
+        "none" => SwitchPolicy::None,
+        "flush" => SwitchPolicy::FlushOnSwitch,
         other => return Err(format!("bad switch policy {other:?}\n{}", usage())),
     };
     let report = mix::mix_with_policy(
@@ -922,6 +921,11 @@ mod tests {
                 "--shards",
             ),
             ("figure9 --scale tiny --stream-window 4", "--stream-window"),
+            // `--switch-policy flush` is the one spelling of a flushing mix.
+            (
+                "mix --streams gap,mcf --flush-on-switch",
+                "--flush-on-switch",
+            ),
         ] {
             let message = parse(line).err().expect(line);
             assert!(message.contains(flag), "{line}: {message}");
@@ -1035,13 +1039,34 @@ mod tests {
         assert_eq!(actual, expected);
     }
 
+    /// The ASID-only flags under another switch policy stop `mix`
+    /// before it runs anything, instead of being ignored.
+    #[test]
+    fn asid_flags_without_the_asid_policy_are_rejected() {
+        for policy in ["", "--switch-policy none", "--switch-policy flush"] {
+            for flags in [
+                "--asid-contexts 1",
+                "--table-policy partitioned",
+                "--table-policy shared --asid-contexts 2",
+            ] {
+                let line =
+                    format!("mix --streams gap,mcf --scale tiny --quantum 500 {policy} {flags}");
+                assert_eq!(
+                    run_mix(&parse(&line).expect("parses")).err().as_deref(),
+                    Some("--asid-contexts and --table-policy only apply to --switch-policy asid"),
+                    "{line}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn flags_a_subcommand_reads_are_accepted() {
         for line in [
             "all --scale tiny --csv out",
             "--scale tiny figure9",
             "replay --trace t.tlbt --shards 2 --quarantine 10 --stream-window 4",
-            "mix --streams gap,mcf --scale tiny --quantum 500 --flush-on-switch --shards 2",
+            "mix --streams gap,mcf --scale tiny --quantum 500 --switch-policy flush --shards 2",
             "submit --socket s --app gap --scale tiny --shards auto --scheme c+dp",
             "tracestat a.tlbt b.tlbt --quarantine unlimited",
             "unknown --shards 2",

@@ -26,7 +26,7 @@
 //! xp figure7 --scale small --csv out/
 //! xp record --app galgel --scale small --out galgel.tlbt
 //! xp replay --trace galgel.tlbt --shards 4
-//! xp mix --streams galgel.tlbt,mcf,perl4 --quantum 50000 --flush-on-switch
+//! xp mix --streams galgel.tlbt,mcf,perl4 --quantum 50000 --switch-policy flush
 //! xp check --trace galgel.tlbt --quarantine 100
 //! xp chaos --trace galgel.tlbt --out damaged.tlbt --seed 42 --corrupt 7
 //! ```

@@ -49,7 +49,7 @@
 //! per-shard [`sim::SimStats`] merge deterministically with a
 //! footprint union plus a prefetch-buffer boundary-reconciliation
 //! counter. One shard is bit-identical to the sequential path; the
-//! `sharded_run` bench group gates ≥ 2× throughput at 4 shards on
+//! `sharded_run` bench gate holds ≥ 2× throughput at 4 shards on
 //! multi-core hosts, and `xp replay|mix|submit --shards N` drives a
 //! trace, a mix or a served job through the sharded path. The figure
 //! grids stay job-parallel: [`sim::sweep`] records one TLB miss stream
@@ -71,7 +71,7 @@
 //! `xp record` / `xp replay` drive it from the command line, the
 //! differential harness in `tests/trace_replay.rs` pins replayed
 //! statistics bit-identical to generator runs, and the `trace_replay`
-//! bench group gates replay at ≥ 0.8× generator throughput. The byte
+//! bench gate holds replay at ≥ 0.8× generator throughput. The byte
 //! format is specified normatively in `docs/TRACE_FORMAT.md`.
 //!
 //! ## Multiprogrammed execution
@@ -85,7 +85,7 @@
 //! additionally flush translation + prediction state at context
 //! switches and attribute hits/misses/prefetch outcomes per stream
 //! ([`sim::SimStats::per_stream`]). `xp mix` sweeps the 30-scheme grid
-//! over an interleave, and the `multiprogram` bench group gates
+//! over an interleave, and the `multiprogram` bench gate holds
 //! interleaved execution at ≥ 0.8× single-stream throughput. The
 //! architecture is documented in `docs/DESIGN.md`.
 //!

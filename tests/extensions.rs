@@ -154,3 +154,43 @@ fn disabling_prefetch_filtering_wastes_traffic() {
     // Misses are untouched either way.
     assert_eq!(blind.misses, filtered.misses);
 }
+
+/// DP accuracy at TINY scale under the paper-default configuration with
+/// `prefetcher` and a `buffer`-entry prefetch buffer.
+fn dp_accuracy(app_name: &str, prefetcher: PrefetcherConfig, buffer: usize) -> f64 {
+    let app = find_app(app_name).expect("registered");
+    let config = SimConfig::paper_default()
+        .with_prefetcher(prefetcher)
+        .with_prefetch_buffer(buffer);
+    run_app(app, Scale::TINY, &config)
+        .expect("valid")
+        .accuracy()
+}
+
+#[test]
+fn dp_with_one_slot_misses_the_fan_out_two_slots_cover() {
+    // gsm-enc's distance rows fan out: one slot per row keeps only the
+    // latest successor distance, so half the predictions go stale
+    // (0.126 with one slot against 0.250 with two).
+    let with_slots = |slots| {
+        let mut cfg = PrefetcherConfig::distance();
+        cfg.slots(slots);
+        dp_accuracy("gsm-enc", cfg, 16)
+    };
+    let (one, two) = (with_slots(1), with_slots(2));
+    assert!(one < two, "gsm-enc DP: 1 slot {one} vs 2 slots {two}");
+}
+
+#[test]
+fn a_larger_prefetch_buffer_never_costs_dp_accuracy() {
+    // apsi's predictions self-evict from a small buffer before use:
+    // 0.559 at 8 entries, 0.563 at 16, 0.606 at 64.
+    let accuracy: Vec<f64> = [8, 16, 64]
+        .into_iter()
+        .map(|buffer| dp_accuracy("apsi", PrefetcherConfig::distance(), buffer))
+        .collect();
+    assert!(
+        accuracy.windows(2).all(|pair| pair[0] <= pair[1]),
+        "apsi DP accuracy at buffers 8/16/64: {accuracy:?}"
+    );
+}
